@@ -120,31 +120,41 @@ struct PrefetchEachPosition {
 
 // Counting-sorts `keys` by destination shard into caller-provided scratch
 // (ConcurrentSbf's batch grouping step, hoisted here so the sort runs
-// allocation-free over reusable buffers). After the call,
-// `grouped[starts[s] .. starts[s+1])` holds the keys routed to shard s in
-// stable input order, and `order[i]` is the original index of `grouped[i]`
-// (for scattering batch results back to input order). `shard_of(key)` must
-// return a shard index < num_shards. Scratch sizes: grouped, order and
-// shard_scratch hold n entries; starts holds num_shards + 1;
-// cursor_scratch holds num_shards.
+// allocation-free over reusable buffers) and returns the number t of
+// shards the batch touches. After the call, touched[0..t) lists those
+// shards in first-touch order and their slices of `grouped` are contiguous
+// in that order: shard touched[j]'s keys, in stable input order, are
+// grouped[end(j-1) .. end(j)) with end(j) = cursor[touched[j]] and
+// end(-1) = 0. `order[i]` is the original index of `grouped[i]` (for
+// scattering batch results back to input order). `shard_of(key)` must
+// return a shard index below the shard count. Scratch sizes: grouped,
+// order and shard_scratch hold n entries; cursor and touched hold one per
+// shard. cursor must be all zero on entry; the caller re-zeroes the
+// touched entries as it consumes the slices, so per-shard scratch is
+// reused without an O(shards) clear.
 template <typename ShardFn>
-inline void CountingSortByShard(const uint64_t* keys, size_t n,
-                                uint32_t num_shards, ShardFn&& shard_of,
-                                uint64_t* grouped, uint32_t* order,
-                                size_t* starts, uint32_t* shard_scratch,
-                                size_t* cursor_scratch) {
-  for (uint32_t s = 0; s <= num_shards; ++s) starts[s] = 0;
+inline uint32_t CountingSortByShard(const uint64_t* keys, size_t n,
+                                    ShardFn&& shard_of, uint64_t* grouped,
+                                    uint32_t* order, uint32_t* shard_scratch,
+                                    uint64_t* cursor, uint32_t* touched) {
+  uint32_t num_touched = 0;
   for (size_t i = 0; i < n; ++i) {
-    shard_scratch[i] = shard_of(keys[i]);
-    ++starts[shard_scratch[i] + 1];
+    const uint32_t s = shard_of(keys[i]);
+    shard_scratch[i] = s;
+    if (cursor[s]++ == 0) touched[num_touched++] = s;
   }
-  for (uint32_t s = 0; s < num_shards; ++s) starts[s + 1] += starts[s];
-  for (uint32_t s = 0; s < num_shards; ++s) cursor_scratch[s] = starts[s];
+  uint64_t start = 0;
+  for (uint32_t j = 0; j < num_touched; ++j) {
+    const uint64_t size = cursor[touched[j]];
+    cursor[touched[j]] = start;
+    start += size;
+  }
   for (size_t i = 0; i < n; ++i) {
-    const size_t at = cursor_scratch[shard_scratch[i]]++;
+    const uint64_t at = cursor[shard_scratch[i]]++;
     grouped[at] = keys[i];
     order[at] = static_cast<uint32_t>(i);
   }
+  return num_touched;
 }
 
 }  // namespace sbf

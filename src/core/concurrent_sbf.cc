@@ -28,7 +28,8 @@ constexpr uint64_t kRouterSalt = 0x5BF707E2D811ull;
 // path: small enough that readers interleave between chunks.
 constexpr uint64_t kMigrateChunk = 256;
 // Keys routed per delta-batch chunk before the per-shard pending tallies
-// are published (amortizes the shared fetch_adds over the chunk).
+// are published (amortizes the shared fetch_adds over the chunk); also
+// sizes InsertBatch's stack scratch for grouping a chunk by shard.
 constexpr size_t kDeltaBatchChunk = 512;
 // The epoch staleness clock is consulted once per this many buffered ops.
 constexpr uint64_t kClockCheckMask = 63;
@@ -69,25 +70,46 @@ uint64_t FoldPosition(HashFamily::Kind kind, uint64_t old_m, uint64_t c,
                                                    : i + rep * old_m;
 }
 
-// Groups `keys` by destination shard (CountingSortByShard kernel over
-// per-call scratch): [starts[s], starts[s+1]) of `grouped` are (stably)
-// the keys routed to shard s, ready to feed the per-shard batch kernels as
-// one contiguous slice; `order` holds the original index of each grouped
-// key, for scattering results back into input order.
-void GroupByShard(const ConcurrentSbf& filter, const uint64_t* keys, size_t n,
-                  std::vector<uint64_t>* grouped, std::vector<uint32_t>* order,
-                  std::vector<size_t>* starts) {
-  const uint32_t num_shards = filter.num_shards();
+// Groups keys[0..n) by destination shard (the CountingSortByShard kernel
+// over the given scratch; see there for sizes) and calls
+// visit(shard, begin, end) once per touched shard, in first-touch order,
+// with [begin, end) its slice of `grouped`. Re-zeroes the cursors it
+// consumes, so the scratch is ready for the next call.
+template <typename Visit>
+void ForEachShardSlice(const ConcurrentSbf& filter, const uint64_t* keys,
+                       size_t n, uint64_t* grouped, uint32_t* order,
+                       uint32_t* shard_scratch, uint64_t* cursor,
+                       uint32_t* touched, Visit&& visit) {
+  const uint32_t num_touched = CountingSortByShard(
+      keys, n, [&filter](uint64_t key) { return filter.ShardOf(key); },
+      grouped, order, shard_scratch, cursor, touched);
+  size_t begin = 0;
+  for (uint32_t j = 0; j < num_touched; ++j) {
+    const uint32_t s = touched[j];
+    const size_t end = cursor[s];
+    cursor[s] = 0;
+    visit(s, begin, end);
+    begin = end;
+  }
+}
+
+// ForEachShardSlice over per-call scratch (allocates). `grouped` receives
+// the grouped keys; the returned vector maps each grouped position to its
+// input index, for scattering results back into input order.
+template <typename Visit>
+std::vector<uint32_t> GroupByShard(const ConcurrentSbf& filter,
+                                   const uint64_t* keys, size_t n,
+                                   std::vector<uint64_t>* grouped,
+                                   Visit&& visit) {
   grouped->resize(n);
-  order->resize(n);
-  starts->resize(num_shards + 1);
+  std::vector<uint32_t> order(n);
   std::vector<uint32_t> shard_scratch(n);
-  std::vector<size_t> cursor_scratch(num_shards);
-  CountingSortByShard(
-      keys, n, num_shards,
-      [&filter](uint64_t key) { return filter.ShardOf(key); },
-      grouped->data(), order->data(), starts->data(), shard_scratch.data(),
-      cursor_scratch.data());
+  std::vector<uint64_t> cursor(filter.num_shards());
+  std::vector<uint32_t> touched(filter.num_shards());
+  ForEachShardSlice(filter, keys, n, grouped->data(), order.data(),
+                    shard_scratch.data(), cursor.data(), touched.data(),
+                    visit);
+  return order;
 }
 
 // Counter-word view of a filter's kFixed64 backing for the lock-free
@@ -95,12 +117,6 @@ void GroupByShard(const ConcurrentSbf& filter, const uint64_t* keys, size_t n,
 struct AtomicWordView {
   uint64_t* words;
 };
-
-// Magnitude/sign split of a two's-complement net occurrence count.
-bool NetIsAdd(uint64_t net) { return static_cast<int64_t>(net) >= 0; }
-uint64_t NetMagnitude(uint64_t net) {
-  return NetIsAdd(net) ? net : ~net + 1;
-}
 
 }  // namespace
 
@@ -222,198 +238,245 @@ const uint64_t* ConcurrentSbf::FilterWords(const SpectralBloomFilter& f) {
   return static_cast<const FixedWidthCounterVector&>(f.counters()).words();
 }
 
-void ConcurrentSbf::AtomicApply(SpectralBloomFilter& filter, uint64_t key,
-                                uint64_t count, bool add) {
-  uint64_t positions[kMaxK];
-  filter.hash().Positions(key, positions);
-  uint64_t* words = FilterWords(filter);
-  const uint32_t k = options_.k;
-  for (uint32_t i = 0; i < k; ++i) {
-    std::atomic_ref<uint64_t> word(words[positions[i]]);
-    if (add) {
-      word.fetch_add(count, std::memory_order_relaxed);
+// Writer side of the expansion-window handshake (DESIGN.md §11): the one
+// place a lock-free writer enters and leaves a shard. Entering is a Dekker
+// handshake with ExpandShard: the seq-cst refcount increment and pending
+// load pair with the migrator's seq-cst pending publish and refcount drain
+// (both sides are on sbf_analyze's allowlist). Either the writer observes
+// the window and writes only pending, or the migrator observes the
+// increment and waits for the exit before freezing live. One guard covers
+// a whole shard slice; holding the refcount across it just extends the
+// migrator's drain by one pipeline.
+class ConcurrentSbf::WindowWriter {
+ public:
+  explicit WindowWriter(Shard& shard) : shard_(shard) {
+    shard_.live_writers.fetch_add(1, std::memory_order_seq_cst);
+    target_ = shard_.pending_ptr.load(std::memory_order_seq_cst);
+    if (target_ != nullptr) {
+      // Relaxed exit: this writer writes nothing to live, so there is
+      // nothing to publish — the decrement only releases the migrator's
+      // drain spin, which re-reads live_writers seq-cst.
+      shard_.live_writers.fetch_sub(1, std::memory_order_relaxed);
     } else {
-      word.fetch_sub(count, std::memory_order_relaxed);
+      target_ = shard_.live_ptr.load(std::memory_order_acquire);
+      in_live_ = true;
     }
   }
-}
+  ~WindowWriter() {
+    // Release exit: publishes the live-counter stores to the migrator,
+    // whose seq-cst live_writers spin (ExpandShard) is the matching read —
+    // the fold must observe every drained writer's counters.
+    if (in_live_) shard_.live_writers.fetch_sub(1, std::memory_order_release);
+  }
+  WindowWriter(const WindowWriter&) = delete;
+  WindowWriter& operator=(const WindowWriter&) = delete;
 
-uint64_t ConcurrentSbf::CombinedEstimate(const SpectralBloomFilter& live,
-                                         const SpectralBloomFilter& pending,
-                                         uint64_t key,
-                                         bool atomic_reads) const {
+  // The filter to write: pending inside a window, live otherwise.
+  [[nodiscard]] SpectralBloomFilter& target() const { return *target_; }
+
+ private:
+  Shard& shard_;
+  SpectralBloomFilter* target_ = nullptr;
+  bool in_live_ = false;
+};
+
+void ConcurrentSbf::CombinedEstimate(const SpectralBloomFilter& live,
+                                     const SpectralBloomFilter& pending,
+                                     const uint64_t* keys, size_t n,
+                                     uint64_t* out, bool atomic_reads) const {
   // Probe j of the old family corresponds to probe j of the new one (same
   // seed, rebuilt range), so the per-probe sum live[old_j] + pending[new_j]
   // bounds the key's true pre-window + in-window count from above, and the
   // min over j is exactly the estimate a single merged filter would give.
-  uint64_t old_pos[kMaxK];
-  uint64_t new_pos[kMaxK];
-  live.hash().Positions(key, old_pos);
-  pending.hash().Positions(key, new_pos);
+  // The window is short; pipelining the two-filter gather is not worth
+  // the code.
   const uint32_t k = options_.k;
-  uint64_t min_value = ~0ull;
-  if (atomic_reads) {
-    const uint64_t* live_words = FilterWords(live);
-    const uint64_t* pending_words = FilterWords(pending);
+  const uint64_t* live_words = atomic_reads ? FilterWords(live) : nullptr;
+  const uint64_t* pending_words =
+      atomic_reads ? FilterWords(pending) : nullptr;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t old_pos[kMaxK];
+    uint64_t new_pos[kMaxK];
+    live.hash().Positions(keys[i], old_pos);
+    pending.hash().Positions(keys[i], new_pos);
+    uint64_t min_value = ~0ull;
     for (uint32_t j = 0; j < k; ++j) {
-      const uint64_t sum = AtomicLoad(live_words[old_pos[j]]) +
-                           AtomicLoad(pending_words[new_pos[j]]);
+      const uint64_t sum = atomic_reads
+                               ? AtomicLoad(live_words[old_pos[j]]) +
+                                     AtomicLoad(pending_words[new_pos[j]])
+                               : live.counters().Get(old_pos[j]) +
+                                     pending.counters().Get(new_pos[j]);
       min_value = std::min(min_value, sum);
     }
-  } else {
-    for (uint32_t j = 0; j < k; ++j) {
-      const uint64_t sum = live.counters().Get(old_pos[j]) +
-                           pending.counters().Get(new_pos[j]);
-      min_value = std::min(min_value, sum);
+    out[i] = min_value;
+  }
+}
+
+// --- the per-shard kernels -------------------------------------------------
+
+void ConcurrentSbf::WriteShard(uint32_t shard_index, const ShardWrite& write,
+                               DeltaSet* buffer) {
+  Shard& shard = *shards_[shard_index];
+  if (buffer != nullptr) {
+    // Delta-buffered: accumulate into the calling thread's map for this
+    // shard; the shared pending tally is published once per slice.
+    DeltaSet& set = *buffer;
+    util::MutexLock lock(set.mu);
+    DeltaSet::ShardState& state = set.state(shard_index);
+    const uint64_t delta = write.remove ? ~write.count + 1 : write.count;
+    for (size_t i = 0; i < write.n; ++i) {
+      if (!DeltaAccumulate(set.map(shard_index), write.keys[i], delta,
+                           &state.size)) {
+        // Map full: merge this shard's epoch and retry against the
+        // now-empty map (cannot fail twice). The slice is not yet in
+        // pending_contrib, so the forced merge's bookkeeping balances; the
+        // publish below then transiently over-covers the keys it already
+        // applied (the safe direction) until the next merge rebalances.
+        MergeShardDelta(set, shard_index);
+        const bool ok = DeltaAccumulate(set.map(shard_index), write.keys[i],
+                                        delta, &state.size);
+        SBF_DCHECK(ok);
+        (void)ok;
+      }
     }
+    if (!write.remove) {
+      // Publish before returning: a completed insert is covered by the
+      // pending tally until the merge moves it into the counters. Buffered
+      // removes never raise it (an unapplied remove only over-reports).
+      shard.pending_ops.fetch_add(write.n * write.count,
+                                  std::memory_order_relaxed);
+      state.pending_contrib += write.n * write.count;
+    }
+    state.net_ops += write.n * delta;
+    if (!state.epoch_open) {
+      state.epoch_open = true;
+      if (set.options().max_epoch_micros > 0) {
+        state.epoch_start = std::chrono::steady_clock::now();
+      }
+    }
+    state.ops_since_merge += write.n;
+    if (ShouldMergeEpoch(set, state)) MergeShardDelta(set, shard_index);
+    return;
   }
-  return min_value;
-}
-
-void ConcurrentSbf::InsertLockFree(Shard& s, uint64_t key, uint64_t count) {
-  // Dekker handshake with ExpandShard: our seq-cst refcount increment and
-  // pending load pair with the migrator's seq-cst pending publish and
-  // refcount drain (DESIGN.md §11, "window handshake" — both seq-cst sites
-  // are on sbf_analyze's allowlist). Either we observe the window (and
-  // write only pending), or the migrator observes our increment and waits
-  // before freezing live.
-  s.live_writers.fetch_add(1, std::memory_order_seq_cst);
-  SpectralBloomFilter* pending = s.pending_ptr.load(std::memory_order_seq_cst);
-  if (pending != nullptr) {
-    // Relaxed exit: this branch wrote nothing to live, so there is nothing
-    // to publish — the decrement only releases the migrator's drain spin,
-    // which re-reads live_writers seq-cst.
-    s.live_writers.fetch_sub(1, std::memory_order_relaxed);
-    AtomicApply(*pending, key, count, /*add=*/true);
-  } else {
-    AtomicApply(*s.live_ptr.load(std::memory_order_acquire), key, count,
-                /*add=*/true);
-    // Release exit: publishes the counter stores above to the migrator,
-    // whose seq-cst live_writers spin (ExpandShard) is the matching read —
-    // the fold must observe every drained writer's counters.
-    s.live_writers.fetch_sub(1, std::memory_order_release);
-  }
-  s.net_items.fetch_add(count, std::memory_order_relaxed);
-}
-
-void ConcurrentSbf::RemoveLockFree(Shard& s, uint64_t key, uint64_t count) {
-  // Counter updates are mod-2^64 fetch_sub, so a remove landing in pending
-  // while its paired insert went to live still cancels exactly once the
-  // fold adds the two filters together (the lock-free Remove contract:
-  // only remove previously inserted occurrences).
-  // Same handshake and exit orders as InsertLockFree (relaxed when only
-  // pending was written, release to publish live-counter stores to the
-  // migrator's seq-cst drain spin).
-  s.live_writers.fetch_add(1, std::memory_order_seq_cst);
-  SpectralBloomFilter* pending = s.pending_ptr.load(std::memory_order_seq_cst);
-  if (pending != nullptr) {
-    s.live_writers.fetch_sub(1, std::memory_order_relaxed);
-    AtomicApply(*pending, key, count, /*add=*/false);
-  } else {
-    AtomicApply(*s.live_ptr.load(std::memory_order_acquire), key, count,
-                /*add=*/false);
-    s.live_writers.fetch_sub(1, std::memory_order_release);
-  }
-  s.net_items.fetch_sub(count, std::memory_order_relaxed);
-}
-
-uint64_t ConcurrentSbf::EstimateLockFree(const Shard& s, uint64_t key) const {
-  // Pending before live: if we observe the window closed (pending null
-  // reading the migrator's clearing store), the subsequent live load is
-  // coherence-ordered after the swap and sees the folded filter — the
-  // window's content is never missed. Observing pending while live has
-  // already swapped reads the same filter twice: a transient, one-sided
-  // (over) estimate.
-  const SpectralBloomFilter* pending =
-      s.pending_ptr.load(std::memory_order_acquire);
-  const SpectralBloomFilter* live = s.live_ptr.load(std::memory_order_acquire);
-  if (pending != nullptr) {
-    return CombinedEstimate(*live, *pending, key, /*atomic_reads=*/true);
-  }
-  uint64_t positions[kMaxK];
-  live->hash().Positions(key, positions);
-  const uint64_t* words = FilterWords(*live);
-  uint64_t min_value = ~0ull;
-  for (uint32_t i = 0; i < options_.k; ++i) {
-    min_value = std::min(min_value, AtomicLoad(words[positions[i]]));
-    if (min_value == 0) break;
-  }
-  return min_value;
-}
-
-void ConcurrentSbf::InsertLockFreeBatch(Shard& s, const uint64_t* keys,
-                                        size_t n, uint64_t count) {
-  // One window check covers the whole shard slice; holding the refcount
-  // across the batch just extends the migrator's drain by one pipeline.
-  // Same handshake/exit orders as InsertLockFree.
-  s.live_writers.fetch_add(1, std::memory_order_seq_cst);
-  SpectralBloomFilter* pending = s.pending_ptr.load(std::memory_order_seq_cst);
-  SpectralBloomFilter* target;
-  if (pending != nullptr) {
-    s.live_writers.fetch_sub(1, std::memory_order_relaxed);
-    target = pending;
-  } else {
-    target = s.live_ptr.load(std::memory_order_acquire);
-  }
-  const HashFamily& hash = target->hash();
-  const uint32_t k = options_.k;
-  AtomicWordView view{FilterWords(*target)};
-  BatchPipeline(
-      view, keys, n,
-      [&hash](uint64_t key, uint64_t* pos) { hash.Positions(key, pos); },
-      [k](const AtomicWordView& v, const uint64_t* pos) {
-        for (uint32_t j = 0; j < k; ++j) SBF_PREFETCH_WRITE(v.words + pos[j]);
-      },
-      [k, count](AtomicWordView& v, const uint64_t* pos, size_t) {
-        for (uint32_t j = 0; j < k; ++j) {
-          std::atomic_ref<uint64_t>(v.words[pos[j]])
-              .fetch_add(count, std::memory_order_relaxed);
-        }
-      });
-  if (pending == nullptr) {
-    s.live_writers.fetch_sub(1, std::memory_order_release);
-  }
-  s.net_items.fetch_add(n * count, std::memory_order_relaxed);
-}
-
-void ConcurrentSbf::EstimateLockFreeBatch(const Shard& s,
-                                          const uint64_t* keys, size_t n,
-                                          uint64_t* out) const {
-  const SpectralBloomFilter* pending =
-      s.pending_ptr.load(std::memory_order_acquire);
-  const SpectralBloomFilter* live = s.live_ptr.load(std::memory_order_acquire);
-  if (pending != nullptr) {
-    // Dual-write window: per-key combined probes (the window is short;
-    // pipelining the two-filter gather is not worth the code).
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = CombinedEstimate(*live, *pending, keys[i],
-                                /*atomic_reads=*/true);
+  if (lock_free_) {
+    // Relaxed atomic adds of each key's two's-complement delta: a remove
+    // is a wrapping add, so one landing in pending while its paired insert
+    // went to live still cancels exactly once the fold adds the filters.
+    const uint64_t uniform = write.remove ? ~write.count + 1 : write.count;
+    WindowWriter window(shard);
+    SpectralBloomFilter& target = window.target();
+    const HashFamily& hash = target.hash();
+    const uint32_t k = options_.k;
+    AtomicWordView view{FilterWords(target)};
+    BatchPipeline(
+        view, write.keys, write.n,
+        [&hash](uint64_t key, uint64_t* pos) { hash.Positions(key, pos); },
+        [k](const AtomicWordView& v, const uint64_t* pos) {
+          for (uint32_t j = 0; j < k; ++j) SBF_PREFETCH_WRITE(v.words + pos[j]);
+        },
+        [k, &write, uniform](AtomicWordView& v, const uint64_t* pos,
+                             size_t i) {
+          const uint64_t delta =
+              write.nets != nullptr ? write.nets[i] : uniform;
+          for (uint32_t j = 0; j < k; ++j) {
+            std::atomic_ref<uint64_t>(v.words[pos[j]])
+                .fetch_add(delta, std::memory_order_relaxed);
+          }
+        });
+    // An epoch merge's nets were tallied when buffered (ShardState::
+    // net_ops); the merge folds that tally into net_items itself.
+    if (write.nets == nullptr) {
+      shard.net_items.fetch_add(write.n * uniform, std::memory_order_relaxed);
     }
     return;
   }
-  const HashFamily& hash = live->hash();
-  const uint32_t k = options_.k;
-  AtomicWordView view{const_cast<uint64_t*>(FilterWords(*live))};
-  BatchPipeline(
-      view, keys, n,
-      [&hash](uint64_t key, uint64_t* pos) { hash.Positions(key, pos); },
-      [k](const AtomicWordView& v, const uint64_t* pos) {
-        for (uint32_t j = 0; j < k; ++j) SBF_PREFETCH(v.words + pos[j]);
-      },
-      [k, out](const AtomicWordView& v, const uint64_t* pos, size_t i) {
-        uint64_t min_value = AtomicLoad(v.words[pos[0]]);
-        for (uint32_t j = 1; j < k; ++j) {
-          const uint64_t value = AtomicLoad(v.words[pos[j]]);
-          min_value = value < min_value ? value : min_value;
-        }
-        out[i] = min_value;
-      });
+  util::WriterMutexLock lock(shard.mu);
+  // Inside a window every write lands in pending. The pre-window
+  // occurrences live in the old filter, so a remove there clamps at zero
+  // (tallied) and leaves a benign one-sided overestimate that the fold
+  // does not disturb.
+  SpectralBloomFilter& f = shard.pending ? *shard.pending : *shard.live;
+  if (write.nets != nullptr) {
+    // An epoch merge. Removes never buffer on this path (Remove() flushes
+    // and applies directly on clamped backings), so every net is a sum of
+    // insert counts; ApplyAddBatch takes the decoded-view bulk path where
+    // that pays.
+    f.ApplyAddBatch(write.keys, write.nets, write.n);
+  } else if (write.remove) {
+    for (size_t i = 0; i < write.n; ++i) f.Remove(write.keys[i], write.count);
+  } else {
+    f.InsertBatch(write.keys, write.n, write.count);
+  }
+}
+
+void ConcurrentSbf::EstimateShard(uint32_t shard_index, const uint64_t* keys,
+                                  size_t n, uint64_t* out) const {
+  const Shard& shard = *shards_[shard_index];
+  uint64_t buffered = 0;
+  if (delta_active_) {
+    // Read-your-writes: the calling thread's own buffers for this shard
+    // are merged first, so single-threaded use is exactly a plain SBF.
+    DrainOwnShard(shard_index);
+    // Acquire the pending tally BEFORE probing: pairs with the merge's
+    // release decrement, so a reader that sees the lowered tally also sees
+    // the applied counters — the estimate never dips below the flushed +
+    // buffered frequency (other threads' buffered ops are covered by the
+    // tally, a one-sided overestimate until their epoch merges).
+    buffered = shard.pending_ops.load(std::memory_order_acquire);
+  }
+  if (lock_free_) {
+    // Pending before live: if we observe the window closed (pending null
+    // reading the migrator's clearing store), the subsequent live load is
+    // coherence-ordered after the swap and sees the folded filter — the
+    // window's content is never missed. Observing pending while live has
+    // already swapped reads the same filter twice: a transient, one-sided
+    // (over) estimate.
+    const SpectralBloomFilter* pending =
+        shard.pending_ptr.load(std::memory_order_acquire);
+    const SpectralBloomFilter* live =
+        shard.live_ptr.load(std::memory_order_acquire);
+    if (pending != nullptr) {
+      CombinedEstimate(*live, *pending, keys, n, out, /*atomic_reads=*/true);
+    } else {
+      const HashFamily& hash = live->hash();
+      const uint32_t k = options_.k;
+      AtomicWordView view{const_cast<uint64_t*>(FilterWords(*live))};
+      BatchPipeline(
+          view, keys, n,
+          [&hash](uint64_t key, uint64_t* pos) { hash.Positions(key, pos); },
+          [k](const AtomicWordView& v, const uint64_t* pos) {
+            for (uint32_t j = 0; j < k; ++j) SBF_PREFETCH(v.words + pos[j]);
+          },
+          [k, out](const AtomicWordView& v, const uint64_t* pos, size_t i) {
+            uint64_t min_value = AtomicLoad(v.words[pos[0]]);
+            for (uint32_t j = 1; j < k; ++j) {
+              const uint64_t value = AtomicLoad(v.words[pos[j]]);
+              min_value = value < min_value ? value : min_value;
+            }
+            out[i] = min_value;
+          });
+    }
+  } else {
+    util::ReaderMutexLock lock(shard.mu);
+    if (shard.pending) {
+      CombinedEstimate(*shard.live, *shard.pending, keys, n, out,
+                       /*atomic_reads=*/false);
+    } else {
+      shard.live->EstimateBatch(keys, n, out);
+    }
+  }
+  if (buffered > 0) {
+    for (size_t i = 0; i < n; ++i) out[i] += buffered;
+  }
 }
 
 // --- delta-buffer plumbing -------------------------------------------------
 
-DeltaSet& ConcurrentSbf::CallerDeltaSet() {
-  return *ThreadDeltaSet(registry_, options_.num_shards, options_.delta);
+DeltaSet* ConcurrentSbf::BufferFor(bool remove) {
+  // Clamped backings make buffered removes order-sensitive (Remove()
+  // flushes and applies them directly instead).
+  if (!delta_active_ || (remove && !lock_free_)) return nullptr;
+  return ThreadDeltaSet(registry_, options_.num_shards, options_.delta);
 }
 
 bool ConcurrentSbf::ShouldMergeEpoch(
@@ -428,84 +491,20 @@ bool ConcurrentSbf::ShouldMergeEpoch(
   return false;
 }
 
-void ConcurrentSbf::BufferDelta(DeltaSet& set, uint32_t shard_index,
-                                uint64_t key, uint64_t count, bool remove) {
-  DeltaSet::ShardState& state = set.state(shard_index);
-  const uint64_t delta = remove ? ~count + 1 : count;
-  if (!DeltaAccumulate(set.map(shard_index), key, delta, &state.size)) {
-    // Map full: merge this shard's epoch and retry against the now-empty
-    // map (cannot fail twice). The op being buffered is not yet in the map
-    // nor in pending_contrib, so the forced merge's bookkeeping balances.
-    MergeShardDelta(set, shard_index);
-    const bool ok =
-        DeltaAccumulate(set.map(shard_index), key, delta, &state.size);
-    SBF_DCHECK(ok);
-    (void)ok;
-  }
-  if (!remove) {
-    // Publish before returning: a completed insert is covered by the
-    // pending tally until the merge moves it into the counters.
-    shards_[shard_index]->pending_ops.fetch_add(count,
-                                                std::memory_order_relaxed);
-    state.pending_contrib += count;
-  }
-  state.net_ops += delta;
-  if (!state.epoch_open) {
-    state.epoch_open = true;
-    if (set.options().max_epoch_micros > 0) {
-      state.epoch_start = std::chrono::steady_clock::now();
-    }
-  }
-  ++state.ops_since_merge;
-  if (ShouldMergeEpoch(set, state)) MergeShardDelta(set, shard_index);
-}
-
 void ConcurrentSbf::MergeShardDelta(DeltaSet& set, uint32_t shard_index) {
   DeltaSet::ShardState& state = set.state(shard_index);
+  if (state.size == 0 && state.pending_contrib == 0) return;
   Shard& s = *shards_[shard_index];
   if (state.size > 0) {
     metrics_.RecordDeltaBufferedPeak(shard_index, state.size);
-    uint32_t applied = 0;
+    // The drain compacts the map's (key, net) entries in place into a
+    // shard-local slice; the write kernel applies it.
+    const DeltaMapView map = set.map(shard_index);
+    const uint32_t applied = DeltaDrain(map);
+    WriteShard(shard_index, {map.keys, applied, 0, false, map.nets},
+               /*buffer=*/nullptr);
     if (lock_free_) {
-      // One expansion-window handshake covers the whole drain (the same
-      // protocol as InsertLockFreeBatch).
-      s.live_writers.fetch_add(1, std::memory_order_seq_cst);
-      SpectralBloomFilter* pending =
-          s.pending_ptr.load(std::memory_order_seq_cst);
-      if (pending != nullptr) {
-        s.live_writers.fetch_sub(1, std::memory_order_relaxed);
-      }
-      SpectralBloomFilter* target =
-          pending != nullptr ? pending
-                             : s.live_ptr.load(std::memory_order_acquire);
-      applied = DeltaDrain(
-          set.map(shard_index), [this, target](uint64_t key, uint64_t net) {
-            AtomicApply(*target, key, NetMagnitude(net), NetIsAdd(net));
-          });
-      if (pending == nullptr) {
-        s.live_writers.fetch_sub(1, std::memory_order_release);
-      }
       s.net_items.fetch_add(state.net_ops, std::memory_order_relaxed);
-    } else {
-      util::WriterMutexLock lock(s.mu);
-      SpectralBloomFilter& f = s.pending ? *s.pending : *s.live;
-      // Gather-then-apply: the epoch's adds go through the filter's
-      // decoded-view bulk path (position-sorted, each touched counter
-      // group decoded and written back once) instead of k probes per key.
-      // Buffered nets on this path are add-only — Remove() flushes and
-      // applies directly on clamped backings — so the remove arm is
-      // defensive only.
-      std::vector<std::pair<uint64_t, uint64_t>> adds;
-      applied =
-          DeltaDrain(set.map(shard_index), [&adds, &f](uint64_t key,
-                                                       uint64_t net) {
-            if (NetIsAdd(net)) {
-              adds.emplace_back(key, net);
-            } else {
-              f.Remove(key, NetMagnitude(net));
-            }
-          });
-      f.ApplyAddBatch(adds.data(), adds.size());
     }
     state.size = 0;
     metrics_.RecordDeltaMerge(shard_index, applied);
@@ -524,56 +523,16 @@ void ConcurrentSbf::MergeShardDelta(DeltaSet& set, uint32_t shard_index) {
   state.epoch_open = false;
 }
 
-void ConcurrentSbf::ApplyNetDelta(Shard& s, uint64_t key, uint64_t net) {
-  SBF_DCHECK(lock_free_);
-  const bool add = NetIsAdd(net);
-  const uint64_t magnitude = NetMagnitude(net);
-  // Same handshake/exit orders as InsertLockFree.
-  s.live_writers.fetch_add(1, std::memory_order_seq_cst);
-  SpectralBloomFilter* pending =
-      s.pending_ptr.load(std::memory_order_seq_cst);
-  if (pending != nullptr) {
-    s.live_writers.fetch_sub(1, std::memory_order_relaxed);
-    AtomicApply(*pending, key, magnitude, add);
-  } else {
-    AtomicApply(*s.live_ptr.load(std::memory_order_acquire), key, magnitude,
-                add);
-    s.live_writers.fetch_sub(1, std::memory_order_release);
-  }
-}
-
 void ConcurrentSbf::DrainOwnShard(uint32_t shard_index) const {
   DeltaSet* set = ThreadDeltaSetIfExists(registry_.get());
   if (set == nullptr) return;
-  auto* self = const_cast<ConcurrentSbf*>(this);
   util::MutexLock lock(set->mu);
-  DeltaSet::ShardState& state = set->state(shard_index);
-  if (state.size > 0 || state.pending_contrib > 0) {
-    self->MergeShardDelta(*set, shard_index);
-  }
-}
-
-void ConcurrentSbf::DrainOwnAll() const {
-  DeltaSet* set = ThreadDeltaSetIfExists(registry_.get());
-  if (set == nullptr) return;
-  auto* self = const_cast<ConcurrentSbf*>(this);
-  util::MutexLock lock(set->mu);
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    DeltaSet::ShardState& state = set->state(s);
-    if (state.size > 0 || state.pending_contrib > 0) {
-      self->MergeShardDelta(*set, s);
-    }
-  }
+  const_cast<ConcurrentSbf*>(this)->MergeShardDelta(*set, shard_index);
 }
 
 void ConcurrentSbf::DrainDeltaSet(DeltaSet& set) {
   util::MutexLock lock(set.mu);
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    DeltaSet::ShardState& state = set.state(s);
-    if (state.size > 0 || state.pending_contrib > 0) {
-      MergeShardDelta(set, s);
-    }
-  }
+  for (uint32_t s = 0; s < options_.num_shards; ++s) MergeShardDelta(set, s);
 }
 
 void ConcurrentSbf::FlushAllBuffers() {
@@ -584,6 +543,8 @@ void ConcurrentSbf::FlushAllBuffers() {
   // the flushed image is independent of which thread buffered which ops
   // (Minimum Selection increments commute). Cold path; may allocate.
   std::vector<std::pair<uint64_t, uint64_t>> entries;
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> nets;
   for (uint32_t shard_index = 0; shard_index < options_.num_shards;
        ++shard_index) {
     entries.clear();
@@ -594,10 +555,11 @@ void ConcurrentSbf::FlushAllBuffers() {
       DeltaSet::ShardState& state = set->state(shard_index);
       if (state.size > 0) {
         metrics_.RecordDeltaBufferedPeak(shard_index, state.size);
-        DeltaDrain(set->map(shard_index),
-                   [&entries](uint64_t key, uint64_t net) {
-                     entries.emplace_back(key, net);
-                   });
+        const DeltaMapView map = set->map(shard_index);
+        const uint32_t drained = DeltaDrain(map);
+        for (uint32_t i = 0; i < drained; ++i) {
+          entries.emplace_back(map.keys[i], map.nets[i]);
+        }
         state.size = 0;
       }
       // Transfer the tally responsibility to this drain; the shard's
@@ -609,51 +571,28 @@ void ConcurrentSbf::FlushAllBuffers() {
       state.ops_since_merge = 0;
       state.epoch_open = false;
     }
-    if (entries.empty() && contrib == 0) continue;
-    std::sort(entries.begin(), entries.end());
     Shard& s = *shards_[shard_index];
-    uint64_t applied = 0;
-    if (lock_free_) {
-      for (size_t i = 0; i < entries.size();) {
-        const uint64_t key = entries[i].first;
-        uint64_t net = 0;
-        for (; i < entries.size() && entries[i].first == key; ++i) {
-          net += entries[i].second;
-        }
-        if (net == 0) continue;
-        ApplyNetDelta(s, key, net);
-        ++applied;
-      }
-      s.net_items.fetch_add(net_ops, std::memory_order_relaxed);
-    } else {
-      // Locked path: net per key, then one decoded-view bulk apply on the
-      // target filter — each counter group the drain touches is decoded
-      // and written back once, which is where the compact backing's flush
-      // cost used to go (a width re-scan per probe). Nets here are
-      // add-only (Remove() flushes and applies directly on this path);
-      // the remove arm is defensive.
-      util::WriterMutexLock lock(s.mu);
-      SpectralBloomFilter& f = s.pending ? *s.pending : *s.live;
-      std::vector<std::pair<uint64_t, uint64_t>> adds;
-      adds.reserve(entries.size());
-      for (size_t i = 0; i < entries.size();) {
-        const uint64_t key = entries[i].first;
-        uint64_t net = 0;
-        for (; i < entries.size() && entries[i].first == key; ++i) {
-          net += entries[i].second;
-        }
-        if (net == 0) continue;
-        if (NetIsAdd(net)) {
-          adds.emplace_back(key, net);
-        } else {
-          f.Remove(key, NetMagnitude(net));
-        }
-        ++applied;
-      }
-      f.ApplyAddBatch(adds.data(), adds.size());
-    }
     if (!entries.empty()) {
-      metrics_.RecordDeltaMerge(shard_index, applied);
+      std::sort(entries.begin(), entries.end());
+      keys.clear();
+      nets.clear();
+      for (size_t i = 0; i < entries.size();) {
+        const uint64_t key = entries[i].first;
+        uint64_t net = 0;
+        for (; i < entries.size() && entries[i].first == key; ++i) {
+          net += entries[i].second;
+        }
+        if (net == 0) continue;
+        keys.push_back(key);
+        nets.push_back(net);
+      }
+      WriteShard(shard_index,
+                 {keys.data(), keys.size(), 0, false, nets.data()},
+                 /*buffer=*/nullptr);
+      metrics_.RecordDeltaMerge(shard_index, keys.size());
+    }
+    if (lock_free_ && net_ops != 0) {
+      s.net_items.fetch_add(net_ops, std::memory_order_relaxed);
     }
     if (contrib > 0) {
       s.pending_ops.fetch_sub(contrib, std::memory_order_release);
@@ -671,172 +610,74 @@ uint64_t ConcurrentSbf::PendingDeltaOps() const noexcept {
   return total;
 }
 
-// --- point & batch ops -----------------------------------------------------
+// --- point & batch ops: a point op is a batch of one -----------------------
 
 void ConcurrentSbf::Insert(uint64_t key, uint64_t count) {
   const uint32_t s = ShardOf(key);
-  if (delta_active_) {
-    DeltaSet& set = CallerDeltaSet();
-    util::MutexLock lock(set.mu);
-    BufferDelta(set, s, key, count, /*remove=*/false);
-    metrics_.RecordInsert(s, 1);
-    return;
-  }
-  Shard& shard = *shards_[s];
-  if (lock_free_) {
-    InsertLockFree(shard, key, count);
-  } else {
-    util::WriterMutexLock lock(shard.mu);
-    (shard.pending ? *shard.pending : *shard.live).Insert(key, count);
-  }
+  WriteShard(s, {&key, 1, count}, BufferFor(/*remove=*/false));
   metrics_.RecordInsert(s, 1);
 }
 
 void ConcurrentSbf::Remove(uint64_t key, uint64_t count) {
   const uint32_t s = ShardOf(key);
-  if (delta_active_) {
-    if (lock_free_) {
-      // Buffered removes never raise the pending tally (an unapplied
-      // remove only over-reports — the safe direction). Counter updates
-      // wrap mod 2^64, so a remove merged before the insert it cancels
-      // (buffered by another thread) still nets out exactly.
-      DeltaSet& set = CallerDeltaSet();
-      util::MutexLock lock(set.mu);
-      BufferDelta(set, s, key, count, /*remove=*/true);
-      metrics_.RecordRemove(s, 1);
-      return;
-    }
+  if (delta_active_ && !lock_free_) {
     // Clamped backings make removes order-sensitive: a remove applied
     // before the insert it cancels clamps at zero and the occurrences are
     // lost. Flushing every buffer first restores the caller's ordering
     // ("only remove previously inserted occurrences" — such inserts are
     // by then either applied or in a buffer the flush gathers), so the
-    // direct remove below never clamps. Removes are the rare op on every
-    // workload this path serves; inserts stay buffered.
+    // direct remove never clamps. Removes are the rare op on every
+    // workload this path serves; inserts stay buffered. On the lock-free
+    // backing removes are buffered: counter updates wrap mod 2^64, so a
+    // remove merged before the insert it cancels (buffered by another
+    // thread) still nets out exactly.
     Flush();
   }
-  Shard& shard = *shards_[s];
-  if (lock_free_) {
-    RemoveLockFree(shard, key, count);
-  } else {
-    util::WriterMutexLock lock(shard.mu);
-    // During a window the pre-window occurrences live in the old filter;
-    // removing them from pending clamps at zero (tallied) and leaves a
-    // benign one-sided overestimate that the fold does not disturb.
-    (shard.pending ? *shard.pending : *shard.live).Remove(key, count);
-  }
+  WriteShard(s, {&key, 1, count, /*remove=*/true}, BufferFor(/*remove=*/true));
   metrics_.RecordRemove(s, 1);
 }
 
 uint64_t ConcurrentSbf::Estimate(uint64_t key) const {
   const uint32_t s = ShardOf(key);
-  const Shard& shard = *shards_[s];
   metrics_.RecordEstimate(s, 1);
-  if (delta_active_) {
-    // Read-your-writes: the calling thread's own buffers for this shard
-    // are merged first, so single-threaded use is exactly a plain SBF.
-    DrainOwnShard(s);
-    // Acquire the pending tally BEFORE probing: pairs with the merge's
-    // release decrement, so a reader that sees the lowered tally also sees
-    // the applied counters — the estimate never dips below the flushed +
-    // buffered frequency (other threads' buffered ops are covered by the
-    // tally, a one-sided overestimate until their epoch merges).
-    const uint64_t pending = shard.pending_ops.load(std::memory_order_acquire);
-    uint64_t base;
-    if (lock_free_) {
-      base = EstimateLockFree(shard, key);
-    } else {
-      util::ReaderMutexLock lock(shard.mu);
-      base = shard.pending
-                 ? CombinedEstimate(*shard.live, *shard.pending, key,
-                                    /*atomic_reads=*/false)
-                 : shard.live->Estimate(key);
-    }
-    return base + pending;
-  }
-  if (lock_free_) return EstimateLockFree(shard, key);
-  util::ReaderMutexLock lock(shard.mu);
-  if (shard.pending) {
-    return CombinedEstimate(*shard.live, *shard.pending, key,
-                            /*atomic_reads=*/false);
-  }
-  return shard.live->Estimate(key);
+  uint64_t estimate = 0;
+  EstimateShard(s, &key, 1, &estimate);
+  return estimate;
 }
 
 void ConcurrentSbf::InsertBatch(const uint64_t* keys, size_t n,
                                 uint64_t count) {
   if (n == 0) return;
-  if (delta_active_) {
-    // Accumulate into the calling thread's maps; the shared per-shard
-    // pending tallies are published once per shard per chunk rather than
-    // per key (the buffered ops only need to be covered by the tally by
-    // the time InsertBatch returns — mid-chunk they are not yet completed
-    // inserts). A chunk's forced mid-accumulation merge may apply entries
-    // whose tally is still unpublished; the later publish then transiently
-    // over-covers (the safe direction) until the next merge rebalances.
-    DeltaSet& set = CallerDeltaSet();
-    util::MutexLock lock(set.mu);
-    uint64_t* chunk_pending = set.batch_pending();
-    uint32_t* touched = set.batch_touched();
-    size_t at = 0;
-    while (at < n) {
-      const size_t chunk_end = std::min(n, at + kDeltaBatchChunk);
-      uint32_t num_touched = 0;
-      for (size_t i = at; i < chunk_end; ++i) {
-        const uint32_t s = ShardOf(keys[i]);
-        DeltaSet::ShardState& state = set.state(s);
-        if (!DeltaAccumulate(set.map(s), keys[i], count, &state.size)) {
-          MergeShardDelta(set, s);
-          const bool ok =
-              DeltaAccumulate(set.map(s), keys[i], count, &state.size);
-          SBF_DCHECK(ok);
-          (void)ok;
-        }
-        if (chunk_pending[s] == 0) touched[num_touched++] = s;
-        chunk_pending[s] += count;
-      }
-      for (uint32_t t = 0; t < num_touched; ++t) {
-        const uint32_t s = touched[t];
-        Shard& shard = *shards_[s];
-        DeltaSet::ShardState& state = set.state(s);
-        const uint64_t occurrences = chunk_pending[s];
-        const uint64_t group_keys = count > 0 ? occurrences / count : 0;
-        chunk_pending[s] = 0;
-        shard.pending_ops.fetch_add(occurrences, std::memory_order_relaxed);
-        state.pending_contrib += occurrences;
-        state.net_ops += occurrences;
-        state.ops_since_merge += group_keys;
-        if (!state.epoch_open) {
-          state.epoch_open = true;
-          if (set.options().max_epoch_micros > 0) {
-            state.epoch_start = std::chrono::steady_clock::now();
-          }
-        }
-        metrics_.RecordInsert(s, group_keys);
-        metrics_.RecordBatch(s);
-        if (ShouldMergeEpoch(set, state)) MergeShardDelta(set, s);
-      }
-      at = chunk_end;
-    }
+  DeltaSet* buffer = BufferFor(/*remove=*/false);
+  const auto insert_slice = [this, count, buffer](uint32_t s,
+                                                  const uint64_t* slice,
+                                                  size_t len) {
+    WriteShard(s, {slice, len, count}, buffer);
+    metrics_.RecordInsert(s, len);
+    metrics_.RecordBatch(s);
+  };
+  if (buffer == nullptr) {
+    std::vector<uint64_t> grouped;
+    GroupByShard(*this, keys, n, &grouped,
+                 [&](uint32_t s, size_t begin, size_t end) {
+                   insert_slice(s, grouped.data() + begin, end - begin);
+                 });
     return;
   }
-  std::vector<uint64_t> grouped;
-  std::vector<uint32_t> order;
-  std::vector<size_t> starts;
-  GroupByShard(*this, keys, n, &grouped, &order, &starts);
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    const size_t begin = starts[s], end = starts[s + 1];
-    if (begin == end) continue;
-    Shard& shard = *shards_[s];
-    if (lock_free_) {
-      InsertLockFreeBatch(shard, grouped.data() + begin, end - begin, count);
-    } else {
-      util::WriterMutexLock lock(shard.mu);
-      (shard.pending ? *shard.pending : *shard.live)
-          .InsertBatch(grouped.data() + begin, end - begin, count);
-    }
-    metrics_.RecordInsert(s, end - begin);
-    metrics_.RecordBatch(s);
+  // Delta path: group chunk by chunk over stack and per-thread scratch
+  // (allocation-free), so each shard's pending tally is published once
+  // per chunk rather than per key — the buffered ops only need to be
+  // covered by the time InsertBatch returns.
+  uint64_t grouped[kDeltaBatchChunk];
+  uint32_t order[kDeltaBatchChunk];
+  uint32_t shard_scratch[kDeltaBatchChunk];
+  for (size_t at = 0; at < n; at += kDeltaBatchChunk) {
+    ForEachShardSlice(*this, keys + at, std::min(kDeltaBatchChunk, n - at),
+                      grouped, order, shard_scratch, buffer->batch_cursor(),
+                      buffer->batch_touched(),
+                      [&](uint32_t s, size_t begin, size_t end) {
+                        insert_slice(s, grouped + begin, end - begin);
+                      });
   }
 }
 
@@ -844,40 +685,15 @@ void ConcurrentSbf::EstimateBatch(const uint64_t* keys, size_t n,
                                   uint64_t* out) const {
   if (n == 0) return;
   std::vector<uint64_t> grouped;
-  std::vector<uint32_t> order;
-  std::vector<size_t> starts;
-  GroupByShard(*this, keys, n, &grouped, &order, &starts);
   std::vector<uint64_t> shard_out(n);
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    const size_t begin = starts[s], end = starts[s + 1];
-    if (begin == end) continue;
-    const Shard& shard = *shards_[s];
-    metrics_.RecordEstimate(s, end - begin);
-    metrics_.RecordBatch(s);
-    uint64_t pending = 0;
-    if (delta_active_) {
-      DrainOwnShard(s);
-      pending = shard.pending_ops.load(std::memory_order_acquire);
-    }
-    if (lock_free_) {
-      EstimateLockFreeBatch(shard, grouped.data() + begin, end - begin,
-                            shard_out.data() + begin);
-    } else {
-      util::ReaderMutexLock lock(shard.mu);
-      if (shard.pending) {
-        for (size_t i = begin; i < end; ++i) {
-          shard_out[i] = CombinedEstimate(*shard.live, *shard.pending,
-                                          grouped[i], /*atomic_reads=*/false);
-        }
-      } else {
-        shard.live->EstimateBatch(grouped.data() + begin, end - begin,
-                                  shard_out.data() + begin);
-      }
-    }
-    if (pending > 0) {
-      for (size_t i = begin; i < end; ++i) shard_out[i] += pending;
-    }
-  }
+  const std::vector<uint32_t> order =
+      GroupByShard(*this, keys, n, &grouped,
+                   [&](uint32_t s, size_t begin, size_t end) {
+                     metrics_.RecordEstimate(s, end - begin);
+                     metrics_.RecordBatch(s);
+                     EstimateShard(s, grouped.data() + begin, end - begin,
+                                   shard_out.data() + begin);
+                   });
   for (size_t i = 0; i < n; ++i) out[order[i]] = shard_out[i];
 }
 
@@ -1066,8 +882,8 @@ void ConcurrentSbf::ExpandShard(Shard& shard,
     const uint64_t c = new_m / old_m;
     // Open the window: new writers divert to pending, then drain writers
     // that loaded a null pending and still target live (the seq-cst pair
-    // of InsertLockFree/RemoveLockFree; both sides are on sbf_analyze's
-    // allowlist — DESIGN.md §11 "window handshake").
+    // of WindowWriter; both sides are on sbf_analyze's allowlist —
+    // DESIGN.md §11 "window handshake").
     shard.pending = std::move(pending);
     shard.pending_ptr.store(shard.pending.get(), std::memory_order_seq_cst);
     while (shard.live_writers.load(std::memory_order_seq_cst) != 0) {

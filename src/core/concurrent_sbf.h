@@ -44,19 +44,31 @@ struct ConcurrentSbfOptions {
 // (Estimate(x) >= f_x, Claims 1/4) holds shard-locally and therefore
 // globally.
 //
-// Synchronization model (see DESIGN.md "Concurrency model"):
+// Structure (see DESIGN.md "Concurrency model"): every operation routes its
+// keys to shards — one key via ShardOf for the point ops, a counting sort
+// for the batch ops — and hands each shard-local slice to one of two
+// per-shard kernels. A point op is a batch of one.
 //
-//  * kFixed64 backing + Minimum Selection: LOCK-FREE. 64-bit counters are
-//    word-aligned, so Insert/Remove are relaxed std::atomic_ref
-//    fetch_add/fetch_sub and Estimate is a relaxed load. Counters are
-//    monotone non-decreasing under insert-only load, so a concurrent
-//    Estimate is always >= the frequency of all *completed* inserts; exact
-//    totals require quiescence (e.g. joining writers first).
-//  * Every other backing/policy combination: striped per-shard
-//    std::shared_mutex (writers exclusive, readers shared). The compact
-//    backing's push-to-slack expansion moves neighbouring counters, so
-//    locking finer than a shard is unsound; throughput scales by raising
-//    num_shards, which is exactly the striping knob.
+//  * The write kernel has three arms. Delta-buffered: the slice accumulates
+//    into the calling thread's delta map for the shard (below). Lock-free
+//    (kFixed64 backing + Minimum Selection): relaxed std::atomic_ref
+//    fetch_adds of each key's two's-complement delta through the prefetch
+//    pipeline, so a remove is a wrapping add. Locked (every other backing
+//    or policy): the shard's exclusive lock around the filter's own batch
+//    kernels. Epoch merges feed drained (key, net) slices through the same
+//    lock-free and locked arms.
+//  * The estimate kernel probes the shard lock-free (relaxed loads) or
+//    under its shared lock, combines both filters per probe inside an
+//    expansion window, and adds the shard's pending-op tally.
+//
+// The compact backing's push-to-slack expansion moves neighbouring
+// counters, so locking finer than a shard is unsound; throughput scales by
+// raising num_shards, which is exactly the striping knob. Lock-free
+// writers enter and leave a shard through one guard (WindowWriter), the
+// writer half of ExpandTo's window handshake. Counters are monotone
+// non-decreasing under insert-only load, so a concurrent Estimate is
+// always >= the frequency of all *completed* inserts; exact totals require
+// quiescence (e.g. joining writers first).
 //
 // Delta-buffered writes (DESIGN.md "Delta-buffered concurrency"): under
 // Minimum Selection (whose increments commute), inserts accumulate into
@@ -315,51 +327,57 @@ class ConcurrentSbf final : public FrequencyFilter {
   static_assert(alignof(util::SharedMutex) <= 64,
                 "Shard line map assumes <=64-byte mutex alignment");
 
+  // Writer side of the expansion-window handshake: the one place a
+  // lock-free writer enters and leaves a shard (defined in the .cc).
+  class WindowWriter;
+
+  // A shard-local slice of writes: keys[0..n) all route to one shard. Each
+  // key carries `count` occurrences, inserted or (remove) removed — or, for
+  // an epoch merge, its own two's-complement net nets[i].
+  struct ShardWrite {
+    const uint64_t* keys;
+    size_t n;
+    uint64_t count = 0;
+    bool remove = false;
+    const uint64_t* nets = nullptr;
+  };
+
   // Raw 64-bit counter words of a filter's kFixed64 backing (counter i is
   // exactly word i), the substrate of the atomic fast path.
   static uint64_t* FilterWords(SpectralBloomFilter& f);
   static const uint64_t* FilterWords(const SpectralBloomFilter& f);
 
-  void InsertLockFree(Shard& s, uint64_t key, uint64_t count);
-  void RemoveLockFree(Shard& s, uint64_t key, uint64_t count);
-  uint64_t EstimateLockFree(const Shard& s, uint64_t key) const;
-  // Windowed (prefetch-pipelined) forms over a shard-local key slice.
-  void InsertLockFreeBatch(Shard& s, const uint64_t* keys, size_t n,
-                           uint64_t count);
-  void EstimateLockFreeBatch(const Shard& s, const uint64_t* keys, size_t n,
-                             uint64_t* out) const;
-  // Applies count at the key's positions in `filter` with relaxed atomic
-  // adds (negative deltas wrap — the lock-free Remove contract).
-  void AtomicApply(SpectralBloomFilter& filter, uint64_t key, uint64_t count,
-                   bool add);
-  // Per-probe combined estimate across a dual-write window.
-  uint64_t CombinedEstimate(const SpectralBloomFilter& live,
-                            const SpectralBloomFilter& pending, uint64_t key,
-                            bool atomic_reads) const;
+  // The per-shard write kernel. With a `buffer` (the calling thread's
+  // DeltaSet, which it locks) the slice is delta-buffered; otherwise it is
+  // applied directly — lock-free or under the shard lock, honouring any
+  // expansion window. Epoch merges pass nets and no buffer.
+  void WriteShard(uint32_t shard_index, const ShardWrite& write,
+                  DeltaSet* buffer);
+  // The per-shard estimate kernel: out[i] = the shard's estimate of
+  // keys[i] (plus its pending-op tally on the delta path).
+  void EstimateShard(uint32_t shard_index, const uint64_t* keys, size_t n,
+                     uint64_t* out) const;
+  // Per-probe combined estimates across a dual-write window.
+  void CombinedEstimate(const SpectralBloomFilter& live,
+                        const SpectralBloomFilter& pending,
+                        const uint64_t* keys, size_t n, uint64_t* out,
+                        bool atomic_reads) const;
   void ExpandShard(Shard& shard, std::unique_ptr<SpectralBloomFilter> pending);
 
   // --- delta-buffer plumbing (active iff delta_active_) -------------------
-  // The calling thread's DeltaSet, created on first use.
-  DeltaSet& CallerDeltaSet();
-  // Buffers one op into the calling thread's map for `shard_index`;
-  // publishes the pending tally for inserts and merges on an epoch
-  // boundary.
-  void BufferDelta(DeltaSet& set, uint32_t shard_index, uint64_t key,
-                   uint64_t count, bool remove) SBF_REQUIRES(set.mu);
+  // The calling thread's DeltaSet (created on first use) when an op of
+  // this kind is buffered — every insert, and removes only on the wrapping
+  // lock-free backing — else null (the direct path).
+  DeltaSet* BufferFor(bool remove);
   // Epoch merge: drains `set`'s map for one shard into the shard counters
-  // and releases its pending-tally contribution. Allocation-free (the
-  // epoch-merge hot path).
+  // and releases its pending-tally contribution (a no-op when it has
+  // neither). Allocation-free (the epoch-merge hot path) except
+  // serial-scan's decoded-view bulk apply.
   void MergeShardDelta(DeltaSet& set, uint32_t shard_index)
       SBF_REQUIRES(set.mu);
-  // Applies one aggregated (key, net) delta to a shard with the atomic
-  // apply, honouring any expansion window. Lock-free configurations only —
-  // the locked-path flush applies nets through the decoded-view bulk path
-  // under the shard lock instead.
-  void ApplyNetDelta(Shard& s, uint64_t key, uint64_t net);
-  // Drains the calling thread's buffers for one shard / all shards (the
-  // read-your-writes half of the discipline; cheap no-ops when empty).
+  // Drains the calling thread's buffers for one shard (the
+  // read-your-writes half of the discipline; a cheap no-op when empty).
   void DrainOwnShard(uint32_t shard_index) const;
-  void DrainOwnAll() const;
   // True when `state` crossed an epoch boundary (size or staleness).
   bool ShouldMergeEpoch(const DeltaSet& set,
                         const DeltaSet::ShardState& state) const;

@@ -76,7 +76,7 @@ DeltaSet::DeltaSet(uint32_t num_shards, const DeltaBufferOptions& options)
   nets_.resize(slots, 0);
   used_.resize(slots, 0);
   states_.resize(num_shards);
-  batch_pending_.resize(num_shards, 0);
+  batch_cursor_.resize(num_shards, 0);
   batch_touched_.resize(num_shards, 0);
 }
 
@@ -84,7 +84,7 @@ size_t DeltaSet::MemoryBits() const noexcept {
   const size_t slots = keys_.size();
   return 8 * (slots * (sizeof(uint64_t) * 2 + sizeof(uint8_t)) +
               states_.size() * sizeof(ShardState) +
-              batch_pending_.size() * sizeof(uint64_t) +
+              batch_cursor_.size() * sizeof(uint64_t) +
               batch_touched_.size() * sizeof(uint32_t));
 }
 

@@ -74,13 +74,15 @@ class DeltaSet {
   [[nodiscard]] const DeltaBufferOptions& options() const noexcept {
     return options_;
   }
-  // Per-shard scratch for batched accumulation (occurrences not yet
-  // published to the shard's pending tally) and the list of shards the
-  // current chunk touched; preallocated so the batch path never allocates.
-  [[nodiscard]] uint64_t* batch_pending() noexcept SBF_REQUIRES(mu) {
-    return batch_pending_.data();
+  // Per-shard scratch for grouping a batch chunk by shard
+  // (CountingSortByShard's cursors and touched-shard list), preallocated
+  // so the batch path never allocates. Only the owning thread's
+  // InsertBatch touches it — cross-thread drains never do — so it is not
+  // guarded by `mu`. The cursors are all zero between uses.
+  [[nodiscard]] uint64_t* batch_cursor() noexcept {
+    return batch_cursor_.data();
   }
-  [[nodiscard]] uint32_t* batch_touched() noexcept SBF_REQUIRES(mu) {
+  [[nodiscard]] uint32_t* batch_touched() noexcept {
     return batch_touched_.data();
   }
 
@@ -100,8 +102,8 @@ class DeltaSet {
   std::vector<uint64_t> nets_ SBF_GUARDED_BY(mu);   // num_shards * capacity
   std::vector<uint8_t> used_ SBF_GUARDED_BY(mu);    // num_shards * capacity
   std::vector<ShardState> states_ SBF_GUARDED_BY(mu);
-  std::vector<uint64_t> batch_pending_ SBF_GUARDED_BY(mu);   // num_shards
-  std::vector<uint32_t> batch_touched_ SBF_GUARDED_BY(mu);   // num_shards
+  std::vector<uint64_t> batch_cursor_;    // num_shards, owner-thread only
+  std::vector<uint32_t> batch_touched_;   // num_shards, owner-thread only
 };
 
 // Every thread's DeltaSet for one ConcurrentSbf. The filter holds the

@@ -55,23 +55,26 @@ inline bool DeltaAccumulate(const DeltaMapView& map, uint64_t key,
   return false;
 }
 
-// Drains every live entry: calls `apply(key, net)` for each slot whose net
-// is nonzero (an insert cancelled by a buffered remove nets to zero and is
-// skipped — nothing to apply), clears the map, and returns the number of
-// applied entries. Iteration is in slot order, which makes single-buffer
-// merges deterministic for a deterministic insertion history.
-template <typename ApplyFn>
-inline uint32_t DeltaDrain(const DeltaMapView& map, ApplyFn&& apply) {
-  uint32_t applied = 0;
+// Drains every live entry in place: the entries with a nonzero net (an
+// insert cancelled by a buffered remove nets to zero and is skipped —
+// nothing to apply) move to the front of the key/net arrays, the map is
+// cleared, and their number n is returned. keys[0..n) and nets[0..n) then
+// hold the drained (key, net) pairs until the next accumulate — a
+// shard-local slice the caller applies without copying. Order is slot
+// order, which makes single-buffer merges deterministic for a
+// deterministic insertion history.
+inline uint32_t DeltaDrain(const DeltaMapView& map) {
+  uint32_t n = 0;
   for (uint64_t at = 0; at <= map.capacity_mask; ++at) {
     if (map.used[at] == 0) continue;
     map.used[at] = 0;
     if (map.nets[at] != 0) {
-      apply(map.keys[at], map.nets[at]);
-      ++applied;
+      map.keys[n] = map.keys[at];
+      map.nets[n] = map.nets[at];
+      ++n;
     }
   }
-  return applied;
+  return n;
 }
 
 }  // namespace sbf

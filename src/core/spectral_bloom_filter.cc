@@ -247,23 +247,19 @@ void SpectralBloomFilter::InsertBatch(const uint64_t* keys, size_t n,
   total_items_ += n * count;
 }
 
-void SpectralBloomFilter::ApplyAddBatch(
-    const std::pair<uint64_t, uint64_t>* entries, size_t n) {
+void SpectralBloomFilter::ApplyAddBatch(const uint64_t* keys,
+                                        const uint64_t* counts, size_t n) {
   if (n == 0) return;
   // The decoded-view path pays one span decode + encode per touched span.
   // That always beats serial-scan's scalar writes (each a full group
-  // re-encode), but compact's scalar Increment is an O(1) in-place bump —
-  // there the view only wins once probes outnumber counters (every span
-  // amortizes its decode over many hits). MI lifts depend on the current
-  // minimum at apply time (no commutative bulk form), and the fixed
-  // backings' Increment is an O(1) inline word op the view cannot beat;
-  // all those cases keep the scalar order.
-  const bool view_pays =
-      options_.backing == CounterBacking::kSerialScan ||
-      (options_.backing == CounterBacking::kCompact &&
-       n >= counters_->size() / options_.k + 1);
-  if (options_.policy != SbfPolicy::kMinimumSelection || !view_pays) {
-    for (size_t e = 0; e < n; ++e) Insert(entries[e].first, entries[e].second);
+  // re-encode, 7.39x in BENCH_compact_decode.json). It does not pay
+  // anywhere else: compact's scalar Increment is an O(1) in-place bump
+  // (the view measured 1.003x the scalar loop even on dense batches), the
+  // fixed backings' Increment is an O(1) inline word op, and MI lifts
+  // depend on the current minimum at apply time (no commutative bulk form).
+  if (options_.policy != SbfPolicy::kMinimumSelection ||
+      options_.backing != CounterBacking::kSerialScan) {
+    for (size_t e = 0; e < n; ++e) Insert(keys[e], counts[e]);
     return;
   }
   const uint32_t k = options_.k;
@@ -272,11 +268,11 @@ void SpectralBloomFilter::ApplyAddBatch(
   uint64_t positions[kMaxK];
   uint64_t items = 0;
   for (size_t e = 0; e < n; ++e) {
-    hash_.Positions(entries[e].first, positions);
+    hash_.Positions(keys[e], positions);
     for (uint32_t j = 0; j < k; ++j) {
-      deltas.emplace_back(positions[j], entries[e].second);
+      deltas.emplace_back(positions[j], counts[e]);
     }
-    items += entries[e].second;
+    items += counts[e];
   }
   // Cluster the increments by decoded span so the view refills each span
   // once. Only span membership matters (clamped adds within one counter

@@ -82,21 +82,19 @@ class SpectralBloomFilter final : public FrequencyFilter {
   using FrequencyFilter::EstimateBatch;
   using FrequencyFilter::InsertBatch;
 
-  // Applies aggregated (key, occurrence count) inserts — a drained
-  // delta-buffer epoch — in one position-clustered pass: all k*n counter
+  // Applies aggregated inserts — keys[e] gains counts[e] occurrences, a
+  // drained delta-buffer epoch — exactly as a loop of Insert(key, count).
+  // Only the serial-scan backing takes a bulk path: all k*n counter
   // positions are hashed up front, clustered by decoded span, and the
   // increments applied through a DecodeView, so each touched counter
-  // group is decoded and written back at most once instead of once per
-  // probe. Counter values and estimates come out exactly as a loop of
-  // Insert(key, count) under Minimum Selection (clamped increments
-  // commute); clamp-tally attribution can differ for increments that
-  // straddle the clamp boundary, since the apply order is the clustered
-  // one. Minimal Increase updates are order-dependent, and the fixed
-  // backings' inline Increment beats any buffering — both fall back to
-  // the scalar Insert loop (which keeps its fault-injection flip site;
-  // the clustered path skips it). Cold-path helper for ConcurrentSbf's
-  // shard flush; may allocate.
-  void ApplyAddBatch(const std::pair<uint64_t, uint64_t>* entries, size_t n);
+  // group is decoded and written back once instead of once per probe
+  // (clamped increments commute, so counter values and estimates are
+  // unchanged; clamp-tally attribution can differ for increments that
+  // straddle the clamp boundary, and the bulk path skips the scalar
+  // Insert's fault-injection flip site). Every other backing, and Minimal
+  // Increase (order-dependent updates), keeps the scalar loop. Cold-path
+  // helper for ConcurrentSbf's shard flush; may allocate.
+  void ApplyAddBatch(const uint64_t* keys, const uint64_t* counts, size_t n);
 
   // Convenience wrappers for string keys.
   void InsertBytes(std::string_view key, uint64_t count = 1) {

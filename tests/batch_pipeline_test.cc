@@ -135,6 +135,48 @@ TEST(BatchPipelineTest, SpectralBloomFilterAllBackingsAndPolicies) {
   }
 }
 
+// ApplyAddBatch (the concurrent frontend's shard-flush path) must leave
+// exactly the state a loop of scalar Insert(key, count) leaves — compared
+// as serialized bytes — on every backing and policy. Sizes cover a sparse
+// epoch (n * k below the serial-scan view's span count: comparison-sorted
+// probes), a dense one (n >= m/k + 1: counting-sorted by span) and one far
+// past it; keys repeat within every epoch, and the epoch lands on a
+// preloaded filter so increments hit nonzero counters.
+TEST(BatchPipelineTest, ApplyAddBatchMatchesScalarInsertLoop) {
+  for (const auto backing :
+       {CounterBacking::kFixed64, CounterBacking::kFixed32,
+        CounterBacking::kCompact, CounterBacking::kSerialScan}) {
+    for (const auto policy :
+         {SbfPolicy::kMinimumSelection, SbfPolicy::kMinimalIncrease}) {
+      for (const size_t n : {size_t{8}, size_t{kM / kK + 1}, size_t{2 * kM}}) {
+        const std::string label =
+            std::string(CounterBackingName(backing)) +
+            (policy == SbfPolicy::kMinimumSelection ? "/MS" : "/MI") +
+            "/n=" + std::to_string(n);
+        auto scalar = SbfFactory(policy, backing)();
+        auto batch = SbfFactory(policy, backing)();
+        const std::vector<uint64_t> preload = RandomKeys(kM / 8, n);
+        scalar->InsertBatch(preload);
+        batch->InsertBatch(preload);
+
+        // ~n/2 distinct keys, so most keys repeat within the epoch.
+        Xoshiro256 rng(n ^ 0xADD);
+        const std::vector<uint64_t> distinct = RandomKeys(n / 2 + 1, n + 1);
+        std::vector<uint64_t> keys(n);
+        std::vector<uint64_t> counts(n);
+        for (size_t i = 0; i < n; ++i) {
+          keys[i] = distinct[rng.UniformInt(distinct.size())];
+          counts[i] = 1 + rng.UniformInt(4);
+          scalar->Insert(keys[i], counts[i]);
+        }
+        static_cast<SpectralBloomFilter&>(*batch).ApplyAddBatch(
+            keys.data(), counts.data(), n);
+        EXPECT_EQ(batch->Serialize(), scalar->Serialize()) << label;
+      }
+    }
+  }
+}
+
 TEST(BatchPipelineTest, BlockedSbfAllBackings) {
   for (const auto backing :
        {CounterBacking::kFixed64, CounterBacking::kFixed32,

@@ -375,23 +375,42 @@ TEST(ConcurrentExpandArgsTest, RejectsShardMisalignedSizes) {
 
 // --- ConcurrentSbf: expansion racing writers and readers -------------------
 
+// How the racing writers reach the shards: each mode drives a different
+// writer path through the expansion window.
+enum class RaceWrites {
+  kPointInserts,  // Insert (delta-buffered under MS; merges cross it)
+  kBatchInserts,  // InsertBatch with duplicate keys inside each batch
+  kRemoves,       // Insert then Remove of part of it
+};
+
 // 8 writers + 8 readers race ExpandTo. Readers hold a preloaded ground
 // truth and assert the one-sided guarantee never breaks — not before, not
-// during, not after the dual-write window. Writers insert disjoint key
-// slices so the post-join ground truth is exact.
-void RaceExpansion(CounterBacking backing, SbfPolicy policy) {
+// during, not after the dual-write window. Writers own disjoint key slices
+// and keep cycling through them until ExpandTo returns (so their writes
+// straddle every shard's window); each visit to key i nets 1 + i % 3
+// occurrences, so the post-join ground truth is exact.
+void RaceExpansion(CounterBacking backing, SbfPolicy policy,
+                   RaceWrites mode = RaceWrites::kPointInserts,
+                   bool delta = true) {
   constexpr int kWriters = 8;
   constexpr int kReaders = 8;
   constexpr uint64_t kKeysPerWriter = 400;
+  constexpr uint64_t kBatchKeys = 8;  // divides kKeysPerWriter
   constexpr uint64_t kPreloaded = 512;
 
   ConcurrentSbfOptions options = ConcurrentOptions(backing, policy);
+  // Large enough that each shard's fold takes long enough for writers to
+  // land inside the window.
+  options.m = 1 << 16;
+  options.delta.enabled = delta;
   ConcurrentSbf filter(options);
 
   // Preload: keys [0, kPreloaded) with count 3, fully quiesced.
   for (uint64_t key = 0; key < kPreloaded; ++key) filter.Insert(key, 3);
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> expanded{false};
+  std::vector<uint64_t> visits(kWriters, 0);
   std::vector<std::thread> threads;
   threads.reserve(kWriters + kReaders);
   for (int r = 0; r < kReaders; ++r) {
@@ -407,16 +426,39 @@ void RaceExpansion(CounterBacking backing, SbfPolicy policy) {
     });
   }
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&filter, w] {
+    threads.emplace_back([&filter, &expanded, &visits, mode, w] {
       // Writer w owns keys [base, base + kKeysPerWriter).
       const uint64_t base = kPreloaded + w * kKeysPerWriter;
-      for (uint64_t i = 0; i < kKeysPerWriter; ++i) {
-        filter.Insert(base + i, 1 + (i % 3));
+      std::vector<uint64_t> batch;
+      uint64_t v = 0;
+      while (v < kKeysPerWriter || !expanded.load(std::memory_order_relaxed)) {
+        const uint64_t i = v % kKeysPerWriter;
+        switch (mode) {
+          case RaceWrites::kPointInserts:
+            filter.Insert(base + i, 1 + (i % 3));
+            ++v;
+            break;
+          case RaceWrites::kBatchInserts:
+            batch.clear();
+            for (uint64_t j = i; j < i + kBatchKeys; ++j) {
+              batch.insert(batch.end(), 1 + (j % 3), base + j);
+            }
+            filter.InsertBatch(batch);
+            v += kBatchKeys;
+            break;
+          case RaceWrites::kRemoves:
+            filter.Insert(base + i, 3 + (i % 3));
+            filter.Remove(base + i, 2);
+            ++v;
+            break;
+        }
       }
+      visits[w] = v;
     });
   }
 
   ASSERT_TRUE(filter.ExpandTo(4 * options.m).ok());
+  expanded.store(true, std::memory_order_relaxed);
 
   for (int w = 0; w < kWriters; ++w) threads[kReaders + w].join();
   stop.store(true, std::memory_order_relaxed);
@@ -430,9 +472,11 @@ void RaceExpansion(CounterBacking backing, SbfPolicy policy) {
   for (int w = 0; w < kWriters; ++w) {
     const uint64_t base = kPreloaded + w * kKeysPerWriter;
     for (uint64_t i = 0; i < kKeysPerWriter; ++i) {
-      EXPECT_GE(filter.Estimate(base + i), 1 + (i % 3))
+      const uint64_t times = visits[w] / kKeysPerWriter +
+                             (i < visits[w] % kKeysPerWriter ? 1 : 0);
+      EXPECT_GE(filter.Estimate(base + i), times * (1 + (i % 3)))
           << "key " << base + i;
-      expected_items += 1 + (i % 3);
+      expected_items += times * (1 + (i % 3));
     }
   }
   EXPECT_EQ(filter.TotalItems(), expected_items);
@@ -449,6 +493,44 @@ TEST(ConcurrentExpandRaceTest, LockedPathStaysOneSided) {
 
 TEST(ConcurrentExpandRaceTest, LockedMinimalIncreasePathStaysOneSided) {
   RaceExpansion(CounterBacking::kCompact, SbfPolicy::kMinimalIncrease);
+}
+
+// The direct (unbuffered) lock-free writers enter the window handshake
+// themselves, once per op or once per shard slice.
+TEST(ConcurrentExpandRaceTest, LockFreeDirectPathStaysOneSided) {
+  RaceExpansion(CounterBacking::kFixed64, SbfPolicy::kMinimumSelection,
+                RaceWrites::kPointInserts, /*delta=*/false);
+}
+
+TEST(ConcurrentExpandRaceTest, LockFreeDirectBatchPathStaysOneSided) {
+  RaceExpansion(CounterBacking::kFixed64, SbfPolicy::kMinimumSelection,
+                RaceWrites::kBatchInserts, /*delta=*/false);
+}
+
+TEST(ConcurrentExpandRaceTest, LockFreeDirectRemovesStayOneSided) {
+  RaceExpansion(CounterBacking::kFixed64, SbfPolicy::kMinimumSelection,
+                RaceWrites::kRemoves, /*delta=*/false);
+}
+
+// Buffered batches and removes cross the window through epoch merges.
+TEST(ConcurrentExpandRaceTest, LockFreeBatchPathStaysOneSided) {
+  RaceExpansion(CounterBacking::kFixed64, SbfPolicy::kMinimumSelection,
+                RaceWrites::kBatchInserts);
+}
+
+TEST(ConcurrentExpandRaceTest, LockFreeBufferedRemovesStayOneSided) {
+  RaceExpansion(CounterBacking::kFixed64, SbfPolicy::kMinimumSelection,
+                RaceWrites::kRemoves);
+}
+
+TEST(ConcurrentExpandRaceTest, LockedBatchPathStaysOneSided) {
+  RaceExpansion(CounterBacking::kCompact, SbfPolicy::kMinimumSelection,
+                RaceWrites::kBatchInserts);
+}
+
+TEST(ConcurrentExpandRaceTest, LockedDirectPathStaysOneSided) {
+  RaceExpansion(CounterBacking::kCompact, SbfPolicy::kMinimumSelection,
+                RaceWrites::kPointInserts, /*delta=*/false);
 }
 
 }  // namespace
