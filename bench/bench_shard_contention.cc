@@ -17,11 +17,19 @@
 //   insert_direct        — ConcurrentSbf inserts, delta buffers off: every
 //                          op touches the shard's shared atomics/locks;
 //   insert_delta         — same keys through the delta buffers: shared
-//                          state is touched once per epoch, not per op.
+//                          state is touched once per epoch, not per op;
+//   point_window_delta   — one thread, the paper's sliding-window step
+//                          (§6.2): Insert, the evicting Remove, then a
+//                          point Estimate, through the delta buffers, so
+//                          nearly every Estimate drains the thread's own
+//                          buffered ops for its shard (read-your-writes);
+//   point_window_direct  — the same steps with delta buffers off.
 //
 // All insert modes route EVERY key to shard 0 of an 8-shard filter — the
 // adversarial single-hot-shard trace — so the numbers bound contention,
-// not shard parallelism.
+// not shard parallelism. The point_window modes route naturally (ShardOf)
+// and report ns per step; scripts/check_drain.py gates delta against
+// direct.
 
 #include <algorithm>
 #include <atomic>
@@ -38,12 +46,17 @@
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/timer.h"
+#include "workload/zipf.h"
 
 namespace sbf {
 namespace {
 
 constexpr size_t kOpsPerThread = 1 << 18;
 constexpr size_t kSlots = 8;  // distinct words the threads spread over
+// point_window modes: occurrences in the window, and the Zipf(1.0) key
+// universe the steps draw from.
+constexpr size_t kWindow = 1 << 15;
+constexpr uint64_t kWindowUniverse = 1 << 18;
 
 struct alignas(64) PaddedCounter {
   std::atomic<uint64_t> value{0};
@@ -159,6 +172,43 @@ void BenchInsert(bench::BenchJson& json, bench::SpeedupBaseline& baselines,
        wall);
 }
 
+void BenchPointWindow(bench::BenchJson& json,
+                      bench::SpeedupBaseline& baselines, bool delta) {
+  ConcurrentSbfOptions options;
+  options.m = 1 << 17;
+  options.k = 5;
+  options.backing = CounterBacking::kFixed64;
+  options.num_shards = 8;
+  options.seed = 17;
+  options.delta.enabled = delta;
+  ConcurrentSbf filter(options);
+
+  // pushed[] is the window FIFO: step t pushes pushed[kWindow + t], evicts
+  // pushed[t] and queries queries[t], an occurrence still in the window.
+  Xoshiro256 rng(29);
+  const ZipfDistribution zipf(kWindowUniverse, 1.0);
+  std::vector<uint64_t> pushed(kWindow + kOpsPerThread);
+  for (uint64_t& key : pushed) key = zipf.Sample(rng);
+  std::vector<uint64_t> queries(kOpsPerThread);
+  for (size_t t = 0; t < kOpsPerThread; ++t) {
+    queries[t] = pushed[t + 1 + rng.UniformInt(kWindow)];
+  }
+  for (size_t i = 0; i < kWindow; ++i) filter.Insert(pushed[i]);
+
+  uint64_t sink = 0;
+  const double wall = RunThreads(1, [&](int) {
+    for (size_t t = 0; t < kOpsPerThread; ++t) {
+      filter.Insert(pushed[kWindow + t]);
+      filter.Remove(pushed[t]);
+      sink += filter.Estimate(queries[t]);
+    }
+  });
+  filter.Flush();
+  if (sink == 0) std::fprintf(stderr, "point_window: empty estimates\n");
+  Emit(json, baselines, delta ? "point_window_delta" : "point_window_direct",
+       1, wall);
+}
+
 }  // namespace
 }  // namespace sbf
 
@@ -173,5 +223,7 @@ int main() {
     sbf::BenchInsert(json, baselines, threads, /*delta=*/false);
     sbf::BenchInsert(json, baselines, threads, /*delta=*/true);
   }
+  sbf::BenchPointWindow(json, baselines, /*delta=*/false);
+  sbf::BenchPointWindow(json, baselines, /*delta=*/true);
   return json.WriteFile() ? 0 : 1;
 }

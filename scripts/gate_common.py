@@ -1,10 +1,10 @@
 """Shared plumbing for the perf-smoke gate scripts.
 
-The three gates (check_scaling, check_simd, check_compact) share an exact
-contract with the CI perf-smoke job: read a bench JSON artifact (schema:
-bench/common/bench_json.h), SKIP with exit 0 when the measurement would be
-meaningless on this host, otherwise compare one extracted speedup against
-a threshold and print a single PASS/FAIL line. This module owns that
+The gates (check_scaling, check_simd, check_compact, check_drain) share an
+exact contract with the CI perf-smoke job: read a bench JSON artifact
+(schema: bench/common/bench_json.h), SKIP with exit 0 when the measurement
+would be meaningless on this host, otherwise compare one extracted ratio
+against a threshold and print a single PASS/FAIL line. This module owns that
 contract so the gates stay behaviorally identical:
 
   exit 0 — PASS or SKIP (a gate that fails on every small runner teaches
@@ -48,11 +48,13 @@ def fail(gate, reason):
     return 1
 
 
-def verdict(gate, speedup, threshold, description):
-    """Prints the PASS/FAIL line and returns the gate's exit status.
+def verdict(gate, speedup, threshold, description, at_most=False):
+    """Prints the PASS/FAIL line and returns the gate's exit status. The
+    gate passes when `speedup` is at least `threshold`, or, with
+    `at_most`, when it is no more than `threshold` (a cost ratio).
     `description` reads as '<what> is <speedup>x <context>' and lands
     between the em dash and the threshold suffix."""
-    ok = speedup >= threshold
+    ok = speedup <= threshold if at_most else speedup >= threshold
     word = "PASS" if ok else "FAIL"
     print(f"{gate}: {word} — {description} (threshold {threshold:.1f}x)")
     return 0 if ok else 1

@@ -37,7 +37,9 @@ constexpr uint64_t kClockCheckMask = 63;
 // per-shard map capacity (a 4096-shard filter would otherwise cost ~70 MiB
 // per writing thread at the default capacity).
 constexpr size_t kMaxDeltaBytesPerThread = 4u << 20;
-// Bytes per delta-map slot: key + net + occupancy byte.
+// Clamp budget per delta-map slot: key + net + one byte. A slot costs 16 B
+// plus one occupancy bit; the budget keeps the 17 B it had when occupancy
+// was a byte, so every shard count keeps the capacity it was clamped to.
 constexpr size_t kDeltaSlotBytes = 2 * sizeof(uint64_t) + 1;
 
 // Relaxed atomic load from a logically-const counter word. atomic_ref of a

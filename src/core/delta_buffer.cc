@@ -74,15 +74,16 @@ DeltaSet::DeltaSet(uint32_t num_shards, const DeltaBufferOptions& options)
   const size_t slots = static_cast<size_t>(num_shards) * options.capacity;
   keys_.resize(slots, 0);
   nets_.resize(slots, 0);
-  used_.resize(slots, 0);
+  occupied_.resize(
+      static_cast<size_t>(num_shards) * DeltaBitmapWords(options.capacity), 0);
   states_.resize(num_shards);
   batch_cursor_.resize(num_shards, 0);
   batch_touched_.resize(num_shards, 0);
 }
 
 size_t DeltaSet::MemoryBits() const noexcept {
-  const size_t slots = keys_.size();
-  return 8 * (slots * (sizeof(uint64_t) * 2 + sizeof(uint8_t)) +
+  return 8 * ((keys_.size() + nets_.size() + occupied_.size()) *
+                  sizeof(uint64_t) +
               states_.size() * sizeof(ShardState) +
               batch_cursor_.size() * sizeof(uint64_t) +
               batch_touched_.size() * sizeof(uint32_t));

@@ -39,10 +39,11 @@ struct DeltaBufferOptions {
 
 // One thread's buffered deltas against one ConcurrentSbf: a delta map per
 // shard plus the per-shard epoch bookkeeping the merge needs. Storage for
-// all shards lives in three flat arrays so a DeltaSet is two allocations
-// regardless of shard count. Jointly owned by the writing thread's TLS
-// holder and the filter's DeltaRegistry; `mu` serializes the owning
-// thread's accumulation against cross-thread Flush().
+// all shards lives in flat arrays (keys, nets, occupancy bitmap words), so
+// the allocation count does not grow with the shard count. Jointly owned
+// by the writing thread's TLS holder and the filter's DeltaRegistry; `mu`
+// serializes the owning thread's accumulation against cross-thread
+// Flush().
 class DeltaSet {
  public:
   DeltaSet(uint32_t num_shards, const DeltaBufferOptions& options);
@@ -64,8 +65,10 @@ class DeltaSet {
 
   [[nodiscard]] DeltaMapView map(uint32_t shard) noexcept SBF_REQUIRES(mu) {
     const size_t base = static_cast<size_t>(shard) * options_.capacity;
+    const size_t word_base =
+        static_cast<size_t>(shard) * DeltaBitmapWords(options_.capacity);
     return DeltaMapView{keys_.data() + base, nets_.data() + base,
-                        used_.data() + base, options_.capacity - 1};
+                        occupied_.data() + word_base, options_.capacity - 1};
   }
   [[nodiscard]] ShardState& state(uint32_t shard) noexcept SBF_REQUIRES(mu) {
     return states_[shard];
@@ -100,7 +103,8 @@ class DeltaSet {
   DeltaBufferOptions options_;
   std::vector<uint64_t> keys_ SBF_GUARDED_BY(mu);   // num_shards * capacity
   std::vector<uint64_t> nets_ SBF_GUARDED_BY(mu);   // num_shards * capacity
-  std::vector<uint8_t> used_ SBF_GUARDED_BY(mu);    // num_shards * capacity
+  // num_shards * DeltaBitmapWords(capacity) occupancy words.
+  std::vector<uint64_t> occupied_ SBF_GUARDED_BY(mu);
   std::vector<ShardState> states_ SBF_GUARDED_BY(mu);
   std::vector<uint64_t> batch_cursor_;    // num_shards, owner-thread only
   std::vector<uint32_t> batch_touched_;   // num_shards, owner-thread only

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/concurrent_sbf.h"
+#include "core/delta_buffer.h"
 #include "core/spectral_bloom_filter.h"
 #include "workload/multiset_stream.h"
 
@@ -428,6 +429,40 @@ TEST(ConcurrentDeltaTest, MetricsTrackMergesAndBufferedPeak) {
   EXPECT_GT(totals.delta_merged_keys, 0u);
   EXPECT_GE(totals.delta_buffered_peak, 8u);
   EXPECT_EQ(totals.inserted_keys, 512u);
+}
+
+// Pins the per-thread clamp: the default 1024-slot maps shrink only once
+// num_shards * capacity * 17 B would pass 4 MiB per writing thread, and
+// merge_keys follows at capacity / 2. A writing thread's footprint is its
+// keys and nets plus one occupancy bit per slot, counted in whole words.
+TEST(ConcurrentDeltaTest, ClampedGeometryAndFootprintPerShardCount) {
+  const struct {
+    uint32_t num_shards;
+    uint32_t capacity;
+    uint32_t merge_keys;
+  } cases[] = {{1, 1024, 512}, {8, 1024, 512}, {256, 512, 256},
+               {4096, 32, 16}};
+  for (const auto& c : cases) {
+    auto options = MakeDeltaOptions(CounterBacking::kFixed64, c.num_shards);
+    options.m = 1 << 16;
+    ConcurrentSbf filter(options);
+    EXPECT_EQ(filter.options().delta.capacity, c.capacity)
+        << "num_shards " << c.num_shards;
+    EXPECT_EQ(filter.options().delta.merge_keys, c.merge_keys)
+        << "num_shards " << c.num_shards;
+
+    const size_t before = filter.MemoryUsageBits();
+    filter.Insert(1);  // registers this thread's DeltaSet
+    const size_t set_bits = filter.MemoryUsageBits() - before;
+    const size_t shards = c.num_shards;
+    const size_t slots = shards * c.capacity;
+    const size_t bytes = slots * 2 * sizeof(uint64_t) +
+                         shards * DeltaBitmapWords(c.capacity) *
+                             sizeof(uint64_t) +
+                         shards * (sizeof(DeltaSet::ShardState) +
+                                   sizeof(uint64_t) + sizeof(uint32_t));
+    EXPECT_EQ(set_bits, 8 * bytes) << "num_shards " << c.num_shards;
+  }
 }
 
 }  // namespace
