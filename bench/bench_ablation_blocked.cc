@@ -10,12 +10,12 @@
 #include <vector>
 
 #include "common/harness.h"
-#include "core/blocked_sbf.h"
+#include "core/spectral_bloom_filter.h"
 
-using sbf::BlockedSbf;
-using sbf::BlockedSbfOptions;
 using sbf::ErrorStats;
 using sbf::Multiset;
+using sbf::SbfOptions;
+using sbf::SpectralBloomFilter;
 using sbf::TablePrinter;
 
 int main() {
@@ -36,13 +36,13 @@ int main() {
     for (int run = 0; run < sbf::bench::kRuns; ++run) {
       const uint64_t seed = 0xB10Cull + run * 37;
       const Multiset data = sbf::MakeZipfMultiset(kN, kTotal, 0.5, seed);
-      BlockedSbfOptions options;
+      SbfOptions options;
       options.m = kM;
       options.block_size = block_size;
       options.k = kK;
       options.seed = seed * 3;
       options.backing = sbf::CounterBacking::kFixed64;
-      BlockedSbf filter(options);
+      SpectralBloomFilter filter(options);
       for (uint64_t key : data.stream) filter.Insert(key);
       for (size_t i = 0; i < data.keys.size(); ++i) {
         stats.Record(filter.Estimate(data.keys[i]), data.freqs[i]);

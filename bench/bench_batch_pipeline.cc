@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/bench_json.h"
-#include "core/blocked_sbf.h"
 #include "core/concurrent_sbf.h"
 #include "core/counting_bloom_filter.h"
 #include "core/frequency_filter.h"
@@ -185,7 +184,7 @@ int main(int argc, char** argv) {
              m, SbfPolicy::kMinimumSelection, CounterBacking::kSerialScan));
        }});
   configs.push_back({"blocked_fixed64_b8", [m] {
-                       BlockedSbfOptions options;
+                       SbfOptions options;
                        options.m = m;
                        options.k = 5;
                        // 8 x 64-bit counters: each key's probes in one
@@ -193,7 +192,7 @@ int main(int argc, char** argv) {
                        options.block_size = 8;
                        options.backing = CounterBacking::kFixed64;
                        options.seed = 42;
-                       return std::make_unique<BlockedSbf>(options);
+                       return std::make_unique<SpectralBloomFilter>(options);
                      }});
   configs.push_back({"cbf_4bit", [m] {
                        return std::make_unique<CountingBloomFilter>(m, 5, 4,

@@ -43,8 +43,8 @@ volatile uint64_t g_sink = 0;
 // after the slow path is gone from the library.
 uint64_t PreRefactorEstimate(const SpectralBloomFilter& filter,
                              const CompactCounterVector& cv, uint64_t key) {
-  uint64_t positions[64];
-  filter.hash().Positions(key, positions);
+  uint64_t positions[sbf::HashFamily::kMaxK];
+  filter.Positions(key, positions);
   const size_t group_size = cv.group_size();
   uint64_t best = ~uint64_t{0};
   for (uint32_t j = 0; j < filter.k(); ++j) {

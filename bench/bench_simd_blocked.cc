@@ -25,8 +25,8 @@
 #include <vector>
 
 #include "common/bench_json.h"
-#include "core/blocked_sbf.h"
 #include "core/simd_kernels.h"
+#include "core/spectral_bloom_filter.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -59,19 +59,20 @@ std::vector<uint64_t> RandomKeys(size_t n, uint64_t seed) {
   return keys;
 }
 
-BlockedSbf MakeFilter(const Geometry& g, SbfPolicy policy, uint64_t m) {
-  BlockedSbfOptions options;
+SpectralBloomFilter MakeFilter(const Geometry& g, SbfPolicy policy,
+                               uint64_t m) {
+  SbfOptions options;
   options.m = m;
   options.block_size = g.block_size;
   options.k = 5;
   options.seed = 42;
   options.backing = g.backing;
   options.policy = policy;
-  return BlockedSbf(options);
+  return SpectralBloomFilter(options);
 }
 
 // One timed estimate pass (reps sweeps over the key set).
-double TimeEstimate(const BlockedSbf& filter,
+double TimeEstimate(const SpectralBloomFilter& filter,
                     const std::vector<uint64_t>& keys, int reps,
                     std::vector<uint64_t>* out) {
   uint64_t sink = 0;
@@ -90,8 +91,8 @@ double TimeEstimate(const BlockedSbf& filter,
 
 // One timed insert pass. Later trials re-insert the same keys on grown
 // counters — identical probe work, so passes stay comparable.
-double TimeInsert(BlockedSbf& filter, const std::vector<uint64_t>& keys,
-                  int reps) {
+double TimeInsert(SpectralBloomFilter& filter,
+                  const std::vector<uint64_t>& keys, int reps) {
   Timer timer;
   for (int r = 0; r < reps; ++r) {
     for (size_t at = 0; at < keys.size(); at += kBatch) {
@@ -133,7 +134,7 @@ void RunCell(bench::BenchJson& json, const Regime& regime, const Geometry& g,
   // and min-of-trials discards it from both sides of the ratio.
   struct IsaRun {
     simd::Isa isa;
-    BlockedSbf filter;
+    SpectralBloomFilter filter;
     double insert_s = 0.0;
     double estimate_s = 0.0;
   };

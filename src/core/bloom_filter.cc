@@ -7,17 +7,12 @@
 #include "util/audit.h"
 
 namespace sbf {
-namespace {
-
-constexpr uint32_t kMaxK = 64;
-
-}  // namespace
-
 BloomFilter::BloomFilter(uint64_t m, uint32_t k, uint64_t seed,
                          HashFamily::Kind kind)
     : m_(m), hash_(k, m, seed, kind), bits_(m) {
   SBF_CHECK_MSG(m >= 1, "Bloom filter needs m >= 1");
-  SBF_CHECK_MSG(k >= 1 && k <= kMaxK, "Bloom filter needs 1 <= k <= 64");
+  SBF_CHECK_MSG(k >= 1 && k <= HashFamily::kMaxK,
+                "Bloom filter needs 1 <= k <= 64");
   SBF_AUDIT_INVARIANTS(*this);
 }
 
@@ -26,7 +21,7 @@ uint32_t BloomFilter::OptimalK(uint64_t m, uint64_t n) {
   const double k = std::log(2.0) * static_cast<double>(m) /
                    static_cast<double>(n);
   const auto rounded = static_cast<uint32_t>(std::lround(k));
-  return std::max(1u, std::min(rounded, kMaxK));
+  return std::max(1u, std::min(rounded, HashFamily::kMaxK));
 }
 
 BloomFilter BloomFilter::WithBitsPerKey(uint64_t n, double bits_per_key,
@@ -37,14 +32,14 @@ BloomFilter BloomFilter::WithBitsPerKey(uint64_t n, double bits_per_key,
 }
 
 void BloomFilter::Add(uint64_t key) {
-  uint64_t positions[kMaxK];
+  uint64_t positions[HashFamily::kMaxK];
   hash_.Positions(key, positions);
   for (uint32_t i = 0; i < hash_.k(); ++i) bits_.SetBit(positions[i], true);
   ++num_added_;
 }
 
 bool BloomFilter::Contains(uint64_t key) const {
-  uint64_t positions[kMaxK];
+  uint64_t positions[HashFamily::kMaxK];
   hash_.Positions(key, positions);
   for (uint32_t i = 0; i < hash_.k(); ++i) {
     if (!bits_.GetBit(positions[i])) return false;
@@ -131,7 +126,7 @@ StatusOr<BloomFilter> BloomFilter::Deserialize(wire::ByteSpan bytes) {
   const uint64_t seed = in.ReadU64();
   const uint64_t count = in.ReadVarint();
   if (!in.ok()) return in.status();
-  if (m < 1 || k < 1 || k > kMaxK || kind > 1) {
+  if (m < 1 || k < 1 || k > HashFamily::kMaxK || kind > 1) {
     return Status::DataLoss("bad Bloom filter header");
   }
   // Validate the payload size before allocating m bits, so a corrupted

@@ -20,7 +20,6 @@
 namespace sbf {
 namespace {
 
-constexpr uint32_t kMaxK = 64;
 constexpr uint32_t kMaxShards = 4096;
 constexpr uint64_t kSeedSalt = 0x5BF5AA17C0DEull;
 constexpr uint64_t kRouterSalt = 0x5BF707E2D811ull;
@@ -48,12 +47,6 @@ constexpr size_t kDeltaSlotBytes = 2 * sizeof(uint64_t) + 1;
 uint64_t AtomicLoad(const uint64_t& word) {
   return std::atomic_ref<uint64_t>(const_cast<uint64_t&>(word))
       .load(std::memory_order_relaxed);
-}
-
-bool SameShardOptions(const SbfOptions& a, const SbfOptions& b) {
-  return a.m == b.m && a.k == b.k && a.policy == b.policy &&
-         a.backing == b.backing && a.seed == b.seed &&
-         a.hash_kind == b.hash_kind;
 }
 
 bool SameOptions(const ConcurrentSbfOptions& a, const ConcurrentSbfOptions& b) {
@@ -297,10 +290,10 @@ void ConcurrentSbf::CombinedEstimate(const SpectralBloomFilter& live,
   const uint64_t* pending_words =
       atomic_reads ? FilterWords(pending) : nullptr;
   for (size_t i = 0; i < n; ++i) {
-    uint64_t old_pos[kMaxK];
-    uint64_t new_pos[kMaxK];
-    live.hash().Positions(keys[i], old_pos);
-    pending.hash().Positions(keys[i], new_pos);
+    uint64_t old_pos[HashFamily::kMaxK];
+    uint64_t new_pos[HashFamily::kMaxK];
+    live.Positions(keys[i], old_pos);
+    pending.Positions(keys[i], new_pos);
     uint64_t min_value = ~0ull;
     for (uint32_t j = 0; j < k; ++j) {
       const uint64_t sum = atomic_reads
@@ -367,12 +360,13 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const ShardWrite& write,
     const uint64_t uniform = write.remove ? ~write.count + 1 : write.count;
     WindowWriter window(shard);
     SpectralBloomFilter& target = window.target();
-    const HashFamily& hash = target.hash();
     const uint32_t k = options_.k;
     AtomicWordView view{FilterWords(target)};
     BatchPipeline(
         view, write.keys, write.n,
-        [&hash](uint64_t key, uint64_t* pos) { hash.Positions(key, pos); },
+        [&target](uint64_t key, uint64_t* pos) {
+          target.Positions(key, pos);
+        },
         [k](const AtomicWordView& v, const uint64_t* pos) {
           for (uint32_t j = 0; j < k; ++j) SBF_PREFETCH_WRITE(v.words + pos[j]);
         },
@@ -440,12 +434,11 @@ void ConcurrentSbf::EstimateShard(uint32_t shard_index, const uint64_t* keys,
     if (pending != nullptr) {
       CombinedEstimate(*live, *pending, keys, n, out, /*atomic_reads=*/true);
     } else {
-      const HashFamily& hash = live->hash();
       const uint32_t k = options_.k;
       AtomicWordView view{const_cast<uint64_t*>(FilterWords(*live))};
       BatchPipeline(
           view, keys, n,
-          [&hash](uint64_t key, uint64_t* pos) { hash.Positions(key, pos); },
+          [live](uint64_t key, uint64_t* pos) { live->Positions(key, pos); },
           [k](const AtomicWordView& v, const uint64_t* pos) {
             for (uint32_t j = 0; j < k; ++j) SBF_PREFETCH(v.words + pos[j]);
           },
@@ -1056,8 +1049,8 @@ StatusOr<ConcurrentSbf> ConcurrentSbf::Deserialize(wire::ByteSpan bytes) {
   options.backing = shard_filters[0].options().backing;
   options.hash_kind = shard_filters[0].options().hash_kind;
   for (uint64_t s = 0; s < num_shards; ++s) {
-    if (!SameShardOptions(shard_filters[s].options(),
-                          ShardOptions(options, static_cast<uint32_t>(s)))) {
+    if (!SameSbfOptions(shard_filters[s].options(),
+                        ShardOptions(options, static_cast<uint32_t>(s)))) {
       return Status::DataLoss("sharded SBF shard " + std::to_string(s) +
                               " inconsistent with header");
     }
@@ -1125,7 +1118,7 @@ Status ConcurrentSbf::CheckInvariants() const {
       return Status::FailedPrecondition(
           "concurrent SBF: shard live pointer mirror out of sync");
     }
-    if (!SameShardOptions(shard.live->options(), ShardOptions(options_, i))) {
+    if (!SameSbfOptions(shard.live->options(), ShardOptions(options_, i))) {
       return Status::FailedPrecondition(
           "concurrent SBF: shard filter options disagree with the derived "
           "per-shard options");

@@ -7,22 +7,19 @@
 #include "util/audit.h"
 
 namespace sbf {
-namespace {
-constexpr uint32_t kMaxK = 64;
-}  // namespace
-
 CountingBloomFilter::CountingBloomFilter(uint64_t m, uint32_t k,
                                          uint32_t counter_bits, uint64_t seed,
                                          HashFamily::Kind kind)
     : m_(m),
       hash_(k, m, seed, kind),
       counters_(m, counter_bits, /*sticky_saturation=*/true) {
-  SBF_CHECK_MSG(k >= 1 && k <= kMaxK, "counting BF needs 1 <= k <= 64");
+  SBF_CHECK_MSG(k >= 1 && k <= HashFamily::kMaxK,
+                "counting BF needs 1 <= k <= 64");
   SBF_AUDIT_INVARIANTS(*this);
 }
 
 void CountingBloomFilter::Insert(uint64_t key, uint64_t count) {
-  uint64_t positions[kMaxK];
+  uint64_t positions[HashFamily::kMaxK];
   hash_.Positions(key, positions);
   for (uint32_t i = 0; i < hash_.k(); ++i) {
     counters_.Increment(positions[i], count);
@@ -30,7 +27,7 @@ void CountingBloomFilter::Insert(uint64_t key, uint64_t count) {
 }
 
 void CountingBloomFilter::Remove(uint64_t key, uint64_t count) {
-  uint64_t positions[kMaxK];
+  uint64_t positions[HashFamily::kMaxK];
   hash_.Positions(key, positions);
   for (uint32_t i = 0; i < hash_.k(); ++i) {
     // Saturated counters stay put (sticky); others clamp at zero if asked
@@ -52,7 +49,7 @@ FilterHealth CountingBloomFilter::Health() const {
 }
 
 uint64_t CountingBloomFilter::Estimate(uint64_t key) const {
-  uint64_t positions[kMaxK];
+  uint64_t positions[HashFamily::kMaxK];
   hash_.Positions(key, positions);
   uint64_t min_value = counters_.Get(positions[0]);
   for (uint32_t i = 1; i < hash_.k(); ++i) {
@@ -111,8 +108,8 @@ StatusOr<CountingBloomFilter> CountingBloomFilter::Deserialize(
   const uint64_t seed = in.ReadU64();
   const uint64_t counter_bits = in.ReadVarint();
   if (!in.ok()) return in.status();
-  if (m < 1 || k < 1 || k > kMaxK || kind > 1 || counter_bits < 1 ||
-      counter_bits > 64) {
+  if (m < 1 || k < 1 || k > HashFamily::kMaxK || kind > 1 ||
+      counter_bits < 1 || counter_bits > 64) {
     return Status::DataLoss("bad counting BF header");
   }
   const wire::ByteSpan counter_frame = in.ReadFrameSpan();

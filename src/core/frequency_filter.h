@@ -12,9 +12,10 @@
 namespace sbf {
 
 // Common interface of every multiplicity-estimating filter in the library
-// (SBF under Minimum Selection / Minimal Increase, Recurring Minimum,
-// Trapping Recurring Minimum). Lets the experiment harness and the
-// sliding-window wrapper treat the paper's algorithms uniformly.
+// (SBF under Minimum Selection / Minimal Increase, flat or blocked;
+// Recurring Minimum; Trapping Recurring Minimum). Lets the experiment
+// harness and the sliding-window wrapper treat the paper's algorithms
+// uniformly.
 //
 // All estimates are one-sided upper bounds under insert-only workloads:
 // Estimate(x) >= f_x. Minimal Increase loses this guarantee once Remove is
@@ -38,9 +39,10 @@ class FrequencyFilter {
   //
   // Batched point operations. The defaults are plain loops, so every
   // filter gets a *correct* batch API for free; the hot frontends
-  // (SpectralBloomFilter, BlockedSbf, CountingBloomFilter, ConcurrentSbf)
-  // override them with hash-ahead + software-prefetch pipelines that hide
-  // the k random counter reads behind useful work. Overrides must be
+  // (SpectralBloomFilter in both layouts, CountingBloomFilter,
+  // ConcurrentSbf) override them with hash-ahead + software-prefetch
+  // pipelines that hide the k random counter reads behind useful work.
+  // Overrides must be
   // *exactly* equivalent to the default loops (same estimates, same final
   // counter state) — the batch-equals-scalar differential tests enforce
   // this for every backing and policy.

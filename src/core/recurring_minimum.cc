@@ -30,12 +30,6 @@ SbfOptions SecondaryOptions(const RecurringMinimumOptions& options) {
 
 constexpr uint64_t kMarkerSeedSalt = 0xB100F11;
 
-bool SameSbfOptions(const SbfOptions& a, const SbfOptions& b) {
-  return a.m == b.m && a.k == b.k && a.policy == b.policy &&
-         a.backing == b.backing && a.seed == b.seed &&
-         a.hash_kind == b.hash_kind;
-}
-
 }  // namespace
 
 RecurringMinimumSbf::RecurringMinimumSbf(RecurringMinimumOptions options)
@@ -110,8 +104,8 @@ void RecurringMinimumSbf::Remove(uint64_t key, uint64_t count) {
   // count times its multiplicity among the k positions.
   if (primary_.HasRecurringMinimum(key) && !MarkedInSecondary(key)) return;
   uint64_t positions[HashFamily::kMaxK];
-  const uint32_t k = secondary_.hash().k();
-  secondary_.hash().Positions(key, positions);
+  const uint32_t k = secondary_.k();
+  secondary_.Positions(key, positions);
   bool can_absorb = true;
   for (uint32_t i = 0; i < k && can_absorb; ++i) {
     uint64_t multiplicity = 0;

@@ -3,8 +3,12 @@
 namespace sbf {
 namespace {
 
+// Same counters for every key: same size, same layout and the same probe
+// family. The layout must be compared explicitly — a flat filter's family
+// over [0, m) can equal a one-block filter's within-block family.
 bool SameShape(const SpectralBloomFilter& a, const SpectralBloomFilter& b) {
-  return a.m() == b.m() && a.hash().Compatible(b.hash());
+  return a.m() == b.m() && a.block_size() == b.block_size() &&
+         a.hash().Compatible(b.hash());
 }
 
 }  // namespace

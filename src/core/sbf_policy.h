@@ -3,8 +3,8 @@
 
 namespace sbf {
 
-// Insert/lookup heuristic of a spectral filter (shared by
-// SpectralBloomFilter and BlockedSbf).
+// Insert/lookup heuristic of a SpectralBloomFilter, in either counter
+// layout (flat or blocked, SbfOptions::block_size).
 enum class SbfPolicy {
   // Minimum Selection (paper Section 2.2): every insert increments all k
   // counters; the estimate is the minimal counter m_x. Error probability

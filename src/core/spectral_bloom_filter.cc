@@ -1,6 +1,7 @@
 #include "core/spectral_bloom_filter.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "core/batch_kernels.h"
 #include "core/simd_kernels.h"
@@ -9,17 +10,45 @@
 #include "sai/serial_scan_counter_vector.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
+#include "util/prefetch.h"
+#include "util/random.h"
 #include "util/audit.h"
 
 namespace sbf {
 namespace {
 
-constexpr uint32_t kMaxK = 64;
+// Seed salts of the blocked layout: the block router and the within-block
+// probe family are seeded apart from each other (and from a flat filter
+// with the same seed). Part of the wire contract — changing either
+// remaps every stored blocked filter.
+constexpr uint64_t kBlockRouterSalt = 0xB10CEDull;
+constexpr uint64_t kWithinBlockSalt = 0x17735Bull;
+
+// Counters the probe family ranges over: the block, or all m when flat.
+uint64_t ProbeRange(const SbfOptions& options) {
+  return options.block_size == 0 ? options.m : options.block_size;
+}
+
+uint64_t ProbeSeed(const SbfOptions& options) {
+  return options.block_size == 0 ? options.seed
+                                 : options.seed ^ kWithinBlockSalt;
+}
+
+HashFamily ProbeFamily(const SbfOptions& options) {
+  return HashFamily(options.k, ProbeRange(options), ProbeSeed(options),
+                    options.hash_kind);
+}
+
+ModuloMultiplyHash BlockRouter(const SbfOptions& options) {
+  uint64_t sm = options.seed ^ kBlockRouterSalt;
+  return ModuloMultiplyHash(SplitMix64(sm),
+                            options.m / ProbeRange(options));
+}
 
 // Aborts on invalid options. Runs in the options_ member initializer, i.e.
-// before the hash family or counter vector are constructed — neither is
-// well-defined for m == 0 or k == 0, so validating in the constructor body
-// would be too late.
+// before the hash family, block router or counter vector are constructed
+// — none is well-defined for m == 0, k == 0 or a block size that does not
+// divide m, so validating in the constructor body would be too late.
 SbfOptions ValidatedOrDie(const SbfOptions& options) {
   const Status status = ValidateSbfOptions(options);
   SBF_CHECK_MSG(status.ok(), status.message().c_str());
@@ -32,16 +61,29 @@ Status ValidateSbfOptions(const SbfOptions& options) {
   if (options.m < 1) {
     return Status::InvalidArgument("SBF needs m >= 1");
   }
-  if (options.k < 1 || options.k > kMaxK) {
+  if (options.k < 1 || options.k > HashFamily::kMaxK) {
     return Status::InvalidArgument("SBF needs 1 <= k <= 64");
+  }
+  if (options.block_size > options.m) {
+    return Status::InvalidArgument("block size must be 0 (flat) or in [1, m]");
+  }
+  if (options.block_size != 0 && options.m % options.block_size != 0) {
+    return Status::InvalidArgument("m must be a multiple of block_size");
   }
   return Status::Ok();
 }
 
+bool SameSbfOptions(const SbfOptions& a, const SbfOptions& b) {
+  return a.m == b.m && a.k == b.k && a.policy == b.policy &&
+         a.backing == b.backing && a.seed == b.seed &&
+         a.hash_kind == b.hash_kind && a.block_size == b.block_size;
+}
+
 SpectralBloomFilter::SpectralBloomFilter(SbfOptions options)
     : options_(ValidatedOrDie(options)),
-      hash_(options.k, options.m, options.seed, options.hash_kind),
-      counters_(MakeCounterVector(options.backing, options.m)) {
+      hash_(ProbeFamily(options_)),
+      block_hash_(BlockRouter(options_)),
+      counters_(MakeCounterVector(options_.backing, options_.m)) {
   SBF_AUDIT_INVARIANTS(*this);
 }
 
@@ -56,6 +98,7 @@ SpectralBloomFilter::SpectralBloomFilter(uint64_t m, uint32_t k)
 SpectralBloomFilter::SpectralBloomFilter(const SpectralBloomFilter& other)
     : options_(other.options_),
       hash_(other.hash_),
+      block_hash_(other.block_hash_),
       counters_(other.counters_->Clone()),
       total_items_(other.total_items_),
       sum_identity_intact_(other.sum_identity_intact_) {}
@@ -65,6 +108,7 @@ SpectralBloomFilter& SpectralBloomFilter::operator=(
   if (this == &other) return *this;
   options_ = other.options_;
   hash_ = other.hash_;
+  block_hash_ = other.block_hash_;
   counters_ = other.counters_->Clone();
   total_items_ = other.total_items_;
   sum_identity_intact_ = other.sum_identity_intact_;
@@ -73,8 +117,8 @@ SpectralBloomFilter& SpectralBloomFilter::operator=(
 
 void SpectralBloomFilter::Insert(uint64_t key, uint64_t count) {
   SBF_DCHECK(count > 0);
-  uint64_t positions[kMaxK];
-  hash_.Positions(key, positions);
+  uint64_t positions[HashFamily::kMaxK];
+  Positions(key, positions);
   const uint32_t k = options_.k;
 
   if (options_.policy == SbfPolicy::kMinimumSelection) {
@@ -111,8 +155,8 @@ void SpectralBloomFilter::Insert(uint64_t key, uint64_t count) {
 
 void SpectralBloomFilter::Remove(uint64_t key, uint64_t count) {
   SBF_DCHECK(count > 0);
-  uint64_t positions[kMaxK];
-  hash_.Positions(key, positions);
+  uint64_t positions[HashFamily::kMaxK];
+  Positions(key, positions);
   const uint32_t k = options_.k;
 
   if (options_.policy == SbfPolicy::kMinimumSelection) {
@@ -133,52 +177,130 @@ void SpectralBloomFilter::Remove(uint64_t key, uint64_t count) {
 
 namespace {
 
-// Devirtualized batch kernels over a concrete backing CV. Each preserves
-// the scalar operation's semantics exactly; only the memory schedule
-// changes (positions hashed kBatchWindow keys ahead, counters prefetched).
+// Batch kernels. Each batch picks its backing and addressing once; the
+// pipelines in core/batch_kernels.h then run devirtualized over the
+// concrete backing. Every kernel preserves the scalar operation's
+// semantics exactly; only the memory schedule changes (positions hashed
+// kBatchWindow keys ahead, counters prefetched).
 
-// kBranchFree selects the min-of-k probe: branch-free conditional moves
-// for the fixed-width backings (Get is one load, the early-exit branch is
-// pure misprediction cost), early-exit for the scan-based backings (Get is
-// expensive, skipping probes after a zero dominates).
-template <bool kBranchFree, typename CV>
-void EstimateBatchImpl(const CV& cv, const HashFamily& hash, uint32_t k,
-                       const uint64_t* keys, size_t n, uint64_t* out) {
-  BatchPipeline(
-      cv, keys, n,
-      [&hash](uint64_t key, uint64_t* pos) { hash.Positions(key, pos); },
-      PrefetchEachPosition{k},
-      [k, out](const CV& counters, const uint64_t* pos, size_t i) {
-        if constexpr (kBranchFree) {
-          out[i] = BranchFreeMin(counters, pos, k);
-        } else {
-          out[i] = EarlyExitMin(counters, pos, k);
-        }
-      });
+template <typename Base, typename T>
+using SameConst = std::conditional_t<std::is_const_v<Base>, const T, T>;
+
+// Calls fn(cv) with `cv` downcast to the backing's final type, keeping
+// its constness, so the probe functors' counter calls inline.
+template <typename Base, typename Fn>
+void VisitBacking(CounterBacking backing, Base& cv, Fn&& fn) {
+  switch (backing) {
+    case CounterBacking::kFixed64:
+    case CounterBacking::kFixed32:
+      fn(static_cast<SameConst<Base, FixedWidthCounterVector>&>(cv));
+      return;
+    case CounterBacking::kCompact:
+      fn(static_cast<SameConst<Base, CompactCounterVector>&>(cv));
+      return;
+    case CounterBacking::kSerialScan:
+      fn(static_cast<SameConst<Base, SerialScanCounterVector>&>(cv));
+      return;
+  }
 }
 
-template <typename CV>
-void InsertBatchImpl(CV& cv, const HashFamily& hash, SbfPolicy policy,
-                     uint32_t k, const uint64_t* keys, size_t n,
-                     uint64_t count) {
-  const auto pos_of = [&hash](uint64_t key, uint64_t* pos) {
-    hash.Positions(key, pos);
-  };
-  if (policy == SbfPolicy::kMinimumSelection) {
-    BatchPipeline(cv, keys, n, pos_of, PrefetchEachPosition{k},
-                  [k, count](CV& counters, const uint64_t* pos, size_t) {
-                    for (uint32_t j = 0; j < k; ++j) {
-                      counters.Increment(pos[j], count);
-                    }
-                  });
+// Stage-1 prefetch for the blocked layout: every probe of a key lands in
+// its block, so one hint per block replaces one per position. Fixed-width
+// backings recover the block's first word from any position and hint the
+// whole block (a second line for blocks wider than 64 bytes); the
+// scan-based backings hint the first probe's group.
+struct PrefetchBlock {
+  uint64_t block_size;
+  template <typename CV>
+  void operator()(const CV& cv, const uint64_t* pos) const {
+    if constexpr (std::is_same_v<CV, FixedWidthCounterVector>) {
+      const uint64_t base = pos[0] / block_size * block_size;
+      const uint64_t* first = cv.words() + (base * cv.width_bits() >> 6);
+      SBF_PREFETCH(first);
+      if (block_size * cv.width_bits() > 512) SBF_PREFETCH(first + 8);
+    } else {
+      cv.PrefetchCounter(pos[0]);
+    }
+  }
+};
+
+// Calls fn(pos_of, prefetch) with the filter's addressing: the stage-1
+// position functor and prefetch hint of BatchPipeline. Both compute what
+// SpectralBloomFilter::Positions computes, with the layout branch hoisted
+// out of the per-key loop.
+template <typename Fn>
+void WithAddressing(const SpectralBloomFilter& filter, Fn&& fn) {
+  const HashFamily& hash = filter.hash();
+  const uint32_t k = filter.k();
+  const uint64_t block_size = filter.block_size();
+  if (block_size == 0) {
+    fn([&hash](uint64_t key, uint64_t* pos) { hash.Positions(key, pos); },
+       PrefetchEachPosition{k});
     return;
   }
-  // Minimal Increase, batch form — identical to the scalar Insert: lift
-  // every counter below m_x + count up to it (shared probe kernel).
-  BatchPipeline(cv, keys, n, pos_of, PrefetchEachPosition{k},
-                [k, count](CV& counters, const uint64_t* pos, size_t) {
-                  MinimalIncreaseProbe(counters, pos, k, count);
-                });
+  fn(
+      [&filter, &hash, k, block_size](uint64_t key, uint64_t* pos) {
+        const uint64_t base = filter.BlockOf(key) * block_size;
+        hash.Positions(key, pos);
+        for (uint32_t j = 0; j < k; ++j) pos[j] += base;
+      },
+      PrefetchBlock{block_size});
+}
+
+// Blocked geometries the SIMD block kernels serve (simd_kernels.h): one
+// 64-byte block of a fixed-width backing under multiply-shift hashing.
+enum class SimdShape : uint8_t { kNone, kBlock64x8, kBlock32x16 };
+
+SimdShape SimdShapeOf(const SbfOptions& options) {
+  if (options.hash_kind != HashFamily::Kind::kModuloMultiply) {
+    return SimdShape::kNone;
+  }
+  if (options.backing == CounterBacking::kFixed64 &&
+      options.block_size == simd::kBlockLanes64) {
+    return SimdShape::kBlock64x8;
+  }
+  if (options.backing == CounterBacking::kFixed32 &&
+      options.block_size == simd::kBlockLanes32) {
+    return SimdShape::kBlock32x16;
+  }
+  return SimdShape::kNone;
+}
+
+// A 64-byte block is 8 backing words in both SIMD geometries (8 x 64-bit
+// or 16 x 32-bit counters), so the kernels address blocks by word index.
+constexpr uint64_t kSimdWordsPerBlock = 8;
+
+// The SIMD estimate arm. Two passes per chunk: a hash pass derives every
+// key's {block word base, mixed key} and prefetches its cache line, then
+// ONE batch kernel call reduces the whole chunk — the per-key indirect
+// call and the kernel's vector-constant setup stay out of the hot loop,
+// and the hash pass doubles as a chunk-deep prefetch window. Kept out of
+// line: inlined into EstimateBatch, beside the pipeline arms and their
+// position rings, the same loop measured 1.5-1.9x slower per key with
+// DRAM-resident counters (bench_simd_blocked, dram regime).
+[[gnu::noinline]] void SimdEstimateBatch(const SpectralBloomFilter& filter,
+                                         const simd::BlockKernels& kn,
+                                         SimdShape shape, const uint64_t* keys,
+                                         size_t n, uint64_t* out) {
+  const uint64_t* words =
+      static_cast<const FixedWidthCounterVector&>(filter.counters()).words();
+  uint64_t alphas[HashFamily::kMaxK];
+  filter.hash().FillModuloMultiplyAlphas(alphas);
+  const auto batch_min =
+      shape == SimdShape::kBlock64x8 ? kn.batch_min64 : kn.batch_min32;
+  constexpr size_t kChunk = 64;
+  uint64_t bases[kChunk];
+  uint64_t mixes[kChunk];
+  for (size_t at = 0; at < n; at += kChunk) {
+    const size_t len = n - at < kChunk ? n - at : kChunk;
+    for (size_t i = 0; i < len; ++i) {
+      const uint64_t key = keys[at + i];
+      bases[i] = filter.BlockOf(key) * kSimdWordsPerBlock;
+      mixes[i] = filter.hash().MixedKey(key);
+      SBF_PREFETCH(words + bases[i]);
+    }
+    batch_min(words, bases, mixes, len, alphas, filter.k(), out + at);
+  }
 }
 
 }  // namespace
@@ -186,63 +308,118 @@ void InsertBatchImpl(CV& cv, const HashFamily& hash, SbfPolicy policy,
 void SpectralBloomFilter::EstimateBatch(const uint64_t* keys, size_t n,
                                         uint64_t* out) const {
   const uint32_t k = options_.k;
-  switch (options_.backing) {
-    case CounterBacking::kFixed64:
-    case CounterBacking::kFixed32: {
-      const auto& cv = static_cast<const FixedWidthCounterVector&>(*counters_);
-      const simd::BlockKernels& kn = simd::Active();
-      if (kn.enabled) {
-        // Vectorized gathered min over the k absolute positions (the
-        // non-blocked layout has no single-line locality to exploit, but
-        // the min reduction itself vectorizes; see core/simd_kernels.h).
-        const uint64_t* words = cv.words();
-        const auto gather = options_.backing == CounterBacking::kFixed64
-                                ? kn.gather_min64
-                                : kn.gather_min32;
-        BatchPipeline(
-            cv, keys, n,
-            [this](uint64_t key, uint64_t* pos) { hash_.Positions(key, pos); },
-            PrefetchEachPosition{k},
-            [gather, words, k, out](const FixedWidthCounterVector&,
-                                    const uint64_t* pos, size_t i) {
-              out[i] = gather(words, pos, k);
-            });
-        return;
-      }
-      EstimateBatchImpl<true>(cv, hash_, k, keys, n, out);
-      return;
-    }
-    case CounterBacking::kCompact:
-      EstimateBatchImpl<false>(
-          static_cast<const CompactCounterVector&>(*counters_), hash_, k,
-          keys, n, out);
-      return;
-    case CounterBacking::kSerialScan:
-      EstimateBatchImpl<false>(
-          static_cast<const SerialScanCounterVector&>(*counters_), hash_, k,
-          keys, n, out);
-      return;
+  const simd::BlockKernels& kn = simd::Active();
+  const SimdShape shape = SimdShapeOf(options_);
+  if (kn.enabled && shape != SimdShape::kNone) {
+    SimdEstimateBatch(*this, kn, shape, keys, n, out);
+    return;
   }
+  const bool gather = kn.enabled && options_.block_size == 0;
+  VisitBacking(options_.backing, *counters_, [&](const auto& cv) {
+    using CV = std::decay_t<decltype(cv)>;
+    WithAddressing(*this, [&](auto pos_of, auto prefetch) {
+      if constexpr (std::is_same_v<CV, FixedWidthCounterVector>) {
+        if (gather) {
+          // Vectorized gathered min over the k absolute positions (the
+          // flat layout has no single-line locality to exploit, but the
+          // min reduction itself vectorizes; see core/simd_kernels.h).
+          const uint64_t* words = cv.words();
+          const auto gather_min =
+              options_.backing == CounterBacking::kFixed64 ? kn.gather_min64
+                                                           : kn.gather_min32;
+          BatchPipeline(cv, keys, n, pos_of, prefetch,
+                        [gather_min, words, k, out](const CV&,
+                                                    const uint64_t* pos,
+                                                    size_t i) {
+                          out[i] = gather_min(words, pos, k);
+                        });
+          return;
+        }
+        // Branch-free min: Get is one load, so the early-exit branch
+        // would be pure misprediction cost.
+        BatchPipeline(cv, keys, n, pos_of, prefetch,
+                      [k, out](const CV& c, const uint64_t* pos, size_t i) {
+                        out[i] = BranchFreeMin(c, pos, k);
+                      });
+      } else {
+        // Early-exit min: Get is a scan, so skipping the probes after a
+        // zero counter dominates.
+        BatchPipeline(cv, keys, n, pos_of, prefetch,
+                      [k, out](const CV& c, const uint64_t* pos, size_t i) {
+                        out[i] = EarlyExitMin(c, pos, k);
+                      });
+      }
+    });
+  });
 }
 
 void SpectralBloomFilter::InsertBatch(const uint64_t* keys, size_t n,
                                       uint64_t count) {
   SBF_DCHECK(count > 0);
   const uint32_t k = options_.k;
-  switch (options_.backing) {
-    case CounterBacking::kFixed64:
-    case CounterBacking::kFixed32:
-      InsertBatchImpl(static_cast<FixedWidthCounterVector&>(*counters_),
-                      hash_, options_.policy, k, keys, n, count);
-      break;
-    case CounterBacking::kCompact:
-      InsertBatchImpl(static_cast<CompactCounterVector&>(*counters_), hash_,
-                      options_.policy, k, keys, n, count);
-      break;
-    case CounterBacking::kSerialScan:
-      InsertBatchImpl(static_cast<SerialScanCounterVector&>(*counters_),
-                      hash_, options_.policy, k, keys, n, count);
-      break;
+  const bool ms = options_.policy == SbfPolicy::kMinimumSelection;
+  const simd::BlockKernels& kn = simd::Active();
+  const SimdShape shape = SimdShapeOf(options_);
+  if (kn.enabled && shape != SimdShape::kNone) {
+    // The ring slot carries {block word base, mixed key}; the kernel
+    // derives the lanes and applies the MS add / MI lift vectorially.
+    auto& cv = static_cast<FixedWidthCounterVector&>(*counters_);
+    uint64_t* words = cv.mutable_words();
+    uint64_t alphas[HashFamily::kMaxK];
+    hash_.FillModuloMultiplyAlphas(alphas);
+    const bool wide = shape == SimdShape::kBlock64x8;
+    const auto kernel = ms ? (wide ? kn.blocked_add64 : kn.blocked_add32)
+                           : (wide ? kn.blocked_lift64 : kn.blocked_lift32);
+    const uint32_t lane_shift =
+        wide ? simd::kLaneShift64 : simd::kLaneShift32;
+    const uint64_t counters_per_word = wide ? 1 : 2;
+    BatchPipeline(
+        cv, keys, n,
+        [this](uint64_t key, uint64_t* pos) {
+          pos[0] = BlockOf(key) * kSimdWordsPerBlock;
+          pos[1] = hash_.MixedKey(key);
+        },
+        [words](const FixedWidthCounterVector&, const uint64_t* pos) {
+          SBF_PREFETCH(words + pos[0]);
+        },
+        [&](FixedWidthCounterVector& c, const uint64_t* pos, size_t) {
+          if (kernel(words + pos[0], alphas, k, pos[1], count)) return;
+          // The kernel wrote nothing because a saturation clamp could
+          // fire: rerun the key through the exact scalar clamping ops on
+          // its absolute positions, in probe order (simd_kernels.h
+          // saturation contract).
+          uint64_t abs[HashFamily::kMaxK];
+          const uint64_t base = pos[0] * counters_per_word;
+          for (uint32_t j = 0; j < k; ++j) {
+            abs[j] = base + ((alphas[j] * pos[1]) >> lane_shift);
+          }
+          if (ms) {
+            for (uint32_t j = 0; j < k; ++j) c.Increment(abs[j], count);
+          } else {
+            MinimalIncreaseProbe(c, abs, k, count);
+          }
+        });
+  } else {
+    VisitBacking(options_.backing, *counters_, [&](auto& cv) {
+      using CV = std::decay_t<decltype(cv)>;
+      WithAddressing(*this, [&](auto pos_of, auto prefetch) {
+        if (ms) {
+          BatchPipeline(cv, keys, n, pos_of, prefetch,
+                        [k, count](CV& c, const uint64_t* pos, size_t) {
+                          for (uint32_t j = 0; j < k; ++j) {
+                            c.Increment(pos[j], count);
+                          }
+                        });
+          return;
+        }
+        // Minimal Increase, batch form — identical to the scalar Insert:
+        // lift every counter below m_x + count up to it.
+        BatchPipeline(cv, keys, n, pos_of, prefetch,
+                      [k, count](CV& c, const uint64_t* pos, size_t) {
+                        MinimalIncreaseProbe(c, pos, k, count);
+                      });
+      });
+    });
   }
   total_items_ += n * count;
 }
@@ -265,10 +442,10 @@ void SpectralBloomFilter::ApplyAddBatch(const uint64_t* keys,
   const uint32_t k = options_.k;
   std::vector<std::pair<uint64_t, uint64_t>> deltas;  // (position, count)
   deltas.reserve(n * k);
-  uint64_t positions[kMaxK];
+  uint64_t positions[HashFamily::kMaxK];
   uint64_t items = 0;
   for (size_t e = 0; e < n; ++e) {
-    hash_.Positions(keys[e], positions);
+    Positions(keys[e], positions);
     for (uint32_t j = 0; j < k; ++j) {
       deltas.emplace_back(positions[j], counts[e]);
     }
@@ -310,8 +487,8 @@ void SpectralBloomFilter::ApplyAddBatch(const uint64_t* keys,
 }
 
 uint64_t SpectralBloomFilter::Estimate(uint64_t key) const {
-  uint64_t positions[kMaxK];
-  hash_.Positions(key, positions);
+  uint64_t positions[HashFamily::kMaxK];
+  Positions(key, positions);
   uint64_t min_value = counters_->Get(positions[0]);
   for (uint32_t i = 1; i < options_.k; ++i) {
     min_value = std::min(min_value, counters_->Get(positions[i]));
@@ -325,12 +502,14 @@ size_t SpectralBloomFilter::MemoryUsageBits() const {
 }
 
 std::string SpectralBloomFilter::Name() const {
-  return options_.policy == SbfPolicy::kMinimumSelection ? "MS" : "MI";
+  const char* policy =
+      options_.policy == SbfPolicy::kMinimumSelection ? "MS" : "MI";
+  return options_.block_size == 0 ? policy : std::string("blocked-") + policy;
 }
 
 std::vector<uint64_t> SpectralBloomFilter::CounterValues(uint64_t key) const {
-  uint64_t positions[kMaxK];
-  hash_.Positions(key, positions);
+  uint64_t positions[HashFamily::kMaxK];
+  Positions(key, positions);
   std::vector<uint64_t> values(options_.k);
   for (uint32_t i = 0; i < options_.k; ++i) {
     values[i] = counters_->Get(positions[i]);
@@ -339,8 +518,8 @@ std::vector<uint64_t> SpectralBloomFilter::CounterValues(uint64_t key) const {
 }
 
 bool SpectralBloomFilter::HasRecurringMinimum(uint64_t key) const {
-  uint64_t positions[kMaxK];
-  hash_.Positions(key, positions);
+  uint64_t positions[HashFamily::kMaxK];
+  Positions(key, positions);
   uint64_t min_value = ~0ull;
   uint32_t min_count = 0;
   for (uint32_t i = 0; i < options_.k; ++i) {
@@ -374,14 +553,17 @@ FilterHealth SpectralBloomFilter::Health() const {
 namespace {
 
 // Copies every old counter's value onto its c-position preimage set in the
-// expanded vector (see ExpandTo's contract in the header). Both layouts
-// fall out of the hash definitions for new_m = c * old_m:
-//  * kModuloMultiply probes floor(frac * m): floor division by c maps new
-//    position p to old position p / c, so old i owns [i*c, (i+1)*c).
-//  * kDoubleMix probes (g1 + i*g2) mod m: since old_m divides new_m, new
-//    positions reduce to old ones mod old_m, so old i owns {i + j*old_m}.
+// expanded vector (see ExpandTo's contract in the header). All three
+// layouts are one rule over units of `unit` counters: old unit u owns new
+// units [u*c, (u+1)*c), and a counter keeps its offset within its unit.
+//  * Blocked: the router is multiply-shift over the block count and
+//    in-block offsets keep their range, so the unit is the block.
+//  * Flat kModuloMultiply probes floor(frac * m): floor division by c
+//    maps new position p to old position p / c — one-counter units.
+//  * Flat kDoubleMix probes (g1 + i*g2) mod m: since old_m divides new_m,
+//    new positions reduce to old ones mod old_m — one old_m-counter unit.
 void FoldExpandCounters(const CounterVector& old_cv, uint64_t c,
-                        HashFamily::Kind kind, CounterVector* next) {
+                        uint64_t unit, CounterVector* next) {
   const size_t old_m = old_cv.size();
   constexpr size_t kChunk = 256;
   uint64_t values[kChunk];
@@ -392,10 +574,7 @@ void FoldExpandCounters(const CounterVector& old_cv, uint64_t c,
       if (values[j] == 0) continue;
       const uint64_t i = base + j;
       for (uint64_t rep = 0; rep < c; ++rep) {
-        const uint64_t p = kind == HashFamily::Kind::kModuloMultiply
-                               ? i * c + rep
-                               : i + rep * old_m;
-        next->Set(p, values[j]);
+        next->Set((i / unit * c + rep) * unit + i % unit, values[j]);
       }
     }
   }
@@ -413,16 +592,21 @@ Status SpectralBloomFilter::ExpandTo(uint64_t new_m) {
     return Status::ResourceExhausted("SBF expansion allocation failed");
   }
   const uint64_t c = new_m / options_.m;
+  const uint64_t unit =
+      options_.block_size != 0 ? options_.block_size
+      : options_.hash_kind == HashFamily::Kind::kModuloMultiply ? 1
+                                                                 : options_.m;
   std::unique_ptr<CounterVector> next =
       MakeCounterVector(options_.backing, new_m);
-  FoldExpandCounters(*counters_, c, options_.hash_kind, next.get());
+  FoldExpandCounters(*counters_, c, unit, next.get());
   next->MergeSaturationStats(counters_->saturation());
-  // Same seed, larger range: HashFamily derives all per-probe parameters
-  // from the seed alone, so rebuilding it keeps the position
-  // correspondence FoldExpandCounters relied on.
-  hash_ = HashFamily(options_.k, new_m, options_.seed, options_.hash_kind);
   counters_ = std::move(next);
   options_.m = new_m;
+  // Same seed, larger range: the families derive every per-probe
+  // parameter from the seed alone, so rebuilding them keeps the position
+  // correspondence FoldExpandCounters relied on.
+  hash_ = ProbeFamily(options_);
+  block_hash_ = BlockRouter(options_);
   SBF_AUDIT_INVARIANTS(*this);
   return Status::Ok();
 }
@@ -434,40 +618,72 @@ StatusOr<bool> SpectralBloomFilter::ExpandIfDegraded() {
   return true;
 }
 
+uint64_t SpectralBloomFilter::BlockLoad(uint64_t b) const {
+  SBF_DCHECK(b < num_blocks());
+  const uint64_t span = ProbeRange(options_);
+  uint64_t load = 0;
+  constexpr uint64_t kChunk = 256;
+  uint64_t values[kChunk];
+  for (uint64_t off = 0; off < span; off += kChunk) {
+    const uint64_t len = std::min(kChunk, span - off);
+    counters_->DecodeBlock(b * span + off, len, values);
+    for (uint64_t j = 0; j < len; ++j) load += values[j];
+  }
+  return load;
+}
+
 std::vector<uint8_t> SpectralBloomFilter::Serialize() const {
   SBF_AUDIT_INVARIANTS(*this);
+  // Three frames, each byte-compatible with every blob written before:
+  // 'SBsf' (flat), 'SBbk' (blocked Minimum Selection — the blocked layout
+  // predates the policy option, so it has no policy byte) and 'SBb2'
+  // (blocked Minimal Increase). Blocked frames carry no total items.
+  const bool blocked = options_.block_size != 0;
+  const uint8_t policy =
+      options_.policy == SbfPolicy::kMinimumSelection ? 0 : 1;
   wire::Writer payload;
   payload.PutVarint(options_.m);
+  if (blocked) payload.PutVarint(options_.block_size);
   payload.PutVarint(options_.k);
-  payload.PutU8(options_.policy == SbfPolicy::kMinimumSelection ? 0 : 1);
+  if (!blocked) payload.PutU8(policy);
   payload.PutU8(static_cast<uint8_t>(options_.backing));
   payload.PutU8(options_.hash_kind == HashFamily::Kind::kModuloMultiply ? 0
                                                                         : 1);
+  if (blocked && policy != 0) payload.PutU8(policy);
   payload.PutU64(options_.seed);
-  payload.PutVarint(total_items_);
+  if (!blocked) payload.PutVarint(total_items_);
   payload.PutFrame(counters_->Serialize());
-  return wire::SealFrame(wire::kMagicSbf, wire::kFormatVersion,
-                         std::move(payload));
+  const uint32_t magic = !blocked     ? wire::kMagicSbf
+                         : policy == 0 ? wire::kMagicSbfBlocked
+                                       : wire::kMagicSbfBlockedMi;
+  return wire::SealFrame(magic, wire::kFormatVersion, std::move(payload));
 }
 
 StatusOr<SpectralBloomFilter> SpectralBloomFilter::Deserialize(
     wire::ByteSpan bytes) {
-  auto reader =
-      wire::OpenFrame(bytes, wire::kMagicSbf, wire::kFormatVersion, "SBF");
+  const uint32_t magic = wire::PeekMagic(bytes);
+  const bool blocked = magic == wire::kMagicSbfBlocked ||
+                       magic == wire::kMagicSbfBlockedMi;
+  // Any other magic opens as 'SBsf', so OpenFrame reports the mismatch.
+  auto reader = wire::OpenFrame(bytes, blocked ? magic : wire::kMagicSbf,
+                                wire::kFormatVersion, "SBF");
   if (!reader.ok()) return reader.status();
   wire::Reader& in = reader.value();
 
   SbfOptions options;
   options.m = in.ReadVarint();
+  if (blocked) options.block_size = in.ReadVarint();
   const uint64_t k = in.ReadVarint();
-  const uint8_t policy = in.ReadU8();
+  uint8_t policy = blocked ? 0 : in.ReadU8();
   const uint8_t backing = in.ReadU8();
   const uint8_t kind = in.ReadU8();
+  if (magic == wire::kMagicSbfBlockedMi) policy = in.ReadU8();
   options.seed = in.ReadU64();
-  const uint64_t total_items = in.ReadVarint();
+  const uint64_t total_items = blocked ? 0 : in.ReadVarint();
   if (!in.ok()) return in.status();
-  if (k > kMaxK || policy > 1 || kind > 1 ||
-      backing > static_cast<uint8_t>(CounterBacking::kSerialScan)) {
+  if (k > HashFamily::kMaxK || policy > 1 || kind > 1 ||
+      backing > static_cast<uint8_t>(CounterBacking::kSerialScan) ||
+      (blocked && options.block_size == 0)) {
     return Status::DataLoss("bad SBF header");
   }
   options.k = static_cast<uint32_t>(k);
@@ -507,14 +723,18 @@ StatusOr<SpectralBloomFilter> SpectralBloomFilter::Deserialize(
   return filter;
 }
 
-
 Status SpectralBloomFilter::CheckInvariants() const {
   Status status = ValidateSbfOptions(options_);
   if (!status.ok()) return status;
-  if (hash_.m() != options_.m || hash_.k() != options_.k ||
-      hash_.seed() != options_.seed || hash_.kind() != options_.hash_kind) {
+  if (hash_.m() != ProbeRange(options_) || hash_.k() != options_.k ||
+      hash_.seed() != ProbeSeed(options_) ||
+      hash_.kind() != options_.hash_kind) {
     return Status::FailedPrecondition(
         "SBF: hash family disagrees with options");
+  }
+  if (block_hash_.range() != options_.m / ProbeRange(options_)) {
+    return Status::FailedPrecondition(
+        "SBF: block router range disagrees with m / block_size");
   }
   if (counters_ == nullptr || counters_->size() != options_.m) {
     return Status::FailedPrecondition(

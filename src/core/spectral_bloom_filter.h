@@ -27,17 +27,32 @@ struct SbfOptions {
   CounterBacking backing = CounterBacking::kCompact;
   uint64_t seed = 0;
   HashFamily::Kind hash_kind = HashFamily::Kind::kModuloMultiply;
+  // Counter layout. 0 (the default) is the flat SBF: the k probes spread
+  // over all m counters. b >= 1 is the external-memory SBF of Section 2.2,
+  // after the multi-level hashing of Manber & Wu [MW94]: a first hash
+  // routes each key to one of m / b blocks of b counters and the k probes
+  // stay inside that block, so every operation touches one block (one
+  // disk page or cache line) instead of up to k random locations. The
+  // price is a mild accuracy loss from segmenting the hash domain, which
+  // bench_ablation_blocked shows to be negligible for reasonably large
+  // blocks. b must divide m.
+  uint64_t block_size = 0;
   // Verdict thresholds for Health() / ExpandIfDegraded(). Process-local
   // tuning — not serialized; deserialized filters use the defaults.
   HealthThresholds health;
 };
 
-// Validates an SbfOptions: m >= 1 and 1 <= k <= 64. Returns OK or an
-// InvalidArgument describing the violation. The SpectralBloomFilter
-// constructor enforces this with a fatal check *before* any member is
-// built; recoverable callers (deserializers, config loaders) can call it
-// themselves first.
+// Validates an SbfOptions: m >= 1, 1 <= k <= 64, and block_size either 0
+// or in [1, m] dividing m. Returns OK or an InvalidArgument describing the
+// violation. The SpectralBloomFilter constructor enforces this with a
+// fatal check *before* any member is built; recoverable callers
+// (deserializers, config loaders) can call it themselves first.
 Status ValidateSbfOptions(const SbfOptions& options);
+
+// True iff a and b agree on every serialized field (all but the
+// process-local health thresholds): the check frontends run on the SBF
+// frames embedded in their own.
+bool SameSbfOptions(const SbfOptions& a, const SbfOptions& b);
 
 // The Spectral Bloom Filter (paper Section 2.2): a Bloom filter whose bit
 // vector is replaced by a vector of m counters C, supporting multiplicity
@@ -47,7 +62,9 @@ Status ValidateSbfOptions(const SbfOptions& options);
 // probability at most E_b ~ (1 - e^{-kn/m})^k (Claim 1) — one-sided errors
 // only, so threshold queries f_x >= T produce false positives but never
 // false negatives (under Minimum Selection, or Minimal Increase without
-// deletions).
+// deletions). The blocked layout (SbfOptions::block_size) keeps the
+// one-sided guarantee; its error follows the same formula per block, with
+// the block's key count and size in place of n and m.
 class SpectralBloomFilter final : public FrequencyFilter {
  public:
   explicit SpectralBloomFilter(SbfOptions options);
@@ -74,7 +91,12 @@ class SpectralBloomFilter final : public FrequencyFilter {
 
   // Batched point ops: hash-ahead + software-prefetch pipeline over the
   // concrete backing (see core/batch_kernels.h). Exactly equivalent to a
-  // loop of the scalar ops, for every backing and policy.
+  // loop of the scalar ops, for every backing, policy and layout. The
+  // blocked layout prefetches each key's block once instead of every
+  // position; in the single-cache-line geometries (fixed64 with
+  // block_size 8, fixed32 with block_size 16, kModuloMultiply hashing) it
+  // runs the SIMD block kernels of core/simd_kernels.h, which fall back to
+  // the exact scalar path per key whenever a saturation clamp could fire.
   void InsertBatch(const uint64_t* keys, size_t n,
                    uint64_t count = 1) override;
   void EstimateBatch(const uint64_t* keys, size_t n,
@@ -104,13 +126,41 @@ class SpectralBloomFilter final : public FrequencyFilter {
     return Estimate(Fingerprint64(key));
   }
 
+  // --- addressing ---------------------------------------------------------
+
+  // Fills out[0..k) with the key's k counter positions: the only map from
+  // a key to its counters. Flat: the hash family over [0, m). Blocked: the
+  // within-block family, offset by the base of the key's block.
+  void Positions(uint64_t key, uint64_t* out) const noexcept {
+    hash_.Positions(key, out);
+    if (options_.block_size == 0) return;
+    const uint64_t base = BlockOf(key) * options_.block_size;
+    for (uint32_t i = 0; i < options_.k; ++i) out[i] += base;
+  }
+
+  // The block a key's probes land in. A flat filter is one block of m
+  // counters, so this is 0 for every key there.
+  [[nodiscard]] uint64_t BlockOf(uint64_t key) const noexcept {
+    return block_hash_(Mix64(key));
+  }
+  [[nodiscard]] uint64_t num_blocks() const noexcept {
+    return block_hash_.range();
+  }
+  // Sum of the counters in block b (load-skew diagnostics).
+  [[nodiscard]] uint64_t BlockLoad(uint64_t b) const;
+
   // --- introspection -----------------------------------------------------
 
   [[nodiscard]] uint64_t m() const noexcept { return options_.m; }
   [[nodiscard]] uint32_t k() const noexcept { return options_.k; }
+  [[nodiscard]] uint64_t block_size() const noexcept {
+    return options_.block_size;
+  }
   [[nodiscard]] const SbfOptions& options() const noexcept {
     return options_;
   }
+  // The probe family: over [0, m) when flat, over one block when blocked.
+  // Positions() is what maps keys to counters; this is for introspection.
   [[nodiscard]] const HashFamily& hash() const noexcept { return hash_; }
   [[nodiscard]] const CounterVector& counters() const noexcept {
     return *counters_;
@@ -160,13 +210,15 @@ class SpectralBloomFilter final : public FrequencyFilter {
   // keys: both hash families derive each probe from a key digest that is
   // independent of m, so for new_m = c * m every old counter has a known
   // preimage set of c new positions (multiply-shift: [i*c, (i+1)*c);
-  // double-mix: {i + j*m}). Replicating old counter i's value across its
-  // preimage set makes every key read exactly the counter values it read
-  // before — estimates are preserved bit-for-bit — while keys inserted
-  // *after* the expansion spread over the full new_m, restoring the error
-  // bound going forward. Requires new_m to be a positive multiple of m;
-  // fails with a clean Status (filter untouched) on bad arguments or
-  // allocation failure.
+  // double-mix: {i + j*m}; blocked: the block router is multiply-shift
+  // over the block count and in-block offsets keep their range, so old
+  // block b becomes blocks [b*c, (b+1)*c)). Replicating old counter i's
+  // value across its preimage set makes every key read exactly the
+  // counter values it read before — estimates are preserved bit-for-bit —
+  // while keys inserted *after* the expansion spread over the full new_m,
+  // restoring the error bound going forward. Requires new_m to be a
+  // positive multiple of m; fails with a clean Status (filter untouched)
+  // on bad arguments or allocation failure.
   Status ExpandTo(uint64_t new_m);
 
   // Doubles m when Health() is kDegraded or kSaturated. Returns whether an
@@ -180,22 +232,29 @@ class SpectralBloomFilter final : public FrequencyFilter {
 
   // --- serialization -----------------------------------------------------
 
-  // 'SBsf' wire frame (io/wire.h): {varint m, varint k, u8 policy,
-  // u8 backing, u8 hash kind, u64 seed, varint total items, embedded
-  // counter backing frame}. With a compact backing the counters travel
-  // Elias-delta coded in ~N bits — the compressed message the distributed
-  // applications of Section 5 exchange.
+  // Wire frames (io/wire.h). Flat filters write 'SBsf': {varint m,
+  // varint k, u8 policy, u8 backing, u8 hash kind, u64 seed, varint total
+  // items, embedded counter backing frame}. With a compact backing the
+  // counters travel Elias-delta coded in ~N bits — the compressed message
+  // the distributed applications of Section 5 exchange. Blocked Minimum
+  // Selection filters write 'SBbk': {varint m, varint block_size, varint
+  // k, u8 backing, u8 hash kind, u64 seed, embedded counter frame};
+  // blocked Minimal Increase filters write 'SBb2', which adds a u8 policy
+  // byte after the hash kind. Blocked frames carry no total items, so a
+  // loaded blocked filter counts from 0. Deserialize reads all three.
   [[nodiscard]] std::vector<uint8_t> Serialize() const override;
   static StatusOr<SpectralBloomFilter> Deserialize(wire::ByteSpan bytes);
 
-  // Audits options vs. the live hash family and counter backing (size,
-  // concrete type, hash range); in -DSBF_AUDIT builds the counter
-  // backing's own layout validator runs too.
+  // Audits options vs. the live hash family, block router and counter
+  // backing (size, concrete type, hash ranges); in -DSBF_AUDIT builds the
+  // counter backing's own layout validator runs too.
   Status CheckInvariants() const override;
 
  private:
   SbfOptions options_;
   HashFamily hash_;
+  // Key -> block over num_blocks() blocks (range 1 for the flat layout).
+  ModuloMultiplyHash block_hash_;
   std::unique_ptr<CounterVector> counters_;
   uint64_t total_items_ = 0;
   // True while every update went through Insert/Remove/ExpandTo, where the

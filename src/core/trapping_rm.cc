@@ -11,8 +11,6 @@
 namespace sbf {
 namespace {
 
-constexpr uint32_t kMaxK = 64;
-
 SbfOptions MakeSbfOptions(const RecurringMinimumOptions& options, uint64_t m,
                           uint64_t seed) {
   SbfOptions sbf;
@@ -23,12 +21,6 @@ SbfOptions MakeSbfOptions(const RecurringMinimumOptions& options, uint64_t m,
   sbf.seed = seed;
   sbf.hash_kind = options.hash_kind;
   return sbf;
-}
-
-bool SameSbfOptions(const SbfOptions& a, const SbfOptions& b) {
-  return a.m == b.m && a.k == b.k && a.policy == b.policy &&
-         a.backing == b.backing && a.seed == b.seed &&
-         a.hash_kind == b.hash_kind;
 }
 
 }  // namespace
@@ -62,8 +54,8 @@ void TrappingRmSbf::FireTrapsHitBy(uint64_t key, const uint64_t* positions) {
     const uint64_t trapped_key = owner->second;
     const uint64_t stepping_estimate = primary_.Estimate(key);
     const uint64_t trapped_primary_min = primary_.Estimate(trapped_key);
-    uint64_t secondary_positions[kMaxK];
-    secondary_.hash().Positions(trapped_key, secondary_positions);
+    uint64_t secondary_positions[HashFamily::kMaxK];
+    secondary_.Positions(trapped_key, secondary_positions);
     uint64_t secondary_min = ~0ull;
     for (uint32_t j = 0; j < options_.k; ++j) {
       secondary_min = std::min(
@@ -95,8 +87,8 @@ void TrappingRmSbf::FireTrapsHitBy(uint64_t key, const uint64_t* positions) {
 void TrappingRmSbf::MoveToSecondary(uint64_t key,
                                     const uint64_t* primary_positions) {
   const uint64_t primary_min = primary_.Estimate(key);
-  uint64_t secondary_positions[kMaxK];
-  secondary_.hash().Positions(key, secondary_positions);
+  uint64_t secondary_positions[HashFamily::kMaxK];
+  secondary_.Positions(key, secondary_positions);
   for (uint32_t i = 0; i < options_.k; ++i) {
     const uint64_t value = secondary_.counters().Get(secondary_positions[i]);
     if (value < primary_min) {
@@ -120,8 +112,8 @@ void TrappingRmSbf::MoveToSecondary(uint64_t key,
 }
 
 void TrappingRmSbf::Insert(uint64_t key, uint64_t count) {
-  uint64_t positions[kMaxK];
-  primary_.hash().Positions(key, positions);
+  uint64_t positions[HashFamily::kMaxK];
+  primary_.Positions(key, positions);
   primary_.Insert(key, count);
   FireTrapsHitBy(key, positions);
   // Tracked items receive every insert in the secondary as well (see
@@ -138,8 +130,8 @@ void TrappingRmSbf::Remove(uint64_t key, uint64_t count) {
   primary_.Remove(key, count);
   // See RecurringMinimumSbf::Remove — the absorption check accounts for
   // repeated positions.
-  uint64_t positions[kMaxK];
-  secondary_.hash().Positions(key, positions);
+  uint64_t positions[HashFamily::kMaxK];
+  secondary_.Positions(key, positions);
   bool can_absorb = true;
   for (uint32_t i = 0; i < options_.k && can_absorb; ++i) {
     uint64_t multiplicity = 0;
@@ -212,7 +204,7 @@ StatusOr<TrappingRmSbf> TrappingRmSbf::Deserialize(wire::ByteSpan bytes) {
   const uint64_t traps_fired = in.ReadVarint();
   if (!in.ok()) return in.status();
   if (options.primary_m < 1 || options.secondary_m < 1 || k < 1 ||
-      k > kMaxK ||
+      k > HashFamily::kMaxK ||
       backing > static_cast<uint8_t>(CounterBacking::kSerialScan) ||
       kind > 1) {
     return Status::DataLoss("bad TRM filter header");

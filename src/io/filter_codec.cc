@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/blocked_sbf.h"
 #include "core/concurrent_sbf.h"
 #include "core/counting_bloom_filter.h"
 #include "core/recurring_minimum.h"
@@ -26,14 +25,13 @@ StatusOr<std::unique_ptr<FrequencyFilter>> DeserializeFilter(
     wire::ByteSpan bytes) {
   switch (wire::PeekMagic(bytes)) {
     case wire::kMagicSbf:
+    case wire::kMagicSbfBlocked:
+    case wire::kMagicSbfBlockedMi:
       return Lift(SpectralBloomFilter::Deserialize(bytes));
     case wire::kMagicShardedSbf:
       return Lift(ConcurrentSbf::Deserialize(bytes));
     case wire::kMagicCountingBloom:
       return Lift(CountingBloomFilter::Deserialize(bytes));
-    case wire::kMagicBlockedSbf:
-    case wire::kMagicBlockedSbf2:
-      return Lift(BlockedSbf::Deserialize(bytes));
     case wire::kMagicRecurringMinimum:
       return Lift(RecurringMinimumSbf::Deserialize(bytes));
     case wire::kMagicTrappingRm:

@@ -54,8 +54,8 @@ inline constexpr uint32_t kMagicBloomFilter = FourCc('S', 'B', 'b', 'f');
 inline constexpr uint32_t kMagicSbf = FourCc('S', 'B', 's', 'f');
 inline constexpr uint32_t kMagicShardedSbf = FourCc('S', 'B', 'c', 's');
 inline constexpr uint32_t kMagicCountingBloom = FourCc('S', 'B', 'c', 'b');
-inline constexpr uint32_t kMagicBlockedSbf = FourCc('S', 'B', 'b', 'k');
-inline constexpr uint32_t kMagicBlockedSbf2 = FourCc('S', 'B', 'b', '2');
+inline constexpr uint32_t kMagicSbfBlocked = FourCc('S', 'B', 'b', 'k');
+inline constexpr uint32_t kMagicSbfBlockedMi = FourCc('S', 'B', 'b', '2');
 inline constexpr uint32_t kMagicRecurringMinimum = FourCc('S', 'B', 'r', 'm');
 inline constexpr uint32_t kMagicTrappingRm = FourCc('S', 'B', 't', 'm');
 inline constexpr uint32_t kMagicSlidingWindow = FourCc('S', 'B', 's', 'w');

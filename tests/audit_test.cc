@@ -27,7 +27,6 @@
 #include "bitstream/bit_vector.h"
 #include "bitstream/rank_select.h"
 #include "core/bloom_filter.h"
-#include "core/blocked_sbf.h"
 #include "core/concurrent_sbf.h"
 #include "core/counting_bloom_filter.h"
 #include "core/recurring_minimum.h"
@@ -102,12 +101,12 @@ TEST(AuditCleanTest, AllFrontendsPass) {
   for (uint64_t key = 0; key < 200; ++key) cbf.Insert(key);
   EXPECT_TRUE(cbf.CheckInvariants().ok());
 
-  BlockedSbfOptions blocked_options;
+  SbfOptions blocked_options;
   blocked_options.m = 4096;
   blocked_options.block_size = 256;
   blocked_options.k = 4;
   blocked_options.seed = 17;
-  BlockedSbf blocked(blocked_options);
+  SpectralBloomFilter blocked(blocked_options);
   for (uint64_t key = 0; key < 500; ++key) blocked.Insert(key);
   EXPECT_TRUE(blocked.CheckInvariants().ok());
 

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/blocked_sbf.h"
 #include "core/concurrent_sbf.h"
 #include "core/counting_bloom_filter.h"
 #include "core/frequency_filter.h"
@@ -183,13 +182,13 @@ TEST(BatchPipelineTest, BlockedSbfAllBackings) {
         CounterBacking::kCompact, CounterBacking::kSerialScan}) {
     for (const uint64_t block_size : {8u, 64u}) {
       const auto make = [backing, block_size] {
-        BlockedSbfOptions options;
+        SbfOptions options;
         options.m = kM;
         options.k = kK;
         options.block_size = block_size;
         options.backing = backing;
         options.seed = 7;
-        return std::make_unique<BlockedSbf>(options);
+        return std::make_unique<SpectralBloomFilter>(options);
       };
       RunAllKeySets(std::string("Blocked/") + CounterBackingName(backing) +
                         "/b" + std::to_string(block_size),

@@ -9,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/blocked_sbf.h"
 #include "core/recurring_minimum.h"
 #include "core/spectral_bloom_filter.h"
 #include "sai/select_index.h"
@@ -149,13 +148,13 @@ TEST(BlockedDifferentialTest, SingleBlockIsOneSidedAndLoadEquivalent) {
   // With block_size == m the blocked filter is an unsegmented SBF over the
   // same counters (different hash layout, same statistics). Check the
   // one-sided property and total load agreement.
-  BlockedSbfOptions blocked_options;
+  SbfOptions blocked_options;
   blocked_options.m = 2048;
   blocked_options.block_size = 2048;
   blocked_options.k = 5;
   blocked_options.seed = 5;
   blocked_options.backing = CounterBacking::kCompact;
-  BlockedSbf blocked(blocked_options);
+  SpectralBloomFilter blocked(blocked_options);
 
   const Multiset data = MakeZipfMultiset(300, 9000, 0.6, 9);
   for (uint64_t key : data.stream) blocked.Insert(key);

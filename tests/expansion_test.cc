@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/blocked_sbf.h"
 #include "core/bloom_filter.h"
 #include "core/concurrent_sbf.h"
 #include "core/recurring_minimum.h"
@@ -206,12 +205,12 @@ TEST(BloomExpandTest, MembershipSurvivesExpansionBothHashKinds) {
 // --- Blocked SBF -----------------------------------------------------------
 
 TEST(BlockedExpandTest, ProbesSurviveExpansionExactly) {
-  BlockedSbfOptions options;
+  SbfOptions options;
   options.m = 512;
   options.block_size = 64;
   options.k = 4;
   options.seed = 21;
-  BlockedSbf filter(options);
+  SpectralBloomFilter filter(options);
 
   Xoshiro256 rng(5);
   for (int i = 0; i < 900; ++i) {

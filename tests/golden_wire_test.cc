@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "core/blocked_sbf.h"
 #include "core/bloom_filter.h"
 #include "core/concurrent_sbf.h"
 #include "core/counting_bloom_filter.h"
@@ -135,12 +134,12 @@ TEST(GoldenWireTest, CountingBloomFrame) {
 }
 
 TEST(GoldenWireTest, BlockedSbfFrame) {
-  BlockedSbfOptions options;
+  SbfOptions options;
   options.m = 1024;
   options.block_size = 128;
   options.k = 4;
   options.seed = 19;
-  BlockedSbf filter(options);
+  SpectralBloomFilter filter(options);
   FeedWorkload(300, [&](uint64_t key, uint64_t n) { filter.Insert(key, n); });
   CheckGolden("blocked_sbf", filter.Serialize());
 }
@@ -149,14 +148,14 @@ TEST(GoldenWireTest, BlockedSbfV2Frame) {
   // The 'SBb2' frame: a Minimal Increase blocked filter in the SIMD
   // geometry (fixed64, block_size 8), carrying the policy byte the legacy
   // 'SBbk' frame lacks.
-  BlockedSbfOptions options;
+  SbfOptions options;
   options.m = 1024;
   options.block_size = 8;
   options.k = 4;
   options.seed = 19;
   options.backing = CounterBacking::kFixed64;
   options.policy = SbfPolicy::kMinimalIncrease;
-  BlockedSbf filter(options);
+  SpectralBloomFilter filter(options);
   FeedWorkload(300, [&](uint64_t key, uint64_t n) { filter.Insert(key, n); });
   CheckGolden("blocked_sbf_v2", filter.Serialize());
 }

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/blocked_sbf.h"
 #include "core/concurrent_sbf.h"
 #include "core/counting_bloom_filter.h"
 #include "core/recurring_minimum.h"
@@ -168,11 +167,11 @@ TEST(CountingBloomHealthTest, StickySaturationReportsSaturated) {
 }
 
 TEST(BlockedSbfHealthTest, TracksOccupancy) {
-  BlockedSbfOptions options;
+  SbfOptions options;
   options.m = 512;
   options.block_size = 64;
   options.k = 4;
-  BlockedSbf filter(options);
+  SpectralBloomFilter filter(options);
   for (uint64_t key = 0; key < 100; ++key) filter.Insert(key);
   const FilterHealth health = filter.Health();
   EXPECT_EQ(health.counters, 512u);

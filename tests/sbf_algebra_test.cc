@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/sbf_algebra.h"
 #include "workload/multiset_stream.h"
@@ -65,6 +67,54 @@ TEST(UnionTest, RejectsIncompatibleFilters) {
   EXPECT_FALSE(UnionInto(&a, d).ok());
 }
 
+// A flat filter and a blocked one of the same m. In the second pair the
+// blocked filter is one block whose within-block seed equals the flat
+// seed, so the two probe families are identical: only the layout tells
+// them apart.
+std::vector<std::pair<SbfOptions, SbfOptions>> FlatBlockedPairs() {
+  SbfOptions flat = MakeOptions(4096, 5, 37);
+  SbfOptions blocked = flat;
+  blocked.block_size = 256;
+  SbfOptions one_block = MakeOptions(4096, 5, 37 ^ 0x17735B);
+  one_block.block_size = 4096;
+  return {{flat, blocked}, {flat, one_block}};
+}
+
+TEST(UnionTest, RejectsFlatBlockedPair) {
+  for (const auto& [flat_options, blocked_options] : FlatBlockedPairs()) {
+    SpectralBloomFilter flat(flat_options), blocked(blocked_options);
+    EXPECT_FALSE(UnionInto(&flat, blocked).ok());
+    EXPECT_FALSE(UnionInto(&blocked, flat).ok());
+  }
+  const auto [flat_options, one_block_options] = FlatBlockedPairs()[1];
+  EXPECT_TRUE(SpectralBloomFilter(flat_options)
+                  .hash()
+                  .Compatible(SpectralBloomFilter(one_block_options).hash()));
+}
+
+TEST(UnionTest, BlockedMsUnionSerializesLikeOneFilter) {
+  for (const auto backing :
+       {CounterBacking::kFixed64, CounterBacking::kCompact}) {
+    SbfOptions options = MakeOptions(4096, 5, 41);
+    options.block_size = 64;
+    options.backing = backing;
+    SpectralBloomFilter a(options), b(options), reference(options);
+    const Multiset left = MakeZipfMultiset(200, 4000, 0.7, 43);
+    const Multiset right = MakeZipfMultiset(300, 6000, 0.4, 47);
+    for (uint64_t key : left.stream) {
+      a.Insert(key);
+      reference.Insert(key);
+    }
+    for (uint64_t key : right.stream) {
+      b.Insert(key);
+      reference.Insert(key);
+    }
+    ASSERT_TRUE(UnionInto(&a, b).ok());
+    EXPECT_EQ(a.Serialize(), reference.Serialize())
+        << CounterBackingName(backing);
+  }
+}
+
 TEST(MultiplyTest, UpperBoundsJoinProducts) {
   const auto options = MakeOptions(4000, 5, 17);
   SpectralBloomFilter a(options), b(options);
@@ -102,6 +152,14 @@ TEST(MultiplyTest, RejectsIncompatibleFilters) {
   SpectralBloomFilter a(MakeOptions(1000, 5, 1));
   SpectralBloomFilter b(MakeOptions(2000, 5, 1));
   EXPECT_FALSE(Multiply(a, b).ok());
+}
+
+TEST(MultiplyTest, RejectsFlatBlockedPair) {
+  for (const auto& [flat_options, blocked_options] : FlatBlockedPairs()) {
+    SpectralBloomFilter flat(flat_options), blocked(blocked_options);
+    EXPECT_FALSE(Multiply(flat, blocked).ok());
+    EXPECT_FALSE(Multiply(blocked, flat).ok());
+  }
 }
 
 TEST(MultiplyTest, ExactOnLightLoad) {

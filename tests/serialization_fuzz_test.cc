@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/blocked_sbf.h"
 #include "core/bloom_filter.h"
 #include "core/concurrent_sbf.h"
 #include "core/counting_bloom_filter.h"
@@ -390,6 +389,29 @@ TEST(SerializationFuzzTest, ShardedShardSeedTamperingRejected) {
   EXPECT_FALSE(DecodeSharded(swapped));
 }
 
+TEST(SerializationFuzzTest, ShardedBlockedShardRejected) {
+  // Blocked SBF frames decode as SpectralBloomFilter too, but shards are
+  // flat. A shard frame replaced by a blocked filter with otherwise
+  // identical options has valid envelopes throughout, so only the
+  // per-shard options check can reject it.
+  const auto filter = MakeLoadedShardedSbf(CounterBacking::kFixed64, 31);
+  const auto forge = [&filter](bool blocked_shard) {
+    wire::Writer payload;
+    payload.PutVarint(filter.num_shards());
+    payload.PutVarint(2000);
+    payload.PutU64(31);
+    for (uint32_t s = 0; s < filter.num_shards(); ++s) {
+      SbfOptions options = filter.SnapshotShard(s).options();
+      if (s == 2 && blocked_shard) options.block_size = options.m;
+      payload.PutFrame(SpectralBloomFilter(options).Serialize());
+    }
+    return wire::SealFrame(wire::kMagicShardedSbf, wire::kFormatVersion,
+                           std::move(payload));
+  };
+  EXPECT_TRUE(DecodeSharded(forge(false)));
+  EXPECT_FALSE(DecodeSharded(forge(true)));
+}
+
 TEST(SerializationFuzzTest, ShardedSingleByteCorruptionsAlwaysRejected) {
   for (const auto backing :
        {CounterBacking::kFixed64, CounterBacking::kCompact}) {
@@ -481,17 +503,18 @@ TEST(SerializationFuzzTest, CountingBloomStructuralMutationsRejected) {
 // --- blocked SBF -----------------------------------------------------------
 
 bool DecodeBlocked(const Bytes& bytes) {
-  return BlockedSbf::Deserialize(bytes).ok();
+  return SpectralBloomFilter::Deserialize(bytes).ok();
 }
 
-BlockedSbf MakeLoadedBlockedSbf(CounterBacking backing, uint64_t seed) {
-  BlockedSbfOptions options;
+SpectralBloomFilter MakeLoadedBlocked(CounterBacking backing,
+                                      uint64_t seed) {
+  SbfOptions options;
   options.m = 4096;
   options.block_size = 256;
   options.k = 4;
   options.backing = backing;
   options.seed = seed;
-  BlockedSbf filter(options);
+  SpectralBloomFilter filter(options);
   const Multiset data = MakeZipfMultiset(150, 4000, 1.0, seed);
   for (uint64_t key : data.stream) filter.Insert(key);
   return filter;
@@ -500,9 +523,9 @@ BlockedSbf MakeLoadedBlockedSbf(CounterBacking backing, uint64_t seed) {
 TEST(SerializationFuzzTest, BlockedSbfRoundTripIsByteStable) {
   for (const auto backing :
        {CounterBacking::kFixed64, CounterBacking::kCompact}) {
-    const auto filter = MakeLoadedBlockedSbf(backing, 71);
+    const auto filter = MakeLoadedBlocked(backing, 71);
     const Bytes bytes = filter.Serialize();
-    auto restored = BlockedSbf::Deserialize(bytes);
+    auto restored = SpectralBloomFilter::Deserialize(bytes);
     ASSERT_TRUE(restored.ok()) << CounterBackingName(backing);
     EXPECT_EQ(restored.value().Serialize(), bytes);
     ExpectEqualEstimatesOnProbeSet(filter, restored.value());
@@ -511,7 +534,7 @@ TEST(SerializationFuzzTest, BlockedSbfRoundTripIsByteStable) {
 
 TEST(SerializationFuzzTest, BlockedSbfCorruptionAndTruncationRejected) {
   const Bytes bytes =
-      MakeLoadedBlockedSbf(CounterBacking::kFixed64, 73).Serialize();
+      MakeLoadedBlocked(CounterBacking::kFixed64, 73).Serialize();
   ExpectTruncationsRejected(bytes, DecodeBlocked);
   ExpectCorruptionsRejected(bytes, DecodeBlocked, 75);
   ExpectGarbageRejected(DecodeBlocked, 77);
@@ -521,7 +544,7 @@ TEST(SerializationFuzzTest, BlockedSbfStructuralMutationsRejected) {
   // 'SBbk' payload: varint m (4096: 2 bytes), varint block_size (256: 2
   // bytes at [2,4)), varint k at [4], u8 backing at [5], u8 kind at [6].
   const Bytes bytes =
-      MakeLoadedBlockedSbf(CounterBacking::kFixed64, 79).Serialize();
+      MakeLoadedBlocked(CounterBacking::kFixed64, 79).Serialize();
   // block_size = 0 (non-canonical two-byte varint).
   EXPECT_FALSE(DecodeBlocked(Reframe(bytes, [](Bytes* p) {
     (*p)[2] = 0x80;
@@ -786,7 +809,7 @@ TEST(SerializationFuzzTest, DeserializeFilterDispatchesEveryFrontend) {
        MakeLoadedShardedSbf(CounterBacking::kFixed64, 133).Serialize()},
       {"CBF", MakeLoadedCbf(135).Serialize()},
       {"blocked",
-       MakeLoadedBlockedSbf(CounterBacking::kCompact, 137).Serialize()},
+       MakeLoadedBlocked(CounterBacking::kCompact, 137).Serialize()},
       {"RM", MakeLoadedRm(true, 139).Serialize()},
       {"TRM", MakeLoadedTrm(141).Serialize()},
   };
@@ -822,8 +845,8 @@ TEST(SerializationFuzzTest, FaultArmedFramesNeverDecode) {
     out.push_back(std::make_unique<ConcurrentSbf>(
         MakeLoadedShardedSbf(CounterBacking::kFixed64, 153)));
     out.push_back(std::make_unique<CountingBloomFilter>(MakeLoadedCbf(155)));
-    out.push_back(std::make_unique<BlockedSbf>(
-        MakeLoadedBlockedSbf(CounterBacking::kCompact, 157)));
+    out.push_back(std::make_unique<SpectralBloomFilter>(
+        MakeLoadedBlocked(CounterBacking::kCompact, 157)));
     out.push_back(std::make_unique<RecurringMinimumSbf>(
         MakeLoadedRm(true, 159)));
     out.push_back(std::make_unique<TrappingRmSbf>(MakeLoadedTrm(161)));

@@ -3,7 +3,7 @@
 // including the accept/reject decision of the mutating kernels, which is
 // part of the saturation contract (core/simd_kernels.h). On top of the
 // kernel-level checks, whole-filter differentials pin the batched SIMD
-// pipelines of BlockedSbf and SpectralBloomFilter to their scalar paths
+// pipelines of SpectralBloomFilter, blocked and flat, to their scalar paths
 // via the SBF_FORCE_ISA test hook (ForceIsa), covering unaligned tails,
 // duplicate-heavy streams and counters at/near saturation.
 //
@@ -15,7 +15,6 @@
 #include <cstring>
 #include <vector>
 
-#include "core/blocked_sbf.h"
 #include "core/simd_kernels.h"
 #include "core/spectral_bloom_filter.h"
 #include "util/random.h"
@@ -267,15 +266,15 @@ std::vector<FilterCase> SimdFilterCases() {
           {CounterBacking::kFixed32, 16, SbfPolicy::kMinimalIncrease}};
 }
 
-BlockedSbf MakeBlocked(const FilterCase& fc) {
-  BlockedSbfOptions options;
+SpectralBloomFilter MakeBlocked(const FilterCase& fc) {
+  SbfOptions options;
   options.m = 1 << 12;
   options.block_size = fc.block_size;
   options.k = 5;
   options.seed = 99;
   options.backing = fc.backing;
   options.policy = fc.policy;
-  return BlockedSbf(options);
+  return SpectralBloomFilter(options);
 }
 
 // A duplicate-heavy stream whose length is NOT a multiple of any SIMD lane
@@ -293,7 +292,7 @@ TEST_F(SimdDifferentialTest, BlockedBatchMatchesScalarAcrossIsas) {
   for (const FilterCase& fc : SimdFilterCases()) {
     // Scalar ground truth: kernels off, scalar ops.
     simd::ForceIsa(Isa::kDisabled);
-    BlockedSbf reference = MakeBlocked(fc);
+    SpectralBloomFilter reference = MakeBlocked(fc);
     for (uint64_t key : keys) reference.Insert(key, 3);
     std::vector<uint64_t> want(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
@@ -303,7 +302,7 @@ TEST_F(SimdDifferentialTest, BlockedBatchMatchesScalarAcrossIsas) {
 
     for (Isa isa : SupportedIsas()) {
       simd::ForceIsa(isa);
-      BlockedSbf filter = MakeBlocked(fc);
+      SpectralBloomFilter filter = MakeBlocked(fc);
       filter.InsertBatch(keys.data(), keys.size(), 3);
       std::vector<uint64_t> got(keys.size());
       filter.EstimateBatch(keys.data(), keys.size(), got.data());
@@ -325,7 +324,7 @@ TEST_F(SimdDifferentialTest, BlockedBatchSaturationMatchesScalar) {
   const uint64_t huge = ~uint64_t{0} / 2 + 3;
   for (const FilterCase& fc : SimdFilterCases()) {
     simd::ForceIsa(Isa::kDisabled);
-    BlockedSbf reference = MakeBlocked(fc);
+    SpectralBloomFilter reference = MakeBlocked(fc);
     for (int round = 0; round < 3; ++round) {
       for (uint64_t key : keys) reference.Insert(key, huge);
     }
@@ -333,7 +332,7 @@ TEST_F(SimdDifferentialTest, BlockedBatchSaturationMatchesScalar) {
 
     for (Isa isa : SupportedIsas()) {
       simd::ForceIsa(isa);
-      BlockedSbf filter = MakeBlocked(fc);
+      SpectralBloomFilter filter = MakeBlocked(fc);
       for (int round = 0; round < 3; ++round) {
         filter.InsertBatch(keys.data(), keys.size(), huge);
       }
@@ -355,7 +354,7 @@ TEST_F(SimdDifferentialTest, BlockedUnalignedTailLengths) {
   for (const FilterCase& fc : SimdFilterCases()) {
     for (size_t n = 1; n < all_keys.size(); ++n) {
       simd::ForceIsa(Isa::kDisabled);
-      BlockedSbf reference = MakeBlocked(fc);
+      SpectralBloomFilter reference = MakeBlocked(fc);
       for (size_t i = 0; i < n; ++i) reference.Insert(all_keys[i], 2);
       std::vector<uint64_t> want(n);
       for (size_t i = 0; i < n; ++i) {
@@ -363,7 +362,7 @@ TEST_F(SimdDifferentialTest, BlockedUnalignedTailLengths) {
       }
       for (Isa isa : SupportedIsas()) {
         simd::ForceIsa(isa);
-        BlockedSbf filter = MakeBlocked(fc);
+        SpectralBloomFilter filter = MakeBlocked(fc);
         filter.InsertBatch(all_keys.data(), n, 2);
         std::vector<uint64_t> got(n);
         filter.EstimateBatch(all_keys.data(), n, got.data());
@@ -403,7 +402,7 @@ TEST_F(SimdDifferentialTest, SbfGatherEstimateMatchesScalarAcrossIsas) {
 TEST_F(SimdDifferentialTest, NonSimdGeometriesUnaffectedByForceIsa) {
   // A geometry the kernels cannot serve (block_size 4) must produce the
   // same results whatever ISA is forced — it always takes the legacy path.
-  BlockedSbfOptions options;
+  SbfOptions options;
   options.m = 1 << 10;
   options.block_size = 4;
   options.k = 3;
@@ -412,13 +411,13 @@ TEST_F(SimdDifferentialTest, NonSimdGeometriesUnaffectedByForceIsa) {
   const std::vector<uint64_t> keys = DuplicateHeavyKeys(333, 50, 19);
 
   simd::ForceIsa(Isa::kDisabled);
-  BlockedSbf reference(options);
+  SpectralBloomFilter reference(options);
   reference.InsertBatch(keys.data(), keys.size(), 1);
   const std::vector<uint8_t> want_bytes = reference.Serialize();
 
   for (Isa isa : SupportedIsas()) {
     simd::ForceIsa(isa);
-    BlockedSbf filter(options);
+    SpectralBloomFilter filter(options);
     filter.InsertBatch(keys.data(), keys.size(), 1);
     ASSERT_EQ(filter.Serialize(), want_bytes) << simd::IsaName(isa);
   }
