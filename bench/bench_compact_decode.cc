@@ -1,7 +1,7 @@
 // Decoded-view refactor economics (the "close the compact-backing gap"
 // ROADMAP item): what a compact-backed batch estimate costs now that
-// PositionOf is O(1) and GetMany serves each touched group from one
-// sequential width walk, against (a) the current scalar path and (b) a
+// PositionOf is O(1) (sampled prefix offsets plus a short width walk) and
+// the batch pipeline prefetches each probe's widths and payload, against (a) the current scalar path and (b) a
 // faithful replica of the pre-refactor per-access path that re-scanned the
 // group's widths on every probe. Also times the full-vector DecodeBlock
 // sweep vs a scalar Get sweep and the ApplyAddBatch flush path vs scalar
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
                seconds * 1e9 / (rounds * q), rounds * q / (seconds * 1e6));
     }
 
-    // Batched pipeline (hash-ahead + prefetch + group-granular GetMany).
+    // Batched pipeline (hash-ahead + prefetch + early-exit min over Get).
     {
       uint64_t checksum = 0;
       Timer timer;

@@ -4,7 +4,7 @@
 //
 // For each {regime, geometry, policy} cell the kDisabled run — kernels
 // off, the legacy scalar hash-ahead pipeline — is the baseline; the same
-// keys then run with each supported ISA forced (generic, SSE2, AVX2) and
+// keys then run with each supported ISA forced (generic, AVX2) and
 // every row's `speedup_vs_scalar_pipeline` is baseline-seconds / own-
 // seconds. Two regimes: `hot` (m = 2^16, counters L2-resident — the
 // compute-bound regime where vectorization shows) and `dram` (m = 2^23,
@@ -192,8 +192,7 @@ int main(int argc, char** argv) {
   // kDisabled (the scalar-pipeline baseline) first, then every variant
   // this build + host can execute.
   std::vector<simd::Isa> isas = {simd::Isa::kDisabled};
-  for (simd::Isa isa :
-       {simd::Isa::kGeneric, simd::Isa::kSse2, simd::Isa::kAvx2}) {
+  for (simd::Isa isa : {simd::Isa::kGeneric, simd::Isa::kAvx2}) {
     if (simd::IsaSupported(isa)) isas.push_back(isa);
   }
 

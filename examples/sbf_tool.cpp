@@ -165,6 +165,13 @@ int CmdHeavy(int argc, char** argv) {
   return 0;
 }
 
+// N as printed by info/merge. Blocked frames do not record N, so a loaded
+// blocked filter's total_items() is not the count of what it holds.
+std::string ItemsText(const SpectralBloomFilter& filter) {
+  if (filter.block_size() != 0) return "unrecorded";
+  return std::to_string(filter.total_items());
+}
+
 int CmdMerge(int argc, char** argv) {
   if (argc < 5) return Fail("merge needs an output and >= 2 inputs");
   bool ok = false;
@@ -177,8 +184,8 @@ int CmdMerge(int argc, char** argv) {
     if (!status.ok()) return Fail(status.ToString().c_str());
   }
   if (!WriteFile(argv[2], merged.Serialize())) return Fail("write failed");
-  std::printf("merged %d filters into %s (%llu items)\n", argc - 3, argv[2],
-              (unsigned long long)merged.total_items());
+  std::printf("merged %d filters into %s (items=%s)\n", argc - 3, argv[2],
+              ItemsText(merged).c_str());
   return 0;
 }
 
@@ -191,10 +198,9 @@ int CmdInfo(int argc, char** argv) {
   for (uint64_t i = 0; i < filter.m(); ++i) {
     nonzero += filter.counters().Get(i) > 0;
   }
-  std::printf("m=%llu k=%u policy=%s items=%llu\n",
+  std::printf("m=%llu k=%u policy=%s items=%s\n",
               (unsigned long long)filter.m(), filter.k(),
-              filter.Name().c_str(),
-              (unsigned long long)filter.total_items());
+              filter.Name().c_str(), ItemsText(filter).c_str());
   std::printf("counters nonzero: %llu (%.1f%%), memory %zu KB\n",
               (unsigned long long)nonzero, 100.0 * nonzero / filter.m(),
               filter.MemoryUsageBits() / 8192);

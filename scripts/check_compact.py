@@ -5,8 +5,7 @@ Reads BENCH_compact_decode.json (schema: bench/common/bench_json.h,
 written by bench/bench_compact_decode) and fails if the compact backing's
 batched estimate is not at least THRESHOLD times faster than the
 pre-refactor per-access baseline — the O(group_size) width re-scan every
-probe paid before the sampled prefix-offset table and group-granular
-GetMany landed. The bench replicates that baseline against the live
+probe paid before the sampled prefix-offset table made PositionOf O(1). The bench replicates that baseline against the live
 layout, so the gate keeps measuring the same gap after the slow path is
 gone from the library.
 

@@ -11,7 +11,7 @@ headroom, while noisy neighbours can shave any single ratio.
 The gate SKIPS — exit 0 with a message — when the artifact has no avx2
 rows, which is what bench_simd_blocked emits on a host without AVX2 (the
 ISA sweep only includes supported ISAs). A gate that fails on every
-SSE2-only runner teaches people to ignore it.
+pre-AVX2 runner teaches people to ignore it.
 
 Usage: python3 scripts/check_simd.py [path/to/BENCH_simd_blocked.json]
 Exit status: 0 pass or skip, 1 gate failure or missing/invalid artifact.

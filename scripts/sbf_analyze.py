@@ -88,15 +88,13 @@ SEQ_CST_ALLOWLIST = {
 # Check 2: allocation freedom of the kernel entry points.
 
 # (path, extra parse flags): the AVX2 TU needs its target feature to parse
-# standalone (mirrors src/CMakeLists.txt's COMPILE_OPTIONS; SSE2 is
-# baseline x86-64). simd_kernels.cc is the runtime dispatcher, included
+# standalone (mirrors src/CMakeLists.txt's COMPILE_OPTIONS). simd_kernels.cc is the runtime dispatcher, included
 # because its Init path must not allocate either.
 KERNEL_SPECS = [
     (SRC / "core" / "batch_kernels.h", []),
     (SRC / "core" / "delta_kernels.h", []),
     (SRC / "core" / "simd_kernels.cc", []),
     (SRC / "core" / "simd_kernels_generic.cc", []),
-    (SRC / "core" / "simd_kernels_sse2.cc", []),
     (SRC / "core" / "simd_kernels_avx2.cc", ["-mavx2"]),
 ]
 BANNED_ALLOC_FUNCS = {"malloc", "calloc", "realloc", "aligned_alloc",

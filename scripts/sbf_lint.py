@@ -32,15 +32,14 @@ Structural rules that generic linters cannot express:
      suite that pins each ISA variant to the scalar reference. A vector
      kernel without a registered differential test is an unverified
      bit-for-bit equivalence claim.
-  7. decode-view-differential — every CounterVector backing must either
-     override the decoded-view hooks (DecodeBlock and friends) or opt in
-     to the naive base-class loops via AllowsNaiveDecode (the SBF_DCHECK
-     in the defaults enforces the same rule at runtime); and every backing
-     that overrides them must be exercised by name in
-     tests/decode_view_test.cc, the suite that pins each override to the
-     scalar Get/Set reference across group boundaries, rebuilds and
-     widenings. An unregistered override is an unverified equivalence
-     claim, exactly like an untested SIMD kernel.
+  7. decode-view-differential — every CounterVector backing implements
+     the decoded-view hooks (DecodeBlock/EncodeBlock are pure virtual, so
+     the compiler enforces that part), and every backing must be
+     exercised by name in tests/decode_view_test.cc, the suite that pins
+     each implementation to the scalar Get/Set reference across group
+     boundaries, rebuilds and widenings. An unregistered implementation
+     is an unverified equivalence claim, exactly like an untested SIMD
+     kernel.
   8. durable-record-coverage — every WalRecordType enumerator declared in
      src/io/delta_log.h must appear by name in
      tests/crash_recovery_test.cc, the crash-matrix suite that replays
@@ -87,7 +86,6 @@ KERNEL_FILES = [
     SRC / "core" / "batch_kernels.h",
     SRC / "core" / "delta_kernels.h",
     SRC / "core" / "simd_kernels_generic.cc",
-    SRC / "core" / "simd_kernels_sse2.cc",
     SRC / "core" / "simd_kernels_avx2.cc",
 ]
 
@@ -96,7 +94,7 @@ KERNEL_FILES = [
 SIMD_KERNELS_HEADER = SRC / "core" / "simd_kernels.h"
 SIMD_DIFFERENTIAL_TEST = REPO / "tests" / "simd_differential_test.cc"
 # A function-pointer field of the BlockKernels table, e.g.
-#   uint64_t (*blocked_min64)(const uint64_t* block, ...);
+#   int (*blocked_add64)(uint64_t* block, ...);
 SIMD_FIELD = re.compile(r"\(\s*\*\s*(\w+)\s*\)\s*\(")
 
 # Rule 7: counter-vector backings and the decoded-view differential suite.
@@ -348,8 +346,8 @@ def counter_vector_backings():
 
 
 def check_decode_view_differential(violations, test_text=None):
-    """Every backing either overrides the decoded-view hooks or opts in to
-    the naive loops; every override is pinned by the differential suite."""
+    """Every backing's decoded-view hooks are pinned by the differential
+    suite."""
     backings = counter_vector_backings()
     if not backings:
         violations.append(
@@ -364,21 +362,13 @@ def check_decode_view_differential(violations, test_text=None):
                 "decoded-view differential suite is missing")
             return
         test_text = DECODE_VIEW_TEST.read_text()
-    for name, path, text in backings:
-        overrides = "DecodeBlock" in text
-        if not overrides and "AllowsNaiveDecode" not in text:
-            violations.append(
-                f"{path.relative_to(REPO)}: decode-view-differential: "
-                f"backing '{name}' neither overrides the decoded-view hooks "
-                f"(DecodeBlock/GetMany/EncodeBlock) nor opts in via "
-                f"AllowsNaiveDecode — re-scanning the group per access is "
-                f"the pathology the decoded-view layer removed")
-        if overrides and name not in test_text:
+    for name, _, _ in backings:
+        if name not in test_text:
             violations.append(
                 f"tests/decode_view_test.cc: decode-view-differential: "
-                f"backing '{name}' overrides the decoded-view hooks but has "
-                f"no registered differential coverage — every override must "
-                f"be pinned to the scalar reference")
+                f"backing '{name}' has no registered differential coverage "
+                f"of its DecodeBlock/EncodeBlock — every implementation "
+                f"must be pinned to the scalar reference")
 
 
 def wal_record_types():
@@ -542,14 +532,13 @@ def self_test():
         if clean:
             failures.append(f"simd-differential: tree not clean: {clean}")
 
-    # decode-view-differential fires when a backing's override loses its
-    # coverage, and stays quiet on the real tree.
-    backings = [name for name, _, text in counter_vector_backings()
-                if "DecodeBlock" in text]
+    # decode-view-differential fires when a backing loses its coverage,
+    # and stays quiet on the real tree.
+    backings = [name for name, _, _ in counter_vector_backings()]
     if len(backings) < 2:
         failures.append(
-            f"decode-view-differential: expected several overriding "
-            f"backings, parsed {backings}")
+            f"decode-view-differential: expected several backings, "
+            f"parsed {backings}")
     else:
         synthetic = " ".join(backings[1:])  # drop one backing's coverage
         fired = []

@@ -55,16 +55,6 @@ bool SameOptions(const ConcurrentSbfOptions& a, const ConcurrentSbfOptions& b) {
          a.hash_kind == b.hash_kind && a.num_shards == b.num_shards;
 }
 
-// Old counter i's rep'th preimage position after a c-fold expansion — the
-// same correspondence SpectralBloomFilter::ExpandTo relies on (multiply-
-// shift partitions the new range into consecutive runs of c; double-mix
-// replicates residues mod the old size).
-uint64_t FoldPosition(HashFamily::Kind kind, uint64_t old_m, uint64_t c,
-                      uint64_t i, uint64_t rep) {
-  return kind == HashFamily::Kind::kModuloMultiply ? i * c + rep
-                                                   : i + rep * old_m;
-}
-
 // Groups keys[0..n) by destination shard (the CountingSortByShard kernel
 // over the given scratch; see there for sizes) and calls
 // visit(shard, begin, end) once per touched shard, in first-touch order,
@@ -866,7 +856,6 @@ SaturationStats ConcurrentSbf::saturation() const {
 void ConcurrentSbf::ExpandShard(Shard& shard,
                                 std::unique_ptr<SpectralBloomFilter> pending) {
   const uint64_t new_m = pending->m();
-  const HashFamily::Kind kind = options_.hash_kind;
   if (lock_free_) {
     // Lock-free readers/writers never touch shard.mu, so taking it here is
     // uncontended — it exists to serialize against other whole-filter
@@ -875,6 +864,7 @@ void ConcurrentSbf::ExpandShard(Shard& shard,
     util::WriterMutexLock lock(shard.mu);
     const uint64_t old_m = shard.live->m();
     const uint64_t c = new_m / old_m;
+    const uint64_t unit = ExpansionUnit(shard.live->options());
     // Open the window: new writers divert to pending, then drain writers
     // that loaded a null pending and still target live (the seq-cst pair
     // of WindowWriter; both sides are on sbf_analyze's allowlist —
@@ -893,8 +883,7 @@ void ConcurrentSbf::ExpandShard(Shard& shard,
       const uint64_t v = AtomicLoad(old_words[i]);
       if (v == 0) continue;
       for (uint64_t rep = 0; rep < c; ++rep) {
-        std::atomic_ref<uint64_t>(new_words[FoldPosition(kind, old_m, c, i,
-                                                         rep)])
+        std::atomic_ref<uint64_t>(new_words[FoldedPosition(i, unit, c, rep)])
             .fetch_add(v, std::memory_order_relaxed);
       }
     }
@@ -914,21 +903,28 @@ void ConcurrentSbf::ExpandShard(Shard& shard,
   // Locked path: the window opens under the exclusive lock; migration runs
   // in short chunks so readers interleave between lock acquisitions.
   uint64_t old_m = 0;
+  uint64_t unit = 0;
   {
     util::WriterMutexLock lock(shard.mu);
     old_m = shard.live->m();
+    unit = ExpansionUnit(shard.live->options());
     shard.pending = std::move(pending);
   }
   const uint64_t c = new_m / old_m;
-  for (uint64_t start = 0; start < old_m; start += kMigrateChunk) {
+  // Minimal Increase folds in one hold: an insert landing between chunks
+  // would take its min from a counter not folded yet and skip lifting the
+  // key's folded counters, which would then read below the true count.
+  const uint64_t chunk =
+      options_.policy == SbfPolicy::kMinimalIncrease ? old_m : kMigrateChunk;
+  for (uint64_t start = 0; start < old_m; start += chunk) {
     util::WriterMutexLock lock(shard.mu);
-    const uint64_t end = std::min(old_m, start + kMigrateChunk);
+    const uint64_t end = std::min(old_m, start + chunk);
     for (uint64_t i = start; i < end; ++i) {
       const uint64_t v = shard.live->counters().Get(i);
       if (v == 0) continue;
       for (uint64_t rep = 0; rep < c; ++rep) {
         shard.pending->mutable_counters().Increment(
-            FoldPosition(kind, old_m, c, i, rep), v);
+            FoldedPosition(i, unit, c, rep), v);
       }
     }
   }

@@ -263,7 +263,9 @@ class ConcurrentSbf final : public FrequencyFilter {
   //      i's value is added onto its c preimage positions (the same
   //      position correspondence as SpectralBloomFilter::ExpandTo), in
   //      chunks, so locked-path readers interleave between chunks and
-  //      lock-free readers are never blocked at all.
+  //      lock-free readers are never blocked at all. Minimal Increase
+  //      shards fold in one chunk: an MI insert must not see a partly
+  //      folded `pending`.
   //   4. `pending` becomes `live`; the old filter is retired but kept
   //      alive so unsynchronized lock-free readers can finish against it.
   //

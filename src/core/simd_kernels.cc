@@ -28,8 +28,6 @@ const BlockKernels* TableFor(Isa isa) noexcept {
       return internal::DisabledKernelTable();
     case Isa::kGeneric:
       return internal::GenericKernelTable();
-    case Isa::kSse2:
-      return internal::Sse2KernelTable();
     case Isa::kAvx2:
       return internal::Avx2KernelTable();
   }
@@ -42,14 +40,7 @@ bool CpuSupports(Isa isa) noexcept {
   if (TableFor(isa) == nullptr) return false;  // compiled out of this build
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
-  switch (isa) {
-    case Isa::kSse2:
-      return __builtin_cpu_supports("sse2") != 0;
-    case Isa::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-    default:
-      return false;
-  }
+  return isa == Isa::kAvx2 && __builtin_cpu_supports("avx2") != 0;
 #else
   return false;
 #endif
@@ -68,8 +59,6 @@ const BlockKernels* Resolve() noexcept {
       wanted = Isa::kDisabled;
     } else if (std::strcmp(force, "generic") == 0) {
       wanted = Isa::kGeneric;
-    } else if (std::strcmp(force, "sse2") == 0) {
-      wanted = Isa::kSse2;
     } else if (std::strcmp(force, "avx2") == 0) {
       wanted = Isa::kAvx2;
     } else {
@@ -88,7 +77,6 @@ std::atomic<const BlockKernels*> g_active{nullptr};
 
 Isa BestSupportedIsa() noexcept {
   if (CpuSupports(Isa::kAvx2)) return Isa::kAvx2;
-  if (CpuSupports(Isa::kSse2)) return Isa::kSse2;
   return Isa::kGeneric;
 }
 
@@ -116,8 +104,6 @@ const char* IsaName(Isa isa) noexcept {
       return "disabled";
     case Isa::kGeneric:
       return "generic";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
   }

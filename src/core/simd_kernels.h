@@ -17,8 +17,8 @@
 //     computes lane_j = (alpha_j * mixed) * B >> 64, which for the
 //     power-of-two block sizes here is exactly (alpha_j * mixed) >> 61
 //     (B = 8) or >> 60 (B = 16) — bit-identical to HashFamily::Positions;
-//   * Estimate takes the min of the selected lanes with vector
-//     compare/min reductions;
+//   * Estimate takes the min of the selected lanes, a whole chunk of
+//     keys per call (batch_min);
 //   * Minimum Selection Insert adds count * multiplicity per lane (lanes
 //     selected more than once — duplicates are legal — get their exact
 //     multiple) with a vector multiply + add;
@@ -45,9 +45,10 @@
 //           Set would clamp and tally per lifted lane).
 //
 // Dispatch. The active kernel table is resolved once, lazily, from CPU
-// detection (generic < SSE2 < AVX2); the SBF_FORCE_ISA environment
-// variable ("generic", "sse2", "avx2", "off") overrides detection, and
-// ForceIsa() overrides both (the test hook for differential suites).
+// detection (off < generic < AVX2: AVX2 when the host has it, else the
+// portable generic table); the SBF_FORCE_ISA environment variable
+// ("off", "generic", "avx2") overrides detection, and ForceIsa()
+// overrides both (the test hook for differential suites).
 // Under ThreadSanitizer the generic table is pinned: TSan does not
 // instrument vector loads/stores, so an intrinsic path would hide the
 // races the tsan CI legs exist to catch. All variants are bit-identical;
@@ -60,8 +61,7 @@ namespace sbf::simd {
 enum class Isa : uint8_t {
   kDisabled = 0,  // kernels off: callers take the legacy scalar pipelines
   kGeneric = 1,   // portable scalar reference (the semantic ground truth)
-  kSse2 = 2,      // x86-64 baseline vectors
-  kAvx2 = 3,      // 256-bit vectors + gathers
+  kAvx2 = 2,      // 256-bit vectors + gathers
 };
 
 // Largest per-op count the Minimum Selection add kernels accept. With
@@ -87,11 +87,6 @@ inline constexpr uint32_t kLaneShift32 = 60;    // lane = alpha*mixed >> 60
 // blocked layouts happen to hand in cache-line-aligned bases
 // (util/aligned_alloc.h) but tests may pass stack arrays.
 struct BlockKernels {
-  // Estimate: min of the k selected lanes of one block.
-  uint64_t (*blocked_min64)(const uint64_t* block, const uint64_t* alphas,
-                            uint32_t k, uint64_t mixed);
-  uint64_t (*blocked_min32)(const uint64_t* block, const uint64_t* alphas,
-                            uint32_t k, uint64_t mixed);
   // Minimum Selection insert: lane += multiplicity * count. Returns 1 on
   // success, 0 (nothing written) if the caller must take the scalar
   // clamping path — see the saturation contract above.
@@ -113,11 +108,10 @@ struct BlockKernels {
                            uint32_t k);
   uint64_t (*gather_min32)(const uint64_t* words, const uint64_t* pos,
                            uint32_t k);
-  // Whole-batch blocked Estimate: out[i] = blocked_minNN(words + bases[i],
-  // alphas, k, mixes[i]) for i in [0, n). One call per chunk keeps the
-  // per-key dispatch (indirect call, vector-constant setup) out of the
-  // hot loop; implementations must be bit-identical to looping the
-  // per-block kernel.
+  // Whole-batch blocked Estimate: out[i] is the min of the k selected
+  // lanes of the block at words + bases[i] for key digest mixes[i], for i
+  // in [0, n). One call per chunk keeps the per-key dispatch (indirect
+  // call, vector-constant setup) out of the hot loop.
   void (*batch_min64)(const uint64_t* words, const uint64_t* bases,
                       const uint64_t* mixes, size_t n,
                       const uint64_t* alphas, uint32_t k, uint64_t* out);
@@ -154,7 +148,6 @@ void ForceIsa(Isa isa) noexcept;
 namespace internal {
 // Per-TU tables; nullptr when the ISA is compiled out of this build.
 const BlockKernels* GenericKernelTable() noexcept;
-const BlockKernels* Sse2KernelTable() noexcept;
 const BlockKernels* Avx2KernelTable() noexcept;
 const BlockKernels* DisabledKernelTable() noexcept;
 }  // namespace internal

@@ -135,10 +135,9 @@ inline Selected32 ExpandSelection32(uint32_t sel) {
           _mm256_cmpeq_epi32(_mm256_and_si256(vsel, bits_hi), bits_hi)};
 }
 
-// always_inline: Min64Body/Min32Body are the shared flesh of both the
-// per-block kernel (address-taken for the dispatch table, which stops GCC
-// inlining it into loops) and the batch kernels, whose whole point is
-// keeping this body — and its vector constants — inside the loop body.
+// Vector min of the k selected lanes of one block: the batch mins' body
+// for the k they do not specialize (see there). always_inline keeps it,
+// and its vector constants, inside the batch loop.
 [[gnu::always_inline]] inline uint64_t Min64Body(const uint64_t* block,
                                                  const uint64_t* alphas,
                                                  uint32_t k, uint64_t mixed) {
@@ -169,16 +168,6 @@ inline Selected32 ExpandSelection32(uint32_t sel) {
   const __m128i mn128 = _mm_min_epu32(_mm256_castsi256_si128(mn),
                                       _mm256_extracti128_si256(mn, 1));
   return HorizontalMinU32(mn128);
-}
-
-uint64_t Avx2BlockedMin64(const uint64_t* block, const uint64_t* alphas,
-                          uint32_t k, uint64_t mixed) {
-  return Min64Body(block, alphas, k, mixed);
-}
-
-uint64_t Avx2BlockedMin32(const uint64_t* block, const uint64_t* alphas,
-                          uint32_t k, uint64_t mixed) {
-  return Min32Body(block, alphas, k, mixed);
 }
 
 // Per-lane multiplicities for the 8-lane geometry, packed one byte per
@@ -324,8 +313,7 @@ int Avx2BlockedLift32(uint64_t* block, const uint64_t* alphas, uint32_t k,
 // (or a 4-key transposed reduce — also tried) costs more than the loads
 // it saves, while the lane-index multiply-shift chain is identical either
 // way. So the throughput path is the scalar-load body, specialized per k
-// so the probe loop fully unrolls; the vector bodies stay on the
-// per-block entry points where MI insert reuses their selection masks.
+// so the probe loop fully unrolls; the vector bodies serve the other k.
 template <uint32_t K>
 void BatchMin64K(const uint64_t* words, const uint64_t* bases,
                  const uint64_t* mixes, size_t n, const uint64_t* alphas,
@@ -439,7 +427,6 @@ uint64_t Avx2GatherMin32(const uint64_t* words, const uint64_t* pos,
 }
 
 constexpr BlockKernels kAvx2Table = {
-    Avx2BlockedMin64, Avx2BlockedMin32,
     Avx2BlockedAdd64, Avx2BlockedAdd32,
     Avx2BlockedLift64, Avx2BlockedLift32,
     Avx2GatherMin64, Avx2GatherMin32,

@@ -1,5 +1,7 @@
 #include "core/simd_kernels.h"
 
+#include "hashing/hash_family.h"
+
 // Portable scalar reference kernels — the semantic ground truth every
 // vector variant is differentially tested against. Each function here IS
 // the contract: identical lane selection (one multiply-shift round per
@@ -8,8 +10,6 @@
 
 namespace sbf::simd {
 namespace {
-
-constexpr uint32_t kMaxProbes = 64;  // HashFamily::kMaxK
 
 inline uint32_t Lane64(uint64_t alpha, uint64_t mixed) {
   // (alpha * mixed) * 8 >> 64 == high 3 bits of the 64-bit fraction.
@@ -33,9 +33,7 @@ inline void SetLane32(uint64_t* block, uint32_t lane, uint32_t value) {
       (uint64_t{value} << shift);
 }
 
-// always_inline bodies shared by the per-block kernels (address-taken for
-// the dispatch table, which makes GCC keep them out-of-line) and the
-// batch kernels, where the call-per-key overhead would dominate.
+// Min of the k selected lanes of one block, inlined into the batch loops.
 [[gnu::always_inline]] inline uint64_t Min64Body(const uint64_t* block,
                                                  const uint64_t* alphas,
                                                  uint32_t k, uint64_t mixed) {
@@ -56,16 +54,6 @@ inline void SetLane32(uint64_t* block, uint32_t lane, uint32_t value) {
     min_value = v < min_value ? v : min_value;
   }
   return min_value;
-}
-
-uint64_t GenericBlockedMin64(const uint64_t* block, const uint64_t* alphas,
-                             uint32_t k, uint64_t mixed) {
-  return Min64Body(block, alphas, k, mixed);
-}
-
-uint64_t GenericBlockedMin32(const uint64_t* block, const uint64_t* alphas,
-                             uint32_t k, uint64_t mixed) {
-  return Min32Body(block, alphas, k, mixed);
 }
 
 int GenericBlockedAdd64(uint64_t* block, const uint64_t* alphas, uint32_t k,
@@ -104,7 +92,7 @@ int GenericBlockedAdd32(uint64_t* block, const uint64_t* alphas, uint32_t k,
 
 int GenericBlockedLift64(uint64_t* block, const uint64_t* alphas, uint32_t k,
                          uint64_t mixed, uint64_t count) {
-  uint32_t lanes[kMaxProbes];
+  uint32_t lanes[HashFamily::kMaxK];
   uint64_t min_value = ~uint64_t{0};
   for (uint32_t j = 0; j < k; ++j) {
     lanes[j] = Lane64(alphas[j], mixed);
@@ -122,7 +110,7 @@ int GenericBlockedLift64(uint64_t* block, const uint64_t* alphas, uint32_t k,
 
 int GenericBlockedLift32(uint64_t* block, const uint64_t* alphas, uint32_t k,
                          uint64_t mixed, uint64_t count) {
-  uint32_t lanes[kMaxProbes];
+  uint32_t lanes[HashFamily::kMaxK];
   uint64_t min_value = ~uint64_t{0};
   for (uint32_t j = 0; j < k; ++j) {
     lanes[j] = Lane32(alphas[j], mixed);
@@ -181,7 +169,6 @@ uint64_t GenericGatherMin32(const uint64_t* words, const uint64_t* pos,
 }
 
 constexpr BlockKernels kGenericTable = {
-    GenericBlockedMin64, GenericBlockedMin32,
     GenericBlockedAdd64, GenericBlockedAdd32,
     GenericBlockedLift64, GenericBlockedLift32,
     GenericGatherMin64, GenericGatherMin32,
@@ -190,7 +177,6 @@ constexpr BlockKernels kGenericTable = {
 };
 
 constexpr BlockKernels kDisabledTable = {
-    GenericBlockedMin64, GenericBlockedMin32,
     GenericBlockedAdd64, GenericBlockedAdd32,
     GenericBlockedLift64, GenericBlockedLift32,
     GenericGatherMin64, GenericGatherMin32,

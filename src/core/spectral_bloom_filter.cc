@@ -79,6 +79,12 @@ bool SameSbfOptions(const SbfOptions& a, const SbfOptions& b) {
          a.hash_kind == b.hash_kind && a.block_size == b.block_size;
 }
 
+uint64_t ExpansionUnit(const SbfOptions& options) {
+  if (options.block_size != 0) return options.block_size;
+  return options.hash_kind == HashFamily::Kind::kModuloMultiply ? 1
+                                                                : options.m;
+}
+
 SpectralBloomFilter::SpectralBloomFilter(SbfOptions options)
     : options_(ValidatedOrDie(options)),
       hash_(ProbeFamily(options_)),
@@ -553,15 +559,7 @@ FilterHealth SpectralBloomFilter::Health() const {
 namespace {
 
 // Copies every old counter's value onto its c-position preimage set in the
-// expanded vector (see ExpandTo's contract in the header). All three
-// layouts are one rule over units of `unit` counters: old unit u owns new
-// units [u*c, (u+1)*c), and a counter keeps its offset within its unit.
-//  * Blocked: the router is multiply-shift over the block count and
-//    in-block offsets keep their range, so the unit is the block.
-//  * Flat kModuloMultiply probes floor(frac * m): floor division by c
-//    maps new position p to old position p / c — one-counter units.
-//  * Flat kDoubleMix probes (g1 + i*g2) mod m: since old_m divides new_m,
-//    new positions reduce to old ones mod old_m — one old_m-counter unit.
+// expanded vector (FoldedPosition in the header).
 void FoldExpandCounters(const CounterVector& old_cv, uint64_t c,
                         uint64_t unit, CounterVector* next) {
   const size_t old_m = old_cv.size();
@@ -574,7 +572,7 @@ void FoldExpandCounters(const CounterVector& old_cv, uint64_t c,
       if (values[j] == 0) continue;
       const uint64_t i = base + j;
       for (uint64_t rep = 0; rep < c; ++rep) {
-        next->Set((i / unit * c + rep) * unit + i % unit, values[j]);
+        next->Set(FoldedPosition(i, unit, c, rep), values[j]);
       }
     }
   }
@@ -592,13 +590,9 @@ Status SpectralBloomFilter::ExpandTo(uint64_t new_m) {
     return Status::ResourceExhausted("SBF expansion allocation failed");
   }
   const uint64_t c = new_m / options_.m;
-  const uint64_t unit =
-      options_.block_size != 0 ? options_.block_size
-      : options_.hash_kind == HashFamily::Kind::kModuloMultiply ? 1
-                                                                 : options_.m;
   std::unique_ptr<CounterVector> next =
       MakeCounterVector(options_.backing, new_m);
-  FoldExpandCounters(*counters_, c, unit, next.get());
+  FoldExpandCounters(*counters_, c, ExpansionUnit(options_), next.get());
   next->MergeSaturationStats(counters_->saturation());
   counters_ = std::move(next);
   options_.m = new_m;

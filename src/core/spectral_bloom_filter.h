@@ -54,6 +54,23 @@ Status ValidateSbfOptions(const SbfOptions& options);
 // frames embedded in their own.
 bool SameSbfOptions(const SbfOptions& a, const SbfOptions& b);
 
+// The fold rule of a c-fold expansion (SpectralBloomFilter::ExpandTo and
+// ConcurrentSbf's shard migration): old unit u of `unit` counters owns new
+// units [u*c, (u+1)*c), and a counter keeps its offset within its unit.
+// ExpansionUnit names the unit of a layout:
+//  * blocked: the block (the router is multiply-shift over the block
+//    count and in-block offsets keep their range);
+//  * flat kModuloMultiply: 1 (probes are floor(frac * m), so new
+//    position p maps back to old position p / c);
+//  * flat kDoubleMix: the old m (probes are (g1 + i*g2) mod m, and old m
+//    divides new m, so new positions reduce to old ones mod old m).
+[[nodiscard]] uint64_t ExpansionUnit(const SbfOptions& options);
+// New position of old counter i's rep'th copy, rep in [0, c).
+[[nodiscard]] inline uint64_t FoldedPosition(uint64_t i, uint64_t unit,
+                                             uint64_t c, uint64_t rep) {
+  return (i / unit * c + rep) * unit + i % unit;
+}
+
 // The Spectral Bloom Filter (paper Section 2.2): a Bloom filter whose bit
 // vector is replaced by a vector of m counters C, supporting multiplicity
 // estimates over dynamic multi-sets.
@@ -170,7 +187,9 @@ class SpectralBloomFilter final : public FrequencyFilter {
   }
 
   // Net number of item occurrences currently represented (inserts minus
-  // removes); the N of the unbiased estimator (Section 3.1).
+  // removes); the N of the unbiased estimator (Section 3.1). Limit: the
+  // blocked frames ('SBbk', 'SBb2') do not record N, so a deserialized
+  // blocked filter counts N from 0; check block_size() before trusting N.
   [[nodiscard]] uint64_t total_items() const noexcept {
     return total_items_;
   }
@@ -209,10 +228,9 @@ class SpectralBloomFilter final : public FrequencyFilter {
   // Grows the filter to `new_m` counters in place, without the original
   // keys: both hash families derive each probe from a key digest that is
   // independent of m, so for new_m = c * m every old counter has a known
-  // preimage set of c new positions (multiply-shift: [i*c, (i+1)*c);
-  // double-mix: {i + j*m}; blocked: the block router is multiply-shift
-  // over the block count and in-block offsets keep their range, so old
-  // block b becomes blocks [b*c, (b+1)*c)). Replicating old counter i's
+  // preimage set of c new positions (FoldedPosition above; multiply-
+  // shift: [i*c, (i+1)*c); double-mix: {i + j*m}; blocked: old block b
+  // becomes blocks [b*c, (b+1)*c)). Replicating old counter i's
   // value across its preimage set makes every key read exactly the
   // counter values it read before — estimates are preserved bit-for-bit —
   // while keys inserted *after* the expansion spread over the full new_m,

@@ -215,54 +215,6 @@ void CompactCounterVector::Reset() {
   LayoutFromValues(std::vector<uint64_t>(m_, 0));
 }
 
-void CompactCounterVector::GetMany(const uint64_t* idx, size_t n,
-                                   uint64_t* out) const {
-  // Serve in group-sorted order: chunk, sort a permutation when the
-  // indices do not already arrive sorted, then walk each sorted run with
-  // one sequential decode — a touched group's widths are walked at most
-  // once per chunk, duplicates are served from the walk, and a gap within
-  // a group costs one O(1) re-seek instead of decoding the gap.
-  constexpr size_t kChunk = 256;
-  uint16_t ord[kChunk];
-  const size_t gs = options_.group_size;
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    const uint64_t* cidx = idx + base;
-    uint64_t* cout = out + base;
-    bool sorted = true;
-    for (size_t j = 0; j + 1 < len; ++j) {
-      if (cidx[j] > cidx[j + 1]) {
-        sorted = false;
-        break;
-      }
-    }
-    for (size_t j = 0; j < len; ++j) ord[j] = static_cast<uint16_t>(j);
-    if (!sorted) {
-      std::sort(ord, ord + len,
-                [cidx](uint16_t a, uint16_t b) { return cidx[a] < cidx[b]; });
-    }
-    size_t c = 0;
-    size_t prev = 0;
-    size_t pos = 0;
-    bool walking = false;
-    while (c < len) {
-      const size_t i = static_cast<size_t>(cidx[ord[c]]);
-      SBF_DCHECK(i < m_);
-      // The sequential walk is only valid within a group (slack separates
-      // group payloads); a gap or a group boundary re-seeks in O(1).
-      if (!walking || i != prev + 1 || i % gs == 0) pos = PositionOf(i);
-      const uint32_t w = widths_[i];
-      const uint64_t v = bits_.GetBits(pos, w);
-      pos += w;
-      prev = i;
-      walking = true;
-      do {
-        cout[ord[c++]] = v;
-      } while (c < len && cidx[ord[c]] == i);
-    }
-  }
-}
-
 void CompactCounterVector::DecodeBlock(size_t first, size_t n,
                                        uint64_t* out) const {
   SBF_DCHECK(first + n <= m_);

@@ -80,11 +80,6 @@ class CompactCounterVector final : public CounterVector {
     SBF_PREFETCH(widths_.data() + g * options_.group_size);
     SBF_PREFETCH(bits_.words() + (group_start_[g] >> 6));
   }
-  // Group-sorts its indices (when they do not already arrive sorted) and
-  // serves each sorted run with one sequential width walk, so a touched
-  // group is decoded at most once per chunk; duplicate indices are served
-  // from the walk for free.
-  void GetMany(const uint64_t* idx, size_t n, uint64_t* out) const override;
   // One O(1) seek, then a single sequential decode of the range.
   void DecodeBlock(size_t first, size_t n, uint64_t* out) const override;
   // One sequential write pass; only a widening counter re-seeks (through

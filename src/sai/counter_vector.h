@@ -83,58 +83,30 @@ class CounterVector {
     Set(i, v + delta);
   }
 
-  // --- bulk hooks for the batched probe pipelines ------------------------
+  // --- bulk hooks ----------------------------------------------------------
   //
   // The batched filter kernels (FrequencyFilter::EstimateBatch and friends)
-  // hash a window of keys ahead, issue PrefetchCounter on the upcoming
-  // probe targets, then read the current key's counters with one GetMany
-  // call — one virtual dispatch per key instead of one per probe.
+  // hash a window of keys ahead and issue PrefetchCounter on the upcoming
+  // probe targets, so the current key's reads find their words in cache.
 
   // Hints the memory system to pull the words backing counter i into
   // cache. A pure performance hint; the default is a no-op.
   virtual void PrefetchCounter(size_t i) const { (void)i; }
 
-  // Opt-in for the naive per-index default loops below. A backing whose
-  // Get is O(1) and inline may rely on them; the grouped backings must
-  // override GetMany/DecodeBlock/EncodeBlock with group-granular decodes
-  // (re-scanning the group per index is the exact pathology the decoded-
-  // view refactor removed). The SBF_DCHECKs in the defaults catch a new
-  // backing that ships without either an override or an explicit opt-in;
-  // scripts/sbf_lint.py enforces the same rule statically.
-  [[nodiscard]] virtual bool AllowsNaiveDecode() const noexcept {
-    return false;
-  }
-
-  // Fills out[j] = Get(idx[j]) for j in [0, n). Each backing overrides
-  // this with a loop over its own (devirtualized) accessor so the inner
-  // probe loop pays no virtual dispatch; the grouped backings additionally
-  // serve sorted runs from one sequential group decode.
-  virtual void GetMany(const uint64_t* idx, size_t n, uint64_t* out) const {
-    SBF_DCHECK_MSG(AllowsNaiveDecode(),
-                   "backing uses the naive GetMany loop without opting in");
-    for (size_t j = 0; j < n; ++j) out[j] = Get(idx[j]);
-  }
-
   // Decodes the contiguous counter range [first, first + n) into
   // out[0..n) — the span primitive of the decoded-view layer (DecodeView
   // below, the blocked layouts' block loads, Total/ScanOccupancy sweeps,
-  // serialization). Unlike GetMany this names a *range*, so a backing can
+  // serialization). Every backing implements it: the grouped backings
   // decode a whole group in one pass instead of re-scanning per counter.
-  // Overrides must be exactly equivalent to the Get loop below.
-  virtual void DecodeBlock(size_t first, size_t n, uint64_t* out) const {
-    SBF_DCHECK_MSG(AllowsNaiveDecode(),
-                   "backing uses the naive DecodeBlock loop without opting in");
-    for (size_t j = 0; j < n; ++j) out[j] = Get(first + j);
-  }
+  // Must be exactly equivalent to a loop of Get.
+  virtual void DecodeBlock(size_t first, size_t n, uint64_t* out) const = 0;
 
   // Writes values[0..n) into the contiguous counter range
   // [first, first + n) — the write-back half of the decoded-view layer.
-  // Exactly equivalent to the Set loop below (including clamp tallies for
-  // backings whose Set clamps); the grouped backings override it with a
-  // single sequential pass that re-seeks only when a counter widens.
-  virtual void EncodeBlock(size_t first, size_t n, const uint64_t* values) {
-    for (size_t j = 0; j < n; ++j) Set(first + j, values[j]);
-  }
+  // Must be exactly equivalent to a loop of Set (including clamp tallies
+  // for backings whose Set clamps); the grouped backings implement it as
+  // a single sequential pass that re-seeks only when a counter widens.
+  virtual void EncodeBlock(size_t first, size_t n, const uint64_t* values) = 0;
 
   // Whether DecodeView may buffer writes against this backing. False only
   // for backings with non-uniform scalar write semantics (the sticky-

@@ -58,10 +58,6 @@ class FixedWidthCounterVector final : public CounterVector {
   void PrefetchCounter(size_t i) const noexcept override {
     SBF_PREFETCH(bits_.words() + (i * width_ >> 6));
   }
-  void GetMany(const uint64_t* idx, size_t n,
-               uint64_t* out) const noexcept override {
-    for (size_t j = 0; j < n; ++j) out[j] = Get(idx[j]);
-  }
   void DecodeBlock(size_t first, size_t n,
                    uint64_t* out) const noexcept override {
     for (size_t j = 0; j < n; ++j) out[j] = Get(first + j);

@@ -49,47 +49,6 @@ uint64_t SerialScanCounterVector::Get(size_t i) const {
   return value;
 }
 
-void SerialScanCounterVector::GetMany(const uint64_t* idx, size_t n,
-                                      uint64_t* out) const {
-  // Group-sorted serving: each touched group is serially decoded exactly
-  // once per chunk, all of its requested entries (duplicates included)
-  // are picked off that one decode — instead of re-decoding the group
-  // prefix for every index the way scalar Get must.
-  constexpr size_t kChunk = 256;
-  uint16_t ord[kChunk];
-  const size_t gs = options_.group_size;
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    const uint64_t* cidx = idx + base;
-    uint64_t* cout = out + base;
-    bool sorted = true;
-    for (size_t j = 0; j + 1 < len; ++j) {
-      if (cidx[j] > cidx[j + 1]) {
-        sorted = false;
-        break;
-      }
-    }
-    for (size_t j = 0; j < len; ++j) ord[j] = static_cast<uint16_t>(j);
-    if (!sorted) {
-      std::sort(ord, ord + len,
-                [cidx](uint16_t a, uint16_t b) { return cidx[a] < cidx[b]; });
-    }
-    size_t c = 0;
-    while (c < len) {
-      const size_t g = static_cast<size_t>(cidx[ord[c]]) / gs;
-      BitReader reader(&bits_, group_start_[g]);
-      size_t next = g * gs;  // index the reader decodes next
-      uint64_t v = 0;
-      while (c < len && static_cast<size_t>(cidx[ord[c]]) / gs == g) {
-        const size_t target = static_cast<size_t>(cidx[ord[c]]);
-        SBF_DCHECK(target < m_);
-        for (; next <= target; ++next) v = code_.Decode(&reader);
-        cout[ord[c++]] = v;
-      }
-    }
-  }
-}
-
 void SerialScanCounterVector::DecodeBlock(size_t first, size_t n,
                                           uint64_t* out) const {
   SBF_DCHECK(first + n <= m_);

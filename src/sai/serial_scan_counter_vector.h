@@ -72,10 +72,6 @@ class SerialScanCounterVector final : public CounterVector {
       SBF_PREFETCH(bits_.words() + word + 8);
     }
   }
-  // Group-sorts its indices (when unsorted) and serves each group's
-  // entries from one serial decode of that group — the payoff is largest
-  // here, where a scalar Get re-decodes the group prefix per index.
-  void GetMany(const uint64_t* idx, size_t n, uint64_t* out) const override;
   // One serial decode per overlapped group (skipping the prefix before
   // `first` in the first group).
   void DecodeBlock(size_t first, size_t n, uint64_t* out) const override;

@@ -100,6 +100,33 @@ TEST(BlockedSbfTest, RejectsIndivisibleBlockSize) {
             Status::Code::kInvalidArgument);
 }
 
+TEST(BlockedSbfTest, FramesDoNotRecordTotalItems) {
+  // The blocked frames ('SBbk', 'SBb2') carry the counters but not N, so a
+  // loaded blocked filter keeps every estimate and reports total_items()
+  // == 0; the flat frame ('SBsf') records N. A frame version that starts
+  // recording N for blocked filters must change this test on purpose.
+  for (const uint64_t block_size : {uint64_t{0}, uint64_t{256}}) {
+    for (const SbfPolicy policy :
+         {SbfPolicy::kMinimumSelection, SbfPolicy::kMinimalIncrease}) {
+      SbfOptions options = MakeOptions(4096, block_size, 5, 11);
+      options.policy = policy;
+      SpectralBloomFilter filter(options);
+      for (uint64_t key = 1; key <= 40; ++key) filter.Insert(key, key);
+      ASSERT_EQ(filter.total_items(), 820u);
+      const std::vector<uint8_t> bytes = filter.Serialize();
+      auto loaded = SpectralBloomFilter::Deserialize(bytes);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      const SpectralBloomFilter& copy = loaded.value();
+      EXPECT_EQ(copy.total_items(), block_size == 0 ? 820u : 0u)
+          << copy.Name();
+      for (uint64_t key = 1; key <= 40; ++key) {
+        ASSERT_EQ(copy.Estimate(key), filter.Estimate(key)) << copy.Name();
+      }
+      EXPECT_EQ(copy.Serialize(), bytes) << copy.Name();
+    }
+  }
+}
+
 // --- reference digests -----------------------------------------------------
 //
 // Byte-identity reference over the whole configuration grid: every backing

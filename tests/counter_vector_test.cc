@@ -342,7 +342,7 @@ TEST_P(CounterBackingTest, IncrementPastMaxClampsAndTallies) {
 }
 
 TEST_P(CounterBackingTest, ScanOccupancyCountsNonzeroAndSaturated) {
-  auto v = Make(600);  // spans multiple GetMany chunks
+  auto v = Make(600);  // spans multiple DecodeBlock chunks
   v->Increment(1, 3);
   v->Increment(599, 1);
   v->Set(300, v->MaxValue());

@@ -1,14 +1,14 @@
-// Differential suite for the decoded-view layer: DecodeView, GetMany,
-// DecodeBlock and EncodeBlock must be exactly equivalent to loops of the
-// scalar Get/Set ops — for every backing, across group boundaries, after
+// Differential suite for the decoded-view layer: DecodeView, DecodeBlock
+// and EncodeBlock must be exactly equivalent to loops of the scalar
+// Get/Set ops — for every backing, across group boundaries, after
 // rebuilds and widenings, and under duplicate-heavy access streams. Each
 // concrete backing's overrides are exercised here by name; the lint rule
 // `decode-view-differential` (scripts/sbf_lint.py) requires that coverage.
 //
 // Covered overrides:
-//   FixedWidthCounterVector   — GetMany / DecodeBlock / EncodeBlock
-//   CompactCounterVector      — GetMany / DecodeBlock / EncodeBlock
-//   SerialScanCounterVector   — GetMany / DecodeBlock / EncodeBlock
+//   FixedWidthCounterVector   — DecodeBlock / EncodeBlock
+//   CompactCounterVector      — DecodeBlock / EncodeBlock
+//   SerialScanCounterVector   — DecodeBlock / EncodeBlock
 
 #include <gtest/gtest.h>
 
@@ -98,7 +98,29 @@ std::vector<uint64_t> SeedMixedValues(CounterVector& cv, uint64_t seed) {
   return model;
 }
 
-// --- GetMany ---------------------------------------------------------------
+// --- DecodeBlock over index streams ----------------------------------------
+
+// Decodes a short range starting at each index of `idx`, in stream order,
+// and checks every decoded counter against the model: the access shape of
+// a probe stream, where consecutive starts may repeat, go backwards or
+// land in the middle of a group.
+void CheckDecodeBlockStream(const CounterVector& cv,
+                            const std::vector<uint64_t>& model,
+                            const std::vector<uint64_t>& idx, Xoshiro256& rng,
+                            const char* label) {
+  uint64_t got[17];
+  for (size_t j = 0; j < idx.size(); ++j) {
+    const size_t first = static_cast<size_t>(idx[j]);
+    const size_t len = std::min<size_t>(1 + rng.UniformInt(17),
+                                        cv.size() - first);
+    std::fill(got, got + 17, ~0ull);
+    cv.DecodeBlock(first, len, got);
+    for (size_t t = 0; t < len; ++t) {
+      ASSERT_EQ(got[t], model[first + t])
+          << label << " range [" << first << ", +" << len << ") pos " << j;
+    }
+  }
+}
 
 TEST_P(DecodeViewBackingTest, GetManyMatchesScalarGetSortedAndUnsorted) {
   constexpr size_t kM = 517;  // not a multiple of any group size
@@ -111,12 +133,7 @@ TEST_P(DecodeViewBackingTest, GetManyMatchesScalarGetSortedAndUnsorted) {
     std::vector<uint64_t> idx(n);
     for (auto& i : idx) i = rng.UniformInt(kM);
     if (round % 2 == 0) std::sort(idx.begin(), idx.end());
-    std::vector<uint64_t> got(n, ~0ull);
-    cv->GetMany(idx.data(), n, got.data());
-    for (size_t j = 0; j < n; ++j) {
-      ASSERT_EQ(got[j], model[idx[j]])
-          << GetParam().name << " idx " << idx[j] << " round " << round;
-    }
+    CheckDecodeBlockStream(*cv, model, idx, rng, GetParam().name);
   }
 }
 
@@ -134,11 +151,7 @@ TEST_P(DecodeViewBackingTest, GetManyDuplicateHeavyStream) {
   for (int j = 0; j < 500; ++j) {
     idx.push_back(j % 5 == 0 ? rng.UniformInt(kM) : hot[j % 4]);
   }
-  std::vector<uint64_t> got(idx.size());
-  cv->GetMany(idx.data(), idx.size(), got.data());
-  for (size_t j = 0; j < idx.size(); ++j) {
-    ASSERT_EQ(got[j], model[idx[j]]) << GetParam().name << " pos " << j;
-  }
+  CheckDecodeBlockStream(*cv, model, idx, rng, GetParam().name);
 }
 
 // --- DecodeBlock -----------------------------------------------------------
@@ -308,10 +321,11 @@ TEST(DecodeViewCompactTest, DifferentialHoldsAfterForcedRebuild) {
   cv.ForceRebuild();
   ASSERT_GE(cv.rebuild_count(), 1u);
 
-  std::vector<uint64_t> idx(kM), got(kM);
-  for (size_t i = 0; i < kM; ++i) idx[i] = kM - 1 - i;  // reverse order
-  cv.GetMany(idx.data(), kM, got.data());
-  for (size_t i = 0; i < kM; ++i) ASSERT_EQ(got[i], model[kM - 1 - i]);
+  std::vector<uint64_t> got(kM);
+  for (size_t i = kM; i-- > 0;) {  // reverse order, one counter at a time
+    cv.DecodeBlock(i, 1, got.data());
+    ASSERT_EQ(got[0], model[i]);
+  }
 
   cv.DecodeBlock(0, kM, got.data());
   for (size_t i = 0; i < kM; ++i) ASSERT_EQ(got[i], model[i]);
@@ -361,7 +375,7 @@ TEST(DecodeViewSerialScanTest, DifferentialHoldsAcrossWideningStream) {
     cv.EncodeBlock(0, kM, values.data());
     model = values;
     std::vector<uint64_t> got(kM);
-    cv.GetMany(nullptr, 0, got.data());  // n = 0 is a no-op
+    cv.DecodeBlock(0, 0, got.data());  // n = 0 is a no-op
     cv.DecodeBlock(0, kM, got.data());
     for (size_t i = 0; i < kM; ++i) {
       ASSERT_EQ(got[i], model[i]) << "round " << round << " counter " << i;

@@ -362,6 +362,33 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// Double-mix positions fold by residue mod the old shard size, not by
+// consecutive runs (ExpansionUnit), on the lock-free and the locked path.
+TEST(ConcurrentExpandArgsTest, DoubleMixExpansionPreservesProbes) {
+  for (const auto& [backing, policy] :
+       {std::pair{CounterBacking::kFixed64, SbfPolicy::kMinimumSelection},
+        std::pair{CounterBacking::kCompact, SbfPolicy::kMinimumSelection},
+        std::pair{CounterBacking::kCompact, SbfPolicy::kMinimalIncrease}}) {
+    ConcurrentSbfOptions options = ConcurrentOptions(backing, policy);
+    options.hash_kind = HashFamily::Kind::kDoubleMix;
+    ConcurrentSbf filter(options);
+    Xoshiro256 rng(29);
+    std::vector<uint64_t> keys(3000);
+    for (auto& key : keys) key = rng.UniformInt(kProbeKeys);
+    filter.InsertBatch(keys.data(), keys.size(), 2);
+    std::vector<uint64_t> pre(kProbeKeys);
+    for (uint64_t key = 0; key < kProbeKeys; ++key) {
+      pre[key] = filter.Estimate(key);
+    }
+
+    ASSERT_TRUE(filter.ExpandTo(4 * options.m).ok());
+    for (uint64_t key = 0; key < kProbeKeys; ++key) {
+      ASSERT_EQ(filter.Estimate(key), pre[key])
+          << CounterBackingName(backing) << " key " << key;
+    }
+  }
+}
+
 TEST(ConcurrentExpandArgsTest, RejectsShardMisalignedSizes) {
   ConcurrentSbfOptions options;
   options.m = 100;  // CeilDiv(100, 8) = 13, but CeilDiv(200, 8) = 25 != 26

@@ -212,7 +212,7 @@ TEST(SerializationFuzzTest, FixedCounterSetPaddingBitsRejected) {
 }
 
 TEST(SerializationFuzzTest, CounterTotalMatchesManualSum) {
-  // Total() goes through GetMany chunks; it must agree with a per-index
+  // Total() goes through DecodeBlock chunks; it must agree with a per-index
   // virtual-Get sum on every backing, including a non-multiple-of-chunk
   // size.
   for (const auto backing : AllBackings()) {

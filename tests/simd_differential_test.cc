@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -33,21 +34,39 @@ class SimdDifferentialTest : public ::testing::Test {
 
 std::vector<Isa> SupportedIsas() {
   std::vector<Isa> isas;
-  for (Isa isa : {Isa::kGeneric, Isa::kSse2, Isa::kAvx2}) {
+  for (Isa isa : {Isa::kGeneric, Isa::kAvx2}) {
     if (simd::IsaSupported(isa)) isas.push_back(isa);
   }
   return isas;
 }
 
 const BlockKernels& Table(Isa isa) {
-  switch (isa) {
-    case Isa::kSse2:
-      return *simd::internal::Sse2KernelTable();
-    case Isa::kAvx2:
-      return *simd::internal::Avx2KernelTable();
-    default:
-      return *simd::internal::GenericKernelTable();
+  return isa == Isa::kAvx2 ? *simd::internal::Avx2KernelTable()
+                           : *simd::internal::GenericKernelTable();
+}
+
+// The estimate over one block written out in the test: the min of the k
+// lanes one multiply-shift round selects (simd_kernels.h), 32-bit lanes
+// packed two per word, low half first.
+uint64_t ScalarBlockMin64(const uint64_t* block, const uint64_t* alphas,
+                          uint32_t k, uint64_t mixed) {
+  uint64_t min_value = ~uint64_t{0};
+  for (uint32_t j = 0; j < k; ++j) {
+    min_value = std::min(min_value,
+                         block[(alphas[j] * mixed) >> simd::kLaneShift64]);
   }
+  return min_value;
+}
+
+uint64_t ScalarBlockMin32(const uint64_t* block, const uint64_t* alphas,
+                          uint32_t k, uint64_t mixed) {
+  uint64_t min_value = 0xFFFFFFFFull;
+  for (uint32_t j = 0; j < k; ++j) {
+    const uint64_t lane = (alphas[j] * mixed) >> simd::kLaneShift32;
+    min_value = std::min(min_value,
+                         (block[lane >> 1] >> ((lane & 1) * 32)) & 0xFFFFFFFF);
+  }
+  return min_value;
 }
 
 // One random kernel scenario: a 64-byte block, k odd alphas, a mixed key.
@@ -101,19 +120,22 @@ uint64_t RandomCount(Xoshiro256& rng) {
   }
 }
 
+// batch_min over a batch of one: each ISA's single-key estimate must equal
+// the scalar min, on blocks at and near both lane widths' saturation.
 TEST_F(SimdDifferentialTest, BlockedMinMatchesGeneric) {
-  const BlockKernels& ref = *simd::internal::GenericKernelTable();
   Xoshiro256 rng(101);
+  const uint64_t base = 0;
   for (Isa isa : SupportedIsas()) {
     const BlockKernels& kn = Table(isa);
     for (int trial = 0; trial < 4000; ++trial) {
       const Scenario s =
           RandomScenario(rng, trial % 3 == 0, trial % 5 == 0);
-      ASSERT_EQ(kn.blocked_min64(s.block, s.alphas, s.k, s.mixed),
-                ref.blocked_min64(s.block, s.alphas, s.k, s.mixed))
+      uint64_t got = 0;
+      kn.batch_min64(s.block, &base, &s.mixed, 1, s.alphas, s.k, &got);
+      ASSERT_EQ(got, ScalarBlockMin64(s.block, s.alphas, s.k, s.mixed))
           << simd::IsaName(isa) << " trial " << trial;
-      ASSERT_EQ(kn.blocked_min32(s.block, s.alphas, s.k, s.mixed),
-                ref.blocked_min32(s.block, s.alphas, s.k, s.mixed))
+      kn.batch_min32(s.block, &base, &s.mixed, 1, s.alphas, s.k, &got);
+      ASSERT_EQ(got, ScalarBlockMin32(s.block, s.alphas, s.k, s.mixed))
           << simd::IsaName(isa) << " trial " << trial;
     }
   }
@@ -177,8 +199,11 @@ TEST_F(SimdDifferentialTest, BlockedLiftMatchesGeneric) {
   }
 }
 
-// batch_min64/batch_min32 must equal looping the per-block min over the
-// same (base, mixed) pairs — including odd chunk lengths.
+// batch_min64/batch_min32 over whole chunks must equal the scalar min per
+// key and the generic table: every k from 1 to 8 (the AVX2 table
+// specializes 3..7) plus random k up to kMaxK, unaligned chunk lengths,
+// and duplicate-heavy lanes — a few blocks and key digests repeated
+// across the batch, so many keys land on the same lanes.
 TEST_F(SimdDifferentialTest, BatchMinMatchesPerBlockKernels) {
   const BlockKernels& ref = *simd::internal::GenericKernelTable();
   Xoshiro256 rng(505);
@@ -187,17 +212,21 @@ TEST_F(SimdDifferentialTest, BatchMinMatchesPerBlockKernels) {
   for (uint64_t& w : words) w = rng.Next();
   for (Isa isa : SupportedIsas()) {
     const BlockKernels& kn = Table(isa);
-    for (int trial = 0; trial < 200; ++trial) {
+    for (int trial = 0; trial < 240; ++trial) {
       const uint32_t k =
-          1 + static_cast<uint32_t>(rng.UniformInt(HashFamily::kMaxK));
+          trial % 2 == 0
+              ? 1 + static_cast<uint32_t>(trial / 2 % 8)
+              : 1 + static_cast<uint32_t>(rng.UniformInt(HashFamily::kMaxK));
       uint64_t alphas[HashFamily::kMaxK];
       for (uint32_t j = 0; j < k; ++j) alphas[j] = rng.Next() | 1;
       const size_t n = 1 + rng.UniformInt(97);  // odd tails included
+      const bool duplicate_heavy = trial % 3 == 0;
+      const uint64_t hot_mixes[3] = {rng.Next(), rng.Next(), rng.Next()};
       std::vector<uint64_t> bases(n);
       std::vector<uint64_t> mixes(n);
       for (size_t i = 0; i < n; ++i) {
-        bases[i] = rng.UniformInt(kBlocks) * 8;
-        mixes[i] = rng.Next();
+        bases[i] = rng.UniformInt(duplicate_heavy ? 2 : kBlocks) * 8;
+        mixes[i] = duplicate_heavy ? hot_mixes[rng.UniformInt(3)] : rng.Next();
       }
       std::vector<uint64_t> got(n);
       std::vector<uint64_t> want(n);
@@ -206,18 +235,20 @@ TEST_F(SimdDifferentialTest, BatchMinMatchesPerBlockKernels) {
       ref.batch_min64(words.data(), bases.data(), mixes.data(), n, alphas, k,
                       want.data());
       for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], ScalarBlockMin64(words.data() + bases[i], alphas, k,
+                                           mixes[i]))
+            << simd::IsaName(isa) << " batch_min64 k=" << k << " i=" << i;
         ASSERT_EQ(got[i], want[i]) << simd::IsaName(isa) << " batch_min64 i="
                                    << i;
-        ASSERT_EQ(got[i],
-                  kn.blocked_min64(words.data() + bases[i], alphas, k,
-                                   mixes[i]))
-            << simd::IsaName(isa) << " batch/per-block diverged i=" << i;
       }
       kn.batch_min32(words.data(), bases.data(), mixes.data(), n, alphas, k,
                      got.data());
       ref.batch_min32(words.data(), bases.data(), mixes.data(), n, alphas, k,
                       want.data());
       for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], ScalarBlockMin32(words.data() + bases[i], alphas, k,
+                                           mixes[i]))
+            << simd::IsaName(isa) << " batch_min32 k=" << k << " i=" << i;
         ASSERT_EQ(got[i], want[i]) << simd::IsaName(isa) << " batch_min32 i="
                                    << i;
       }
@@ -426,16 +457,22 @@ TEST_F(SimdDifferentialTest, NonSimdGeometriesUnaffectedByForceIsa) {
 TEST_F(SimdDifferentialTest, DispatchReportsSupportedTable) {
   const BlockKernels& active = simd::Active();
   ASSERT_TRUE(simd::IsaSupported(active.isa));
-  ASSERT_EQ(simd::BestSupportedIsa() == Isa::kGeneric,
-            !simd::IsaSupported(Isa::kSse2) && !simd::IsaSupported(Isa::kAvx2));
-  // Forcing each supported ISA must round-trip through Active().
-  for (Isa isa : SupportedIsas()) {
+  ASSERT_TRUE(simd::IsaSupported(Isa::kDisabled));
+  ASSERT_TRUE(simd::IsaSupported(Isa::kGeneric));
+  ASSERT_EQ(simd::BestSupportedIsa(),
+            simd::IsaSupported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kGeneric);
+  // Forcing each of the three tiers must round-trip through Active(); an
+  // unsupported one falls back to the best supported table.
+  for (Isa isa : {Isa::kDisabled, Isa::kGeneric, Isa::kAvx2}) {
     simd::ForceIsa(isa);
-    ASSERT_EQ(simd::Active().isa, isa);
-    ASSERT_TRUE(simd::Active().enabled);
+    const Isa want = simd::IsaSupported(isa) ? isa : simd::BestSupportedIsa();
+    ASSERT_EQ(simd::Active().isa, want) << simd::IsaName(isa);
+    ASSERT_EQ(simd::Active().enabled, want != Isa::kDisabled)
+        << simd::IsaName(isa);
   }
-  simd::ForceIsa(Isa::kDisabled);
-  ASSERT_FALSE(simd::Active().enabled);
+  EXPECT_STREQ(simd::IsaName(Isa::kDisabled), "disabled");
+  EXPECT_STREQ(simd::IsaName(Isa::kGeneric), "generic");
+  EXPECT_STREQ(simd::IsaName(Isa::kAvx2), "avx2");
 }
 
 }  // namespace
