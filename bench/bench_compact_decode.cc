@@ -1,11 +1,11 @@
-// Decoded-view refactor economics (the "close the compact-backing gap"
+// Grouped-backing decode economics (the "close the compact-backing gap"
 // ROADMAP item): what a compact-backed batch estimate costs now that
 // PositionOf is O(1) (sampled prefix offsets plus a short width walk) and
-// the batch pipeline prefetches each probe's widths and payload, against (a) the current scalar path and (b) a
-// faithful replica of the pre-refactor per-access path that re-scanned the
-// group's widths on every probe. Also times the full-vector DecodeBlock
-// sweep vs a scalar Get sweep and the ApplyAddBatch flush path vs scalar
-// inserts.
+// the batch pipeline prefetches each probe's widths and payload, against
+// (a) the current scalar path and (b) a faithful replica of the
+// pre-refactor per-access path that re-scanned the group's widths on
+// every probe. Also times the full-vector DecodeBlock sweep vs a scalar
+// Get sweep and the ApplyAddBatch flush path vs scalar inserts.
 //
 // Emits BENCH_compact_decode.json; scripts/check_compact.py gates the
 // `speedup_vs_per_access` param of the compact batched-estimate row.
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   const uint64_t m = static_cast<uint64_t>(n * 5 / 0.7);
 
   sbf::bench::PrintHeader(
-      "Decoded group views - compact batch estimate vs per-access decode",
+      "Grouped decode - compact batch estimate vs per-access decode",
       "Zipf 0.8 build, gamma = 0.7, k = 5; estimate sweep over all keys");
 
   const Multiset data = sbf::MakeZipfMultiset(n, total, 0.8, 0xDECD);
@@ -186,9 +186,11 @@ int main(int argc, char** argv) {
                rounds * cv.size() / (block_s * 1e6));
     }
 
-    // The flush path: ApplyAddBatch (position-sorted, one decode + one
-    // write-back per touched group) vs a loop of scalar inserts — what the
-    // concurrent frontend's shard drain now pays vs what it paid before.
+    // The flush path: ApplyAddBatch vs a loop of scalar inserts — what the
+    // concurrent frontend's shard drain pays per key. Only serial-scan
+    // takes a bulk path (SerialScanCounterVector::AddMany: probes
+    // clustered by group, one decode + one re-encode per touched group);
+    // the other backings run the same scalar loop, so their rows read ~1x.
     {
       std::vector<uint64_t> counts(data.keys.size());
       for (size_t i = 0; i < counts.size(); ++i) counts[i] = 1 + i % 3;

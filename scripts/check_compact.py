@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Perf-smoke gate on the decoded-view compact-backing artifact.
+"""Perf-smoke gate on the compact-backing decode artifact.
 
 Reads BENCH_compact_decode.json (schema: bench/common/bench_json.h,
 written by bench/bench_compact_decode) and fails if the compact backing's
 batched estimate is not at least THRESHOLD times faster than the
 pre-refactor per-access baseline — the O(group_size) width re-scan every
-probe paid before the sampled prefix-offset table made PositionOf O(1). The bench replicates that baseline against the live
-layout, so the gate keeps measuring the same gap after the slow path is
-gone from the library.
+probe paid before the sampled prefix-offset table made PositionOf O(1).
+The bench replicates that baseline against the live layout, so the gate
+keeps measuring the same gap after the slow path is gone from the
+library. The artifact's other rows (DecodeBlock sweeps, the
+ApplyAddBatch flush path) ride along ungated.
 
 The gate SKIPS — exit 0 with a message — when the artifact has no compact
 batched-estimate row carrying the speedup param (an artifact produced by

@@ -33,13 +33,14 @@ Structural rules that generic linters cannot express:
      kernel without a registered differential test is an unverified
      bit-for-bit equivalence claim.
   7. decode-view-differential — every CounterVector backing implements
-     the decoded-view hooks (DecodeBlock/EncodeBlock are pure virtual, so
-     the compiler enforces that part), and every backing must be
-     exercised by name in tests/decode_view_test.cc, the suite that pins
-     each implementation to the scalar Get/Set reference across group
-     boundaries, rebuilds and widenings. An unregistered implementation
-     is an unverified equivalence claim, exactly like an untested SIMD
-     kernel.
+     the grouped read hook (DecodeBlock is pure virtual, so the compiler
+     enforces that part), and every backing must be exercised by name in
+     tests/decode_view_test.cc, the suite that pins each DecodeBlock to
+     the scalar Get reference, and the serial-scan bulk add
+     (SerialScanCounterVector::AddMany, the ApplyAddBatch path) to the
+     scalar Increment loop, across group boundaries, rebuilds, slack
+     borrows and widenings. An unregistered implementation is an
+     unverified equivalence claim, exactly like an untested SIMD kernel.
   8. durable-record-coverage — every WalRecordType enumerator declared in
      src/io/delta_log.h must appear by name in
      tests/crash_recovery_test.cc, the crash-matrix suite that replays
@@ -97,7 +98,7 @@ SIMD_DIFFERENTIAL_TEST = REPO / "tests" / "simd_differential_test.cc"
 #   int (*blocked_add64)(uint64_t* block, ...);
 SIMD_FIELD = re.compile(r"\(\s*\*\s*(\w+)\s*\)\s*\(")
 
-# Rule 7: counter-vector backings and the decoded-view differential suite.
+# Rule 7: counter-vector backings and the grouped read/write differential suite.
 DECODE_VIEW_TEST = REPO / "tests" / "decode_view_test.cc"
 BACKING_DECL = re.compile(r"class\s+(\w+)\s+(?:final\s+)?:\s*public\s+"
                           r"CounterVector\b")
@@ -346,8 +347,8 @@ def counter_vector_backings():
 
 
 def check_decode_view_differential(violations, test_text=None):
-    """Every backing's decoded-view hooks are pinned by the differential
-    suite."""
+    """Every backing's DecodeBlock (and serial-scan's bulk add) is pinned
+    by the differential suite."""
     backings = counter_vector_backings()
     if not backings:
         violations.append(
@@ -359,7 +360,7 @@ def check_decode_view_differential(violations, test_text=None):
         if not DECODE_VIEW_TEST.exists():
             violations.append(
                 "tests/decode_view_test.cc: decode-view-differential: the "
-                "decoded-view differential suite is missing")
+                "grouped read/write differential suite is missing")
             return
         test_text = DECODE_VIEW_TEST.read_text()
     for name, _, _ in backings:
@@ -367,8 +368,8 @@ def check_decode_view_differential(violations, test_text=None):
             violations.append(
                 f"tests/decode_view_test.cc: decode-view-differential: "
                 f"backing '{name}' has no registered differential coverage "
-                f"of its DecodeBlock/EncodeBlock — every implementation "
-                f"must be pinned to the scalar reference")
+                f"of its DecodeBlock (or serial-scan AddMany) — every "
+                f"implementation must be pinned to the scalar reference")
 
 
 def wal_record_types():

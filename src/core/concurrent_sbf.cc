@@ -385,8 +385,8 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const ShardWrite& write,
   if (write.nets != nullptr) {
     // An epoch merge. Removes never buffer on this path (Remove() flushes
     // and applies directly on clamped backings), so every net is a sum of
-    // insert counts; ApplyAddBatch takes the decoded-view bulk path where
-    // that pays.
+    // insert counts; ApplyAddBatch applies them group by group on
+    // serial-scan and by scalar inserts elsewhere.
     f.ApplyAddBatch(write.keys, write.nets, write.n);
   } else if (write.remove) {
     for (size_t i = 0; i < write.n; ++i) f.Remove(write.keys[i], write.count);

@@ -352,7 +352,8 @@ class ConcurrentSbf final : public FrequencyFilter {
   // The per-shard write kernel. With a `buffer` (the calling thread's
   // DeltaSet, which it locks) the slice is delta-buffered; otherwise it is
   // applied directly — lock-free or under the shard lock, honouring any
-  // expansion window. Epoch merges pass nets and no buffer.
+  // expansion window. Epoch merges pass nets and no buffer; the locked
+  // path applies them through SpectralBloomFilter::ApplyAddBatch.
   void WriteShard(uint32_t shard_index, const ShardWrite& write,
                   DeltaSet* buffer);
   // The per-shard estimate kernel: out[i] = the shard's estimate of
@@ -374,7 +375,7 @@ class ConcurrentSbf final : public FrequencyFilter {
   // Epoch merge: drains `set`'s map for one shard into the shard counters
   // and releases its pending-tally contribution (a no-op when it has
   // neither). Allocation-free (the epoch-merge hot path) except
-  // serial-scan's decoded-view bulk apply.
+  // serial-scan's bulk add (SerialScanCounterVector::AddMany).
   void MergeShardDelta(DeltaSet& set, uint32_t shard_index)
       SBF_REQUIRES(set.mu);
   // Drains the calling thread's buffers for one shard (the

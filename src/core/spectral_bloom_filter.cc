@@ -432,63 +432,26 @@ void SpectralBloomFilter::InsertBatch(const uint64_t* keys, size_t n,
 
 void SpectralBloomFilter::ApplyAddBatch(const uint64_t* keys,
                                         const uint64_t* counts, size_t n) {
-  if (n == 0) return;
-  // The decoded-view path pays one span decode + encode per touched span.
-  // That always beats serial-scan's scalar writes (each a full group
-  // re-encode, 7.39x in BENCH_compact_decode.json). It does not pay
-  // anywhere else: compact's scalar Increment is an O(1) in-place bump
-  // (the view measured 1.003x the scalar loop even on dense batches), the
-  // fixed backings' Increment is an O(1) inline word op, and MI lifts
-  // depend on the current minimum at apply time (no commutative bulk form).
+  // Only serial-scan's scalar write is costly enough for a bulk path: each
+  // one decodes and re-encodes a whole group (the bulk path is ~9x the
+  // loop in BENCH_compact_decode.json). Compact and the fixed backings
+  // increment in place in O(1), and MI lifts depend on the current minimum
+  // at apply time (no commutative bulk form).
   if (options_.policy != SbfPolicy::kMinimumSelection ||
       options_.backing != CounterBacking::kSerialScan) {
     for (size_t e = 0; e < n; ++e) Insert(keys[e], counts[e]);
     return;
   }
   const uint32_t k = options_.k;
-  std::vector<std::pair<uint64_t, uint64_t>> deltas;  // (position, count)
-  deltas.reserve(n * k);
+  std::vector<std::pair<uint64_t, uint64_t>> adds;  // (position, count)
+  adds.reserve(n * k);
   uint64_t positions[HashFamily::kMaxK];
-  uint64_t items = 0;
   for (size_t e = 0; e < n; ++e) {
     Positions(keys[e], positions);
-    for (uint32_t j = 0; j < k; ++j) {
-      deltas.emplace_back(positions[j], counts[e]);
-    }
-    items += counts[e];
+    for (uint32_t j = 0; j < k; ++j) adds.emplace_back(positions[j], counts[e]);
+    total_items_ += counts[e];
   }
-  // Cluster the increments by decoded span so the view refills each span
-  // once. Only span membership matters (clamped adds within one counter
-  // commute), so a dense batch uses a two-pass counting sort by span —
-  // O(probes + spans) beats the comparison sort that otherwise dominates
-  // the flush. A sparse batch would pay more for the span histogram than
-  // the sort, so it keeps std::sort.
-  const size_t spans =
-      counters_->size() / DecodeView::kSpanCounters + 1;
-  if (deltas.size() >= spans) {
-    std::vector<uint32_t> first_in_span(spans + 1, 0);
-    for (const auto& [pos, count] : deltas) {
-      ++first_in_span[pos / DecodeView::kSpanCounters + 1];
-    }
-    for (size_t s = 1; s <= spans; ++s) {
-      first_in_span[s] += first_in_span[s - 1];
-    }
-    std::vector<std::pair<uint64_t, uint64_t>> clustered(deltas.size());
-    for (const auto& delta : deltas) {
-      clustered[first_in_span[delta.first / DecodeView::kSpanCounters]++] =
-          delta;
-    }
-    deltas.swap(clustered);
-  } else {
-    std::sort(deltas.begin(), deltas.end());
-  }
-  {
-    DecodeView view(*counters_);
-    for (const auto& [pos, count] : deltas) {
-      view.Increment(static_cast<size_t>(pos), count);
-    }
-  }  // write-back + clamp-tally merge on view destruction
-  total_items_ += items;
+  static_cast<SerialScanCounterVector&>(*counters_).AddMany(std::move(adds));
   SBF_AUDIT_INVARIANTS(*this);
 }
 

@@ -123,16 +123,15 @@ class SpectralBloomFilter final : public FrequencyFilter {
 
   // Applies aggregated inserts — keys[e] gains counts[e] occurrences, a
   // drained delta-buffer epoch — exactly as a loop of Insert(key, count).
-  // Only the serial-scan backing takes a bulk path: all k*n counter
-  // positions are hashed up front, clustered by decoded span, and the
-  // increments applied through a DecodeView, so each touched counter
-  // group is decoded and written back once instead of once per probe
-  // (clamped increments commute, so counter values and estimates are
-  // unchanged; clamp-tally attribution can differ for increments that
-  // straddle the clamp boundary, and the bulk path skips the scalar
-  // Insert's fault-injection flip site). Every other backing, and Minimal
-  // Increase (order-dependent updates), keeps the scalar loop. Cold-path
-  // helper for ConcurrentSbf's shard flush; may allocate.
+  // Only serial-scan under Minimum Selection takes a bulk path: all k*n
+  // counter positions are hashed up front and handed to
+  // SerialScanCounterVector::AddMany, which decodes and re-encodes each
+  // touched counter group once instead of once per probe. Counter values,
+  // estimates and clamp tallies are those of the scalar loop; the bulk
+  // path only skips the scalar Insert's fault-injection flip site. Every
+  // other backing, and Minimal Increase (order-dependent updates), keeps
+  // the scalar loop. Cold-path helper for ConcurrentSbf's shard flush;
+  // may allocate.
   void ApplyAddBatch(const uint64_t* keys, const uint64_t* counts, size_t n);
 
   // Convenience wrappers for string keys.

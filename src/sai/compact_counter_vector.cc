@@ -229,29 +229,6 @@ void CompactCounterVector::DecodeBlock(size_t first, size_t n,
   }
 }
 
-void CompactCounterVector::EncodeBlock(size_t first, size_t n,
-                                       const uint64_t* values) {
-  SBF_DCHECK(first + n <= m_);
-  const size_t gs = options_.group_size;
-  size_t pos = 0;
-  bool walking = false;
-  for (size_t j = 0; j < n; ++j) {
-    const size_t i = first + j;
-    if (!walking || i % gs == 0) {
-      pos = PositionOf(i);
-      walking = true;
-    }
-    const uint32_t w = widths_[i];
-    if (BitWidth(values[j]) <= w) {
-      bits_.SetBits(pos, w, values[j]);
-      pos += w;
-    } else {
-      Set(i, values[j]);  // widening: may shift the tail or rebuild
-      pos = PositionOf(i) + widths_[i];
-    }
-  }
-}
-
 size_t CompactCounterVector::UsedBits() const {
   size_t total = 0;
   for (size_t i = 0; i < m_; ++i) total += widths_[i];

@@ -82,9 +82,6 @@ class CompactCounterVector final : public CounterVector {
   }
   // One O(1) seek, then a single sequential decode of the range.
   void DecodeBlock(size_t first, size_t n, uint64_t* out) const override;
-  // One sequential write pass; only a widening counter re-seeks (through
-  // the Set shift/rebuild machinery).
-  void EncodeBlock(size_t first, size_t n, const uint64_t* values) override;
 
   // --- introspection for tests and the storage experiments -------------
 

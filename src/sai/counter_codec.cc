@@ -37,8 +37,8 @@ bool BoundedDeltaDecode(BitReader* reader, uint64_t* out) {
 void WriteCounterStream(const CounterVector& cv, wire::Writer* out) {
   BitVector stream;
   BitWriter writer(&stream);
-  // Sequential sweep through the decoded-view layer: one group decode per
-  // group instead of one positioned Get per counter.
+  // Sequential sweep through DecodeBlock: one group decode per group
+  // instead of one positioned Get per counter.
   constexpr size_t kChunk = 256;
   uint64_t values[kChunk];
   const size_t m = cv.size();

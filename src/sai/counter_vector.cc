@@ -49,36 +49,6 @@ OccupancyCounts CounterVector::ScanOccupancy() const {
   return counts;
 }
 
-void DecodeView::Refill(Span& s, size_t first) {
-  if (s.valid && s.dirty) WriteBack(s);
-  s.first = first;
-  s.count = static_cast<uint32_t>(
-      std::min(kSpanCounters, cv_->size() - first));
-  cv_->DecodeBlock(first, s.count, s.values);
-  s.valid = true;
-  s.dirty = false;
-  ++decodes_;
-}
-
-void DecodeView::WriteBack(Span& s) {
-  // Values were clamped as they were written, so the backing's own Set
-  // clamps can never fire here — the tallies in pending_stats_ are the
-  // complete clamp record of the buffered ops.
-  mutable_cv_->EncodeBlock(s.first, s.count, s.values);
-  s.dirty = false;
-}
-
-void DecodeView::Flush() {
-  for (Span& s : ways_) {
-    if (s.valid && s.dirty) WriteBack(s);
-  }
-  if (mutable_cv_ != nullptr && (pending_stats_.saturation_clamps > 0 ||
-                                 pending_stats_.underflow_clamps > 0)) {
-    mutable_cv_->MergeSaturationStats(pending_stats_);
-    pending_stats_ = SaturationStats{};
-  }
-}
-
 std::unique_ptr<CounterVector> MakeCounterVector(CounterBacking backing,
                                                  size_t m) {
   switch (backing) {

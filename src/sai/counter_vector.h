@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "io/wire.h"
-#include "util/check.h"
 #include "util/status.h"
 
 namespace sbf {
@@ -94,27 +93,12 @@ class CounterVector {
   virtual void PrefetchCounter(size_t i) const { (void)i; }
 
   // Decodes the contiguous counter range [first, first + n) into
-  // out[0..n) — the span primitive of the decoded-view layer (DecodeView
-  // below, the blocked layouts' block loads, Total/ScanOccupancy sweeps,
-  // serialization). Every backing implements it: the grouped backings
-  // decode a whole group in one pass instead of re-scanning per counter.
-  // Must be exactly equivalent to a loop of Get.
+  // out[0..n) — the span primitive behind the blocked layouts' block
+  // loads, the Total/ScanOccupancy sweeps, expansion and serialization.
+  // Every backing implements it: the grouped backings decode a whole
+  // group in one pass instead of re-scanning per counter. Must be exactly
+  // equivalent to a loop of Get.
   virtual void DecodeBlock(size_t first, size_t n, uint64_t* out) const = 0;
-
-  // Writes values[0..n) into the contiguous counter range
-  // [first, first + n) — the write-back half of the decoded-view layer.
-  // Must be exactly equivalent to a loop of Set (including clamp tallies
-  // for backings whose Set clamps); the grouped backings implement it as
-  // a single sequential pass that re-seeks only when a counter widens.
-  virtual void EncodeBlock(size_t first, size_t n, const uint64_t* values) = 0;
-
-  // Whether DecodeView may buffer writes against this backing. False only
-  // for backings with non-uniform scalar write semantics (the sticky-
-  // saturating fixed vector, whose saturated counters must ignore
-  // decrements — a plain value cache cannot reproduce that).
-  [[nodiscard]] virtual bool SupportsDecodedWrites() const noexcept {
-    return true;
-  }
 
   // Subtracts `delta` from counter i, clamping at zero (the clamp is
   // tallied in saturation()). A delete of a never-inserted item — user
@@ -172,121 +156,6 @@ class CounterVector {
 
  protected:
   SaturationStats stats_;
-};
-
-// Caller-owned group cursor over a CounterVector: a small direct-mapped
-// cache of decoded counter spans. A span (64 counters, aligned) is decoded
-// once via DecodeBlock on first touch; every further access to the span is
-// an array read or write against the decoded buffer, and dirty spans are
-// written back in one EncodeBlock pass on eviction, Flush() or
-// destruction. This is the hot-group cache of the decoded-view layer: a
-// consumer whose accesses cluster by group (sorted flush streams, blocked
-// probes, sequential sweeps) pays one decode + one encode per touched
-// group instead of one width scan per access.
-//
-// Semantics are exactly those of direct scalar access in the same op
-// order: Increment clamps at MaxValue() and Decrement at zero, and the
-// clamp tallies are folded into the backing's SaturationStats at Flush().
-// Because the cache is keyed by counter *index* and counter values never
-// move logically, the backing's internal relayouts (widening shifts,
-// push-to-slack, rebuilds — including ones triggered by this view's own
-// write-back) never invalidate cached spans. What does invalidate them is
-// any access to the backing that bypasses a dirty view, so a writable view
-// requires exclusive access to its backing for its open lifetime; callers
-// interleaving direct access must Flush() first.
-//
-// Views are cheap to construct (no decode until first access) and live on
-// the stack; the backing must outlive the view.
-class DecodeView {
- public:
-  static constexpr size_t kSpanCounters = 64;  // counters per cached span
-  static constexpr size_t kWays = 8;           // resident spans
-
-  explicit DecodeView(const CounterVector& cv)
-      : cv_(&cv), mutable_cv_(nullptr), max_value_(cv.MaxValue()) {}
-  explicit DecodeView(CounterVector& cv)
-      : cv_(&cv), mutable_cv_(&cv), max_value_(cv.MaxValue()) {
-    SBF_CHECK_MSG(cv.SupportsDecodedWrites(),
-                  "backing's scalar write semantics cannot be buffered");
-  }
-  DecodeView(const DecodeView&) = delete;
-  DecodeView& operator=(const DecodeView&) = delete;
-  ~DecodeView() { Flush(); }
-
-  [[nodiscard]] uint64_t Get(size_t i) { return Slot(i); }
-
-  // Mirrors CounterVector::Set, including the clamp-at-MaxValue tally of
-  // the saturating backings.
-  void Set(size_t i, uint64_t value) {
-    if (value > max_value_) {
-      value = max_value_;
-      ++pending_stats_.saturation_clamps;
-    }
-    MutableSlot(i) = value;
-  }
-
-  void Increment(size_t i, uint64_t delta = 1) {
-    uint64_t& v = MutableSlot(i);
-    if (delta > max_value_ - v) {
-      v = max_value_;
-      ++pending_stats_.saturation_clamps;
-      return;
-    }
-    v += delta;
-  }
-
-  void Decrement(size_t i, uint64_t delta = 1) {
-    uint64_t& v = MutableSlot(i);
-    if (delta > v) {
-      v = 0;
-      ++pending_stats_.underflow_clamps;
-      return;
-    }
-    v -= delta;
-  }
-
-  // Writes every dirty span back (one EncodeBlock per span) and folds the
-  // buffered clamp tallies into the backing. Cached spans stay resident,
-  // so a flushed view remains usable.
-  void Flush();
-
-  // Spans decoded so far (cache misses) — test/bench introspection.
-  [[nodiscard]] uint64_t decode_count() const noexcept { return decodes_; }
-
- private:
-  struct Span {
-    size_t first = 0;
-    uint32_t count = 0;
-    bool valid = false;
-    bool dirty = false;
-    uint64_t values[kSpanCounters];
-  };
-
-  uint64_t& Slot(size_t i) {
-    SBF_DCHECK(i < cv_->size());
-    Span& s = ways_[(i / kSpanCounters) % kWays];
-    const size_t first = i & ~(kSpanCounters - 1);
-    if (!s.valid || s.first != first) Refill(s, first);
-    return s.values[i - first];
-  }
-  uint64_t& MutableSlot(size_t i) {
-    SBF_DCHECK_MSG(mutable_cv_ != nullptr, "write through a read-only view");
-    Span& s = ways_[(i / kSpanCounters) % kWays];
-    const size_t first = i & ~(kSpanCounters - 1);
-    if (!s.valid || s.first != first) Refill(s, first);
-    s.dirty = true;
-    return s.values[i - first];
-  }
-  // Evicts (writing back if dirty) and decodes the span at `first`.
-  void Refill(Span& s, size_t first);
-  void WriteBack(Span& s);
-
-  const CounterVector* cv_;
-  CounterVector* mutable_cv_;
-  uint64_t max_value_;
-  uint64_t decodes_ = 0;
-  SaturationStats pending_stats_;
-  Span ways_[kWays];
 };
 
 // Backing selector used by filter configuration structs.

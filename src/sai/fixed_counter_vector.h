@@ -62,15 +62,6 @@ class FixedWidthCounterVector final : public CounterVector {
                    uint64_t* out) const noexcept override {
     for (size_t j = 0; j < n; ++j) out[j] = Get(first + j);
   }
-  void EncodeBlock(size_t first, size_t n,
-                   const uint64_t* values) noexcept override {
-    for (size_t j = 0; j < n; ++j) Set(first + j, values[j]);
-  }
-  // A saturated sticky counter must ignore decrements; DecodeView's value
-  // cache cannot reproduce that, so sticky vectors reject buffered writes.
-  [[nodiscard]] bool SupportsDecodedWrites() const noexcept override {
-    return !sticky_;
-  }
 
   // 'SBfx' frame: {varint m, varint width, u8 sticky, raw packed words}.
   // The words are the in-memory layout verbatim (little-endian on the

@@ -64,37 +64,56 @@ void SerialScanCounterVector::DecodeBlock(size_t first, size_t n,
   }
 }
 
-void SerialScanCounterVector::EncodeBlock(size_t first, size_t n,
-                                          const uint64_t* values) {
-  SBF_DCHECK(first + n <= m_);
+void SerialScanCounterVector::AddMany(
+    std::vector<std::pair<uint64_t, uint64_t>> adds) {
   const size_t gs = options_.group_size;
-  size_t i = first;
-  const size_t end = first + n;
-  while (i < end) {
-    const size_t g = i / gs;
+  // Cluster by group. Adds to one counter commute in value, but their
+  // clamp tallies do not, so both sorts are stable. A batch with at least
+  // one add per group takes a counting sort, O(adds + groups); a sparser
+  // one would pay more for the group histogram than for the sort.
+  if (adds.size() >= num_groups_) {
+    std::vector<size_t> next(num_groups_ + 1, 0);
+    for (const auto& add : adds) ++next[add.first / gs + 1];
+    for (size_t g = 1; g <= num_groups_; ++g) next[g] += next[g - 1];
+    std::vector<std::pair<uint64_t, uint64_t>> clustered(adds.size());
+    for (const auto& add : adds) clustered[next[add.first / gs]++] = add;
+    adds.swap(clustered);
+  } else {
+    std::stable_sort(adds.begin(), adds.end(),
+                     [gs](const auto& a, const auto& b) {
+                       return a.first / gs < b.first / gs;
+                     });
+  }
+  const auto clamped_add = [this](uint64_t& v, uint64_t delta) {
+    if (delta > ~uint64_t{0} - v) {
+      v = ~uint64_t{0};
+      ++stats_.saturation_clamps;
+    } else {
+      v += delta;
+    }
+  };
+  uint64_t values[kMaxGroupSize];
+  size_t j = 0;
+  while (j < adds.size()) {
+    SBF_DCHECK(adds[j].first < m_);
+    const size_t g = adds[j].first / gs;
     const size_t begin = g * gs;
-    const size_t count = NumItemsInGroup(g);
-    const size_t gend = std::min(end, begin + count);
-    uint64_t group_values[kMaxGroupSize];
-    DecodeGroup(g, group_values);
-    for (size_t j = i; j < gend; ++j) {
-      group_values[j - begin] = values[j - first];
+    DecodeGroup(g, values);
+    for (; j < adds.size() && adds[j].first / gs == g; ++j) {
+      clamped_add(values[adds[j].first - begin], adds[j].second);
     }
-    const size_t new_bits = EncodedSize(group_values, count);
-    if (new_bits > RegionBits(g)) {
-      if (!BorrowSlack(g, new_bits - RegionBits(g))) {
-        // No slack to the right: refresh with the whole span overlaid
-        // (re-overlaying the groups already written above is idempotent).
-        std::vector<uint64_t> all(m_);
-        DecodeBlock(0, m_, all.data());
-        for (size_t j = 0; j < n; ++j) all[first + j] = values[j];
-        Rebuild(std::move(all));
-        ++rebuilds_;
-        return;
-      }
+    if (TryEncodeGroup(g, values)) continue;
+    // No slack to the right: one refresh carries this group and every
+    // add still pending.
+    std::vector<uint64_t> all(m_);
+    DecodeBlock(0, m_, all.data());
+    std::copy_n(values, NumItemsInGroup(g), all.data() + begin);
+    for (; j < adds.size(); ++j) {
+      clamped_add(all[adds[j].first], adds[j].second);
     }
-    EncodeGroupAt(g, group_values, count);
-    i = gend;
+    Rebuild(std::move(all));
+    ++rebuilds_;
+    return;
   }
 }
 
@@ -115,23 +134,27 @@ void SerialScanCounterVector::EncodeGroupAt(size_t g, const uint64_t* values,
 void SerialScanCounterVector::Set(size_t i, uint64_t value) {
   SBF_DCHECK(i < m_);
   const size_t g = i / options_.group_size;
-  const size_t count = NumItemsInGroup(g);
   uint64_t group_values[kMaxGroupSize];
   DecodeGroup(g, group_values);
   group_values[i - g * options_.group_size] = value;
+  if (TryEncodeGroup(g, group_values)) return;
+  std::vector<uint64_t> all(m_);
+  DecodeBlock(0, m_, all.data());
+  all[i] = value;
+  Rebuild(std::move(all));
+  ++rebuilds_;
+}
 
-  const size_t new_bits = EncodedSize(group_values, count);
-  if (new_bits > RegionBits(g)) {
-    if (!BorrowSlack(g, new_bits - RegionBits(g))) {
-      std::vector<uint64_t> all(m_);
-      DecodeBlock(0, m_, all.data());
-      all[i] = value;
-      Rebuild(std::move(all));
-      ++rebuilds_;
-      return;
-    }
+bool SerialScanCounterVector::TryEncodeGroup(size_t g,
+                                             const uint64_t* values) {
+  const size_t count = NumItemsInGroup(g);
+  const size_t new_bits = EncodedSize(values, count);
+  if (new_bits > RegionBits(g) &&
+      !BorrowSlack(g, new_bits - RegionBits(g))) {
+    return false;
   }
-  EncodeGroupAt(g, group_values, count);
+  EncodeGroupAt(g, values, count);
+  return true;
 }
 
 bool SerialScanCounterVector::BorrowSlack(size_t g, size_t need) {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bitstream/bit_vector.h"
@@ -75,8 +76,15 @@ class SerialScanCounterVector final : public CounterVector {
   // One serial decode per overlapped group (skipping the prefix before
   // `first` in the first group).
   void DecodeBlock(size_t first, size_t n, uint64_t* out) const override;
-  // Re-encodes each overlapped group once instead of once per counter.
-  void EncodeBlock(size_t first, size_t n, const uint64_t* values) override;
+
+  // Adds each pair's count to the counter at its position, clamping at
+  // MaxValue(): the counters and clamp tallies of a loop of Increment
+  // over `adds` in order. The pairs are clustered by group, stably, so
+  // each counter still sees its adds in input order; each touched group
+  // is then decoded and re-encoded once instead of once per add. A group
+  // that outgrows its region and cannot borrow slack ends the walk in one
+  // Rebuild that folds in every pair still pending. May allocate.
+  void AddMany(std::vector<std::pair<uint64_t, uint64_t>> adds);
 
   // Payload bits of the current encoding (sum of codeword lengths).
   size_t EncodedBits() const;
@@ -96,6 +104,10 @@ class SerialScanCounterVector final : public CounterVector {
   // Encoded size of `count` values under the configured code.
   size_t EncodedSize(const uint64_t* values, size_t count) const;
   void EncodeGroupAt(size_t g, const uint64_t* values, size_t count);
+  // Re-encodes group g from values[0..group count), borrowing slack from
+  // the groups to its right when it outgrows its region. False, with the
+  // group left as it was, when no slack is left to borrow.
+  bool TryEncodeGroup(size_t g, const uint64_t* values);
   bool BorrowSlack(size_t g, size_t need);
   void Rebuild(std::vector<uint64_t> values);
 

@@ -137,10 +137,10 @@ TEST(BatchPipelineTest, SpectralBloomFilterAllBackingsAndPolicies) {
 // ApplyAddBatch (the concurrent frontend's shard-flush path) must leave
 // exactly the state a loop of scalar Insert(key, count) leaves — compared
 // as serialized bytes — on every backing and policy. Sizes cover a sparse
-// epoch (n * k below the serial-scan view's span count: comparison-sorted
-// probes), a dense one (n >= m/k + 1: counting-sorted by span) and one far
-// past it; keys repeat within every epoch, and the epoch lands on a
-// preloaded filter so increments hit nonzero counters.
+// epoch (n * k below the serial-scan group count: stable-sorted probes), a
+// dense one (n >= m/k + 1: counting-sorted by group) and one far past it;
+// keys repeat within every epoch, and the epoch lands on a preloaded
+// filter so increments hit nonzero counters.
 TEST(BatchPipelineTest, ApplyAddBatchMatchesScalarInsertLoop) {
   for (const auto backing :
        {CounterBacking::kFixed64, CounterBacking::kFixed32,

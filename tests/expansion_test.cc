@@ -326,26 +326,47 @@ TEST_P(ConcurrentExpandTest, QuiescentExpansionPreservesProbes) {
   }
 }
 
+// The reference is built without ConcurrentSbf's expansion code: one
+// SpectralBloomFilter per shard on ShardOptions(options, s), fed the keys
+// ShardOf routes there and grown with SpectralBloomFilter::ExpandTo.
+// Double-mix folds by residue rather than by runs, so a wrong fold unit on
+// the sharded path shows up there.
 TEST_P(ConcurrentExpandTest, MatchesSeriallyExpandedReference) {
   const auto [backing, policy] = GetParam();
-  ConcurrentSbf filter(ConcurrentOptions(backing, policy));
-  ConcurrentSbf reference(ConcurrentOptions(backing, policy));
+  for (const auto hash_kind :
+       {HashFamily::Kind::kModuloMultiply, HashFamily::Kind::kDoubleMix}) {
+    ConcurrentSbfOptions options = ConcurrentOptions(backing, policy);
+    options.hash_kind = hash_kind;
+    ConcurrentSbf filter(options);
+    std::vector<SpectralBloomFilter> reference;
+    for (uint32_t s = 0; s < options.num_shards; ++s) {
+      reference.emplace_back(ShardOptions(options, s));
+    }
+    const auto insert_reference = [&](const std::vector<uint64_t>& keys) {
+      for (uint64_t key : keys) reference[filter.ShardOf(key)].Insert(key);
+    };
 
-  Xoshiro256 rng(23);
-  std::vector<uint64_t> before(2000), after(2000);
-  for (auto& key : before) key = rng.UniformInt(1u << 18);
-  for (auto& key : after) key = rng.UniformInt(1u << 18);
+    Xoshiro256 rng(23);
+    std::vector<uint64_t> before(2000), after(2000);
+    for (auto& key : before) key = rng.UniformInt(kProbeKeys);
+    for (auto& key : after) key = rng.UniformInt(kProbeKeys);
 
-  filter.InsertBatch(before.data(), before.size());
-  ASSERT_TRUE(filter.ExpandTo(2 * 4096).ok());
-  filter.InsertBatch(after.data(), after.size());
+    filter.InsertBatch(before.data(), before.size());
+    insert_reference(before);
+    const uint64_t shard_m = filter.shard_m();
+    ASSERT_TRUE(filter.ExpandTo(2 * options.m).ok());
+    for (auto& shard : reference) {
+      ASSERT_TRUE(shard.ExpandTo(2 * shard_m).ok());
+    }
+    filter.InsertBatch(after.data(), after.size());
+    insert_reference(after);
 
-  reference.InsertBatch(before.data(), before.size());
-  ASSERT_TRUE(reference.ExpandTo(2 * 4096).ok());
-  reference.InsertBatch(after.data(), after.size());
-
-  for (uint64_t key = 0; key < kProbeKeys; ++key) {
-    ASSERT_EQ(filter.Estimate(key), reference.Estimate(key)) << "key " << key;
+    for (uint64_t key = 0; key < kProbeKeys; ++key) {
+      ASSERT_EQ(filter.Estimate(key),
+                reference[filter.ShardOf(key)].Estimate(key))
+          << "key " << key << " double-mix "
+          << (hash_kind == HashFamily::Kind::kDoubleMix);
+    }
   }
 }
 
@@ -354,7 +375,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         std::pair{CounterBacking::kFixed64, SbfPolicy::kMinimumSelection},
         std::pair{CounterBacking::kCompact, SbfPolicy::kMinimumSelection},
-        std::pair{CounterBacking::kCompact, SbfPolicy::kMinimalIncrease}),
+        std::pair{CounterBacking::kCompact, SbfPolicy::kMinimalIncrease},
+        std::pair{CounterBacking::kSerialScan, SbfPolicy::kMinimumSelection}),
     [](const auto& param_info) {
       std::string name = SanitizedBackingName(param_info.param.first);
       name += param_info.param.second == SbfPolicy::kMinimumSelection ? "_MS"
