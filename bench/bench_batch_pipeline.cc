@@ -24,7 +24,6 @@
 
 #include "common/bench_json.h"
 #include "core/concurrent_sbf.h"
-#include "core/counting_bloom_filter.h"
 #include "core/frequency_filter.h"
 #include "core/spectral_bloom_filter.h"
 #include "util/random.h"
@@ -194,10 +193,12 @@ int main(int argc, char** argv) {
                        options.seed = 42;
                        return std::make_unique<SpectralBloomFilter>(options);
                      }});
-  configs.push_back({"cbf_4bit", [m] {
-                       return std::make_unique<CountingBloomFilter>(m, 5, 4,
-                                                                    42);
-                     }});
+  // The counting Bloom filter [FCAB98]: 4-bit sticky counters.
+  configs.push_back(
+      {"cbf_4bit", [m] {
+         return std::make_unique<SpectralBloomFilter>(Options(
+             m, SbfPolicy::kMinimumSelection, CounterBacking::kSticky4));
+       }});
   configs.push_back({"concurrent_fixed64_s16", [m] {
                        ConcurrentSbfOptions options;
                        options.m = m;

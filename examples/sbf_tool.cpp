@@ -35,9 +35,10 @@
 //                                           sequence/type/keys, torn-tail
 //                                           diagnosis (exit 2 when torn)
 //
-// `build`/`query`/... work on SBF files; `load`/`save` accept *any* filter
-// frame (counting Bloom, blocked, RM, TRM, sharded...) via the polymorphic
-// wire codec.
+// `build`/`query`/... work on SBF files: the flat 'SBsf', blocked 'SBbk'
+// and 'SBb2', and counting Bloom (sticky4) 'SBcb' frames. `load`/`save`
+// accept *any* filter frame (those, RM, TRM, sharded...) via the
+// polymorphic wire codec.
 //
 // Run with no arguments for a self-demo that exercises every subcommand in
 // a temp directory (so the example binary stays runnable standalone).
@@ -165,10 +166,14 @@ int CmdHeavy(int argc, char** argv) {
   return 0;
 }
 
-// N as printed by info/merge. Blocked frames do not record N, so a loaded
-// blocked filter's total_items() is not the count of what it holds.
+// N as printed by info/merge. Blocked and sticky4 frames do not record N,
+// so such a loaded filter's total_items() is not the count of what it
+// holds.
 std::string ItemsText(const SpectralBloomFilter& filter) {
-  if (filter.block_size() != 0) return "unrecorded";
+  if (filter.block_size() != 0 ||
+      filter.options().backing == sbf::CounterBacking::kSticky4) {
+    return "unrecorded";
+  }
   return std::to_string(filter.total_items());
 }
 

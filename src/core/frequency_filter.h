@@ -39,9 +39,9 @@ class FrequencyFilter {
   //
   // Batched point operations. The defaults are plain loops, so every
   // filter gets a *correct* batch API for free; the hot frontends
-  // (SpectralBloomFilter in both layouts, CountingBloomFilter,
-  // ConcurrentSbf) override them with hash-ahead + software-prefetch
-  // pipelines that hide the k random counter reads behind useful work.
+  // (SpectralBloomFilter over every backing and layout, ConcurrentSbf)
+  // override them with hash-ahead + software-prefetch pipelines that
+  // hide the k random counter reads behind useful work.
   // Overrides must be
   // *exactly* equivalent to the default loops (same estimates, same final
   // counter state) — the batch-equals-scalar differential tests enforce

@@ -222,7 +222,7 @@ StatusOr<RecurringMinimumSbf> RecurringMinimumSbf::Deserialize(
   const uint64_t moved = in.ReadVarint();
   if (!in.ok()) return in.status();
   if (options.primary_m < 1 || options.secondary_m < 1 || k < 1 || k > 64 ||
-      backing > static_cast<uint8_t>(CounterBacking::kSerialScan) ||
+      backing > static_cast<uint8_t>(CounterBacking::kSticky4) ||
       kind > 1 || use_marker > 1) {
     return Status::DataLoss("bad RM filter header");
   }

@@ -24,6 +24,9 @@ namespace {
 constexpr uint64_t kBlockRouterSalt = 0xB10CEDull;
 constexpr uint64_t kWithinBlockSalt = 0x17735Bull;
 
+// Counter width the 'SBcb' frame records for the sticky4 backing.
+constexpr uint64_t kStickyWidth = 4;
+
 // Counters the probe family ranges over: the block, or all m when flat.
 uint64_t ProbeRange(const SbfOptions& options) {
   return options.block_size == 0 ? options.m : options.block_size;
@@ -69,6 +72,13 @@ Status ValidateSbfOptions(const SbfOptions& options) {
   }
   if (options.block_size != 0 && options.m % options.block_size != 0) {
     return Status::InvalidArgument("m must be a multiple of block_size");
+  }
+  // The 'SBcb' frame has no field for a block size or a policy.
+  if (options.backing == CounterBacking::kSticky4 &&
+      (options.block_size != 0 ||
+       options.policy != SbfPolicy::kMinimumSelection)) {
+    return Status::InvalidArgument(
+        "the sticky4 backing needs the flat layout and Minimum Selection");
   }
   return Status::Ok();
 }
@@ -199,6 +209,7 @@ void VisitBacking(CounterBacking backing, Base& cv, Fn&& fn) {
   switch (backing) {
     case CounterBacking::kFixed64:
     case CounterBacking::kFixed32:
+    case CounterBacking::kSticky4:
       fn(static_cast<SameConst<Base, FixedWidthCounterVector>&>(cv));
       return;
     case CounterBacking::kCompact:
@@ -320,7 +331,11 @@ void SpectralBloomFilter::EstimateBatch(const uint64_t* keys, size_t n,
     SimdEstimateBatch(*this, kn, shape, keys, n, out);
     return;
   }
-  const bool gather = kn.enabled && options_.block_size == 0;
+  // gather_min32 reads 32-bit lanes, so the 4-bit sticky lanes stay on
+  // the branch-free scalar min.
+  const bool gather = kn.enabled && options_.block_size == 0 &&
+                      (options_.backing == CounterBacking::kFixed64 ||
+                       options_.backing == CounterBacking::kFixed32);
   VisitBacking(options_.backing, *counters_, [&](const auto& cv) {
     using CV = std::decay_t<decltype(cv)>;
     WithAddressing(*this, [&](auto pos_of, auto prefetch) {
@@ -471,6 +486,7 @@ size_t SpectralBloomFilter::MemoryUsageBits() const {
 }
 
 std::string SpectralBloomFilter::Name() const {
+  if (options_.backing == CounterBacking::kSticky4) return "CBF";
   const char* policy =
       options_.policy == SbfPolicy::kMinimumSelection ? "MS" : "MI";
   return options_.block_size == 0 ? policy : std::string("blocked-") + policy;
@@ -591,26 +607,32 @@ uint64_t SpectralBloomFilter::BlockLoad(uint64_t b) const {
 
 std::vector<uint8_t> SpectralBloomFilter::Serialize() const {
   SBF_AUDIT_INVARIANTS(*this);
-  // Three frames, each byte-compatible with every blob written before:
+  // Four frames, each byte-compatible with every blob written before:
   // 'SBsf' (flat), 'SBbk' (blocked Minimum Selection — the blocked layout
-  // predates the policy option, so it has no policy byte) and 'SBb2'
-  // (blocked Minimal Increase). Blocked frames carry no total items.
+  // predates the policy option, so it has no policy byte), 'SBb2'
+  // (blocked Minimal Increase) and 'SBcb' (the sticky4 counting Bloom
+  // filter, whose header has a counter width and no policy or backing
+  // byte). Only 'SBsf' carries total items.
   const bool blocked = options_.block_size != 0;
+  const bool sticky = options_.backing == CounterBacking::kSticky4;
+  const bool sbsf = !blocked && !sticky;
   const uint8_t policy =
       options_.policy == SbfPolicy::kMinimumSelection ? 0 : 1;
   wire::Writer payload;
   payload.PutVarint(options_.m);
   if (blocked) payload.PutVarint(options_.block_size);
   payload.PutVarint(options_.k);
-  if (!blocked) payload.PutU8(policy);
-  payload.PutU8(static_cast<uint8_t>(options_.backing));
+  if (sbsf) payload.PutU8(policy);
+  if (!sticky) payload.PutU8(static_cast<uint8_t>(options_.backing));
   payload.PutU8(options_.hash_kind == HashFamily::Kind::kModuloMultiply ? 0
                                                                         : 1);
   if (blocked && policy != 0) payload.PutU8(policy);
   payload.PutU64(options_.seed);
-  if (!blocked) payload.PutVarint(total_items_);
+  if (sbsf) payload.PutVarint(total_items_);
+  if (sticky) payload.PutVarint(kStickyWidth);
   payload.PutFrame(counters_->Serialize());
-  const uint32_t magic = !blocked     ? wire::kMagicSbf
+  const uint32_t magic = sticky        ? wire::kMagicCountingBloom
+                         : !blocked    ? wire::kMagicSbf
                          : policy == 0 ? wire::kMagicSbfBlocked
                                        : wire::kMagicSbfBlockedMi;
   return wire::SealFrame(magic, wire::kFormatVersion, std::move(payload));
@@ -621,25 +643,36 @@ StatusOr<SpectralBloomFilter> SpectralBloomFilter::Deserialize(
   const uint32_t magic = wire::PeekMagic(bytes);
   const bool blocked = magic == wire::kMagicSbfBlocked ||
                        magic == wire::kMagicSbfBlockedMi;
+  const bool sticky = magic == wire::kMagicCountingBloom;
   // Any other magic opens as 'SBsf', so OpenFrame reports the mismatch.
-  auto reader = wire::OpenFrame(bytes, blocked ? magic : wire::kMagicSbf,
-                                wire::kFormatVersion, "SBF");
+  auto reader =
+      wire::OpenFrame(bytes, blocked || sticky ? magic : wire::kMagicSbf,
+                      wire::kFormatVersion, "SBF");
   if (!reader.ok()) return reader.status();
   wire::Reader& in = reader.value();
 
+  const bool sbsf = !blocked && !sticky;
   SbfOptions options;
   options.m = in.ReadVarint();
   if (blocked) options.block_size = in.ReadVarint();
   const uint64_t k = in.ReadVarint();
-  uint8_t policy = blocked ? 0 : in.ReadU8();
-  const uint8_t backing = in.ReadU8();
+  uint8_t policy = sbsf ? in.ReadU8() : 0;
+  const uint8_t backing = sticky
+                              ? static_cast<uint8_t>(CounterBacking::kSticky4)
+                              : in.ReadU8();
   const uint8_t kind = in.ReadU8();
   if (magic == wire::kMagicSbfBlockedMi) policy = in.ReadU8();
   options.seed = in.ReadU64();
-  const uint64_t total_items = blocked ? 0 : in.ReadVarint();
+  const uint64_t total_items = sbsf ? in.ReadVarint() : 0;
+  const uint64_t width = sticky ? in.ReadVarint() : kStickyWidth;
   if (!in.ok()) return in.status();
+  if (width != kStickyWidth) {
+    return Status::DataLoss("counting BF counter width is not 4");
+  }
+  // Backing byte 4 (sticky4) is only ever written as 'SBcb'.
   if (k > HashFamily::kMaxK || policy > 1 || kind > 1 ||
-      backing > static_cast<uint8_t>(CounterBacking::kSerialScan) ||
+      (!sticky &&
+       backing > static_cast<uint8_t>(CounterBacking::kSerialScan)) ||
       (blocked && options.block_size == 0)) {
     return Status::DataLoss("bad SBF header");
   }

@@ -23,7 +23,8 @@ struct SbfOptions {
   uint32_t k = 5;  // number of hash functions
   SbfPolicy policy = SbfPolicy::kMinimumSelection;
   // Counter storage. kCompact is the paper's N + o(N) + O(m) structure;
-  // kFixed64 trades memory for raw speed.
+  // kFixed64 trades memory for raw speed; kSticky4 makes the filter the
+  // counting Bloom filter of [FCAB98] (flat, Minimum Selection only).
   CounterBacking backing = CounterBacking::kCompact;
   uint64_t seed = 0;
   HashFamily::Kind hash_kind = HashFamily::Kind::kModuloMultiply;
@@ -42,8 +43,8 @@ struct SbfOptions {
   HealthThresholds health;
 };
 
-// Validates an SbfOptions: m >= 1, 1 <= k <= 64, and block_size either 0
-// or in [1, m] dividing m. Returns OK or an InvalidArgument describing the
+// Validates an SbfOptions: m >= 1, 1 <= k <= 64, block_size either 0 or
+// in [1, m] dividing m, and kSticky4 only flat under Minimum Selection. Returns OK or an InvalidArgument describing the
 // violation. The SpectralBloomFilter constructor enforces this with a
 // fatal check *before* any member is built; recoverable callers
 // (deserializers, config loaders) can call it themselves first.
@@ -104,6 +105,7 @@ class SpectralBloomFilter final : public FrequencyFilter {
   // The Minimum Selection estimate m_x (minimal counter).
   [[nodiscard]] uint64_t Estimate(uint64_t key) const override;
   [[nodiscard]] size_t MemoryUsageBits() const override;
+  // "MS"/"MI", prefixed "blocked-" when blocked; "CBF" for sticky4.
   [[nodiscard]] std::string Name() const override;
 
   // Batched point ops: hash-ahead + software-prefetch pipeline over the
@@ -187,8 +189,9 @@ class SpectralBloomFilter final : public FrequencyFilter {
 
   // Net number of item occurrences currently represented (inserts minus
   // removes); the N of the unbiased estimator (Section 3.1). Limit: the
-  // blocked frames ('SBbk', 'SBb2') do not record N, so a deserialized
-  // blocked filter counts N from 0; check block_size() before trusting N.
+  // blocked frames ('SBbk', 'SBb2') and the sticky4 frame ('SBcb') do not
+  // record N, so such a filter counts N from 0 after a load; check
+  // block_size() and options().backing before trusting N.
   [[nodiscard]] uint64_t total_items() const noexcept {
     return total_items_;
   }
@@ -257,8 +260,12 @@ class SpectralBloomFilter final : public FrequencyFilter {
   // Selection filters write 'SBbk': {varint m, varint block_size, varint
   // k, u8 backing, u8 hash kind, u64 seed, embedded counter frame};
   // blocked Minimal Increase filters write 'SBb2', which adds a u8 policy
-  // byte after the hash kind. Blocked frames carry no total items, so a
-  // loaded blocked filter counts from 0. Deserialize reads all three.
+  // byte after the hash kind. Sticky4 filters write 'SBcb': {varint m,
+  // varint k, u8 hash kind, u64 seed, varint counter width (always 4),
+  // embedded counter frame}; the other headers never carry backing byte
+  // 4, so a sticky4 filter has one encoding. Blocked and sticky4 frames
+  // carry no total items, so such a loaded filter counts from 0.
+  // Deserialize reads all four.
   [[nodiscard]] std::vector<uint8_t> Serialize() const override;
   static StatusOr<SpectralBloomFilter> Deserialize(wire::ByteSpan bytes);
 

@@ -205,7 +205,7 @@ StatusOr<TrappingRmSbf> TrappingRmSbf::Deserialize(wire::ByteSpan bytes) {
   if (!in.ok()) return in.status();
   if (options.primary_m < 1 || options.secondary_m < 1 || k < 1 ||
       k > HashFamily::kMaxK ||
-      backing > static_cast<uint8_t>(CounterBacking::kSerialScan) ||
+      backing > static_cast<uint8_t>(CounterBacking::kSticky4) ||
       kind > 1) {
     return Status::DataLoss("bad TRM filter header");
   }

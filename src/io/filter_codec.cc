@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/concurrent_sbf.h"
-#include "core/counting_bloom_filter.h"
 #include "core/recurring_minimum.h"
 #include "core/spectral_bloom_filter.h"
 #include "core/trapping_rm.h"
@@ -27,11 +26,10 @@ StatusOr<std::unique_ptr<FrequencyFilter>> DeserializeFilter(
     case wire::kMagicSbf:
     case wire::kMagicSbfBlocked:
     case wire::kMagicSbfBlockedMi:
+    case wire::kMagicCountingBloom:
       return Lift(SpectralBloomFilter::Deserialize(bytes));
     case wire::kMagicShardedSbf:
       return Lift(ConcurrentSbf::Deserialize(bytes));
-    case wire::kMagicCountingBloom:
-      return Lift(CountingBloomFilter::Deserialize(bytes));
     case wire::kMagicRecurringMinimum:
       return Lift(RecurringMinimumSbf::Deserialize(bytes));
     case wire::kMagicTrappingRm:

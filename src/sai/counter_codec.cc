@@ -11,24 +11,42 @@
 namespace sbf {
 namespace {
 
-// Elias-delta decode that rejects malformed codewords (lengths no valid
-// encoder emits) instead of over-reading — deserialization must be safe
-// on corrupted network input.
-bool BoundedDeltaDecode(BitReader* reader, uint64_t* out) {
+// Counter v travels as the Elias-delta code of v + 1. For v = 2^64 - 1
+// that is the 65-bit code of 2^64: gamma(65), then 64 zero bits.
+constexpr uint32_t kFullLength = 65;
+
+void EncodeCounter(uint64_t v, BitWriter* writer) {
+  if (v == ~uint64_t{0}) {
+    EliasGammaEncode(kFullLength, writer);
+    writer->WriteZeros(kFullLength - 1);
+    return;
+  }
+  EliasDeltaEncode(v + 1, writer);
+}
+
+// Decodes one counter, rejecting malformed codewords (lengths no valid
+// encoder emits, a non-zero payload after length 65) instead of
+// over-reading — deserialization must be safe on corrupted network input.
+bool BoundedDecodeCounter(BitReader* reader, uint64_t* out) {
   uint32_t zeros = 0;
   while (!reader->ReadBit()) {
-    if (++zeros > 6) return false;  // gamma(len) with len <= 64 uses <= 6
+    if (++zeros > 6) return false;  // gamma(len) with len <= 65 uses <= 6
   }
   uint64_t len = 1;
   for (uint32_t i = 0; i < zeros; ++i) {
     len = (len << 1) | static_cast<uint64_t>(reader->ReadBit());
   }
-  if (len > 64) return false;
+  if (len > kFullLength) return false;
+  if (len == kFullLength) {
+    if (reader->ReadBits(64) != 0) return false;
+    *out = ~uint64_t{0};
+    return true;
+  }
   uint64_t value = 1;
   for (uint64_t i = 1; i < len; ++i) {
     value = (value << 1) | static_cast<uint64_t>(reader->ReadBit());
   }
-  *out = value;
+  *out = value - 1;
   return true;
 }
 
@@ -46,7 +64,7 @@ void WriteCounterStream(const CounterVector& cv, wire::Writer* out) {
     const size_t len = std::min(kChunk, m - base);
     cv.DecodeBlock(base, len, values);
     for (size_t j = 0; j < len; ++j) {
-      EliasDeltaEncode(values[j] + 1, &writer);
+      EncodeCounter(values[j], &writer);
     }
   }
   writer.Finish();
@@ -85,11 +103,11 @@ Status ReadCounterStream(wire::Reader* in, uint64_t m, CounterVector* cv,
       return Status::DataLoss(name + " counter stream ends early");
     }
     uint64_t value = 0;
-    if (!BoundedDeltaDecode(&reader, &value) ||
+    if (!BoundedDecodeCounter(&reader, &value) ||
         reader.position() > stream_bits) {
       return Status::DataLoss(name + " counter stream corrupted");
     }
-    cv->Set(i, value - 1);
+    cv->Set(i, value);
   }
   if (reader.position() != stream_bits) {
     return Status::DataLoss(name + " counter stream has trailing bits");

@@ -10,7 +10,8 @@ namespace sbf {
 
 // Shared value-stream codec for the compact counter backings' wire frames:
 // each counter value v is Elias-delta coded as code(v + 1) (delta cannot
-// encode zero), the bit stream is padded to whole 64-bit words, and the
+// encode zero; v = 2^64 - 1 takes the 65-bit code of 2^64, gamma(65) and
+// 64 zero bits), the bit stream is padded to whole 64-bit words, and the
 // wire carries {varint bit_count, words}. This is the paper's "filters are
 // compressed messages" representation (Section 4.7.1): a mostly-zero
 // counter vector costs about one bit per counter.

@@ -60,6 +60,9 @@ std::unique_ptr<CounterVector> MakeCounterVector(CounterBacking backing,
       return std::make_unique<CompactCounterVector>(m);
     case CounterBacking::kSerialScan:
       return std::make_unique<SerialScanCounterVector>(m);
+    case CounterBacking::kSticky4:
+      return std::make_unique<FixedWidthCounterVector>(
+          m, 4, /*sticky_saturation=*/true);
   }
   SBF_CHECK_MSG(false, "unknown counter backing");
   return nullptr;
@@ -75,6 +78,8 @@ const char* CounterBackingName(CounterBacking backing) {
       return "compact";
     case CounterBacking::kSerialScan:
       return "serial-scan";
+    case CounterBacking::kSticky4:
+      return "sticky4";
   }
   return "unknown";
 }
@@ -96,11 +101,15 @@ StatusOr<std::unique_ptr<CounterVector>> DeserializeCounterVector(
 bool MatchesBacking(const CounterVector& cv, CounterBacking backing) {
   switch (backing) {
     case CounterBacking::kFixed64:
-    case CounterBacking::kFixed32: {
+    case CounterBacking::kFixed32:
+    case CounterBacking::kSticky4: {
       const auto* fixed = dynamic_cast<const FixedWidthCounterVector*>(&cv);
-      const uint32_t width = backing == CounterBacking::kFixed64 ? 64 : 32;
+      const bool sticky = backing == CounterBacking::kSticky4;
+      const uint32_t width = sticky                                ? 4
+                             : backing == CounterBacking::kFixed64 ? 64
+                                                                   : 32;
       return fixed != nullptr && fixed->width_bits() == width &&
-             !fixed->sticky_saturation();
+             fixed->sticky_saturation() == sticky;
     }
     case CounterBacking::kCompact:
       return dynamic_cast<const CompactCounterVector*>(&cv) != nullptr;

@@ -36,11 +36,12 @@ struct OccupancyCounts {
 // Abstract array of m non-negative counters — the storage substrate of the
 // Spectral Bloom Filter. Implementations trade compactness for speed:
 //
-//  * FixedWidthCounterVector  — packed w-bit counters (plain or saturating;
-//                               the 4-bit variant is the FCAB98 counting
-//                               Bloom filter's storage, the 32/64-bit
-//                               variant the "straightforward" baseline the
-//                               paper rules out as wasteful).
+//  * FixedWidthCounterVector  — packed w-bit counters (plain or sticky;
+//                               the 4-bit sticky variant is the kSticky4
+//                               backing, the FCAB98 counting Bloom
+//                               filter's storage; the 32/64-bit variant
+//                               the "straightforward" baseline the paper
+//                               rules out as wasteful).
 //  * CompactCounterVector     — the paper's dynamic scheme (Section 4.4):
 //                               each counter in ~ceil(log C_i) bits, slack
 //                               bits for growth, push-to-slack expansion,
@@ -158,12 +159,17 @@ class CounterVector {
   SaturationStats stats_;
 };
 
-// Backing selector used by filter configuration structs.
+// Backing selector used by filter configuration structs. The value is
+// the backing byte of the filter wire frames.
 enum class CounterBacking {
   kFixed64,     // 64-bit packed counters, fastest, largest
   kFixed32,     // 32-bit packed counters
   kCompact,     // CompactCounterVector (the paper's dynamic structure)
   kSerialScan,  // SerialScanCounterVector (Section 4.5 alternative)
+  // 4-bit counters, sticky at 15: the counting Bloom filter of [FCAB98]
+  // (paper Section 1.1.3), a membership filter with deletions that cannot
+  // represent multiplicities above 15.
+  kSticky4,
 };
 
 // Constructs a zeroed counter vector of m counters with the given backing.
@@ -180,10 +186,11 @@ StatusOr<std::unique_ptr<CounterVector>> DeserializeCounterVector(
     wire::ByteSpan bytes);
 
 // True iff `cv` is the concrete backing `backing` selects (including the
-// fixed-width configuration: width 64/32, non-saturating). Deserializers
-// use this to reject frames whose embedded backing contradicts the
-// enclosing filter's options — the devirtualized batch kernels static_cast
-// to the concrete type, so a mismatch must never be accepted.
+// fixed-width configuration: width 64/32 non-sticky, or 4 sticky).
+// Deserializers use this to reject frames whose embedded backing
+// contradicts the enclosing filter's options — the devirtualized batch
+// kernels static_cast to the concrete type, so a mismatch must never be
+// accepted.
 bool MatchesBacking(const CounterVector& cv, CounterBacking backing);
 
 }  // namespace sbf

@@ -91,15 +91,6 @@ StatusOr<std::unique_ptr<CounterVector>> FixedWidthCounterVector::Deserialize(
   return std::unique_ptr<CounterVector>(std::move(cv));
 }
 
-size_t FixedWidthCounterVector::SaturatedCount() const noexcept {
-  size_t count = 0;
-  for (size_t i = 0; i < m_; ++i) {
-    if (Get(i) == max_value_) ++count;
-  }
-  return count;
-}
-
-
 Status FixedWidthCounterVector::CheckInvariants() const {
   if (width_ < 1 || width_ > 64) {
     return Status::FailedPrecondition(

@@ -16,6 +16,8 @@ namespace sbf {
 // counting-Bloom-filter overflow policy [FCAB98]: increments clamp at the
 // maximum representable value and a saturated counter is never decremented
 // (a stuck counter can overestimate but never causes a false negative).
+// Width 4 with sticky saturation is the kSticky4 backing; widths 64 and 32
+// without it are kFixed64 and kFixed32.
 class FixedWidthCounterVector final : public CounterVector {
  public:
   FixedWidthCounterVector(size_t m, uint32_t width_bits,
@@ -78,10 +80,6 @@ class FixedWidthCounterVector final : public CounterVector {
   [[nodiscard]] uint32_t width_bits() const noexcept { return width_; }
   [[nodiscard]] uint64_t max_value() const noexcept { return max_value_; }
   [[nodiscard]] bool sticky_saturation() const noexcept { return sticky_; }
-
-  // Number of counters currently pinned at max_value(); nonzero only with
-  // saturation enabled. Exposed so tests can observe overflow behaviour.
-  [[nodiscard]] size_t SaturatedCount() const noexcept;
 
   // Raw backing words. For the 64-bit-wide configuration counter i is
   // exactly word i — the layout the concurrent frontend's std::atomic_ref

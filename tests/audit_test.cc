@@ -28,7 +28,6 @@
 #include "bitstream/rank_select.h"
 #include "core/bloom_filter.h"
 #include "core/concurrent_sbf.h"
-#include "core/counting_bloom_filter.h"
 #include "core/recurring_minimum.h"
 #include "core/sliding_window.h"
 #include "core/spectral_bloom_filter.h"
@@ -97,7 +96,12 @@ TEST(AuditCleanTest, AllFrontendsPass) {
   for (uint64_t key = 0; key < 300; ++key) bloom.Add(key);
   EXPECT_TRUE(bloom.CheckInvariants().ok());
 
-  CountingBloomFilter cbf(1000, 4, 4, 13);
+  SbfOptions cbf_options;
+  cbf_options.m = 1000;
+  cbf_options.k = 4;
+  cbf_options.seed = 13;
+  cbf_options.backing = CounterBacking::kSticky4;
+  SpectralBloomFilter cbf(cbf_options);
   for (uint64_t key = 0; key < 200; ++key) cbf.Insert(key);
   EXPECT_TRUE(cbf.CheckInvariants().ok());
 

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/concurrent_sbf.h"
-#include "core/counting_bloom_filter.h"
 #include "core/frequency_filter.h"
 #include "core/recurring_minimum.h"
 #include "core/spectral_bloom_filter.h"
@@ -201,7 +200,12 @@ TEST(BatchPipelineTest, CountingBloomFilterSaturates) {
   // Duplicate-heavy streams push 4-bit counters past 15: scalar and batch
   // must saturate (and stay sticky) identically.
   RunAllKeySets("CBF/4bit", [] {
-    return std::make_unique<CountingBloomFilter>(kM, kK, 4, 5);
+    SbfOptions options;
+    options.m = kM;
+    options.k = kK;
+    options.seed = 5;
+    options.backing = CounterBacking::kSticky4;
+    return std::make_unique<SpectralBloomFilter>(options);
   });
 }
 

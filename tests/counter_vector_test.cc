@@ -178,7 +178,7 @@ TEST(FixedWidthTest, SaturatingIncrementClamps) {
   FixedWidthCounterVector v(4, 4, /*sticky_saturation=*/true);
   v.Increment(0, 20);
   EXPECT_EQ(v.Get(0), 15u);
-  EXPECT_EQ(v.SaturatedCount(), 1u);
+  EXPECT_EQ(v.ScanOccupancy().saturated, 1u);
 }
 
 TEST(FixedWidthTest, StickyCounterNeverDecrements) {

@@ -623,13 +623,13 @@ TEST(DecodeViewGatingTest, NonStickyBackingsSupportDecodedWrites) {
 
 // ApplyAddBatch with counts near 2^64 - 1 on every filter backing: the
 // counters saturate mid-epoch, and every counter and both clamp tallies
-// must be those of the Insert loop. (Compared counter by counter: the
-// compact frames' code(v + 1) stream cannot encode a counter at 2^64 - 1.)
+// must be those of the Insert loop.
 TEST(DecodeViewSaturationTest, ViewTalliesClampsLikeScalarOps) {
   constexpr uint64_t kMax = ~uint64_t{0};
   for (const auto backing :
        {CounterBacking::kFixed64, CounterBacking::kFixed32,
-        CounterBacking::kCompact, CounterBacking::kSerialScan}) {
+        CounterBacking::kCompact, CounterBacking::kSerialScan,
+        CounterBacking::kSticky4}) {
     SpectralBloomFilter batch(
         FilterOptions(backing, SbfPolicy::kMinimumSelection));
     SpectralBloomFilter scalar(

@@ -21,7 +21,6 @@
 
 #include "core/bloom_filter.h"
 #include "core/concurrent_sbf.h"
-#include "core/counting_bloom_filter.h"
 #include "core/recurring_minimum.h"
 #include "core/sliding_window.h"
 #include "core/spectral_bloom_filter.h"
@@ -128,7 +127,14 @@ TEST(GoldenWireTest, ShardedSbfFrame) {
 }
 
 TEST(GoldenWireTest, CountingBloomFrame) {
-  CountingBloomFilter filter(800, 4, 4, 17);
+  // The sticky4 backing writes the 'SBcb' frame of the counting Bloom
+  // filter [FCAB98].
+  SbfOptions options;
+  options.m = 800;
+  options.k = 4;
+  options.seed = 17;
+  options.backing = CounterBacking::kSticky4;
+  SpectralBloomFilter filter(options);
   FeedWorkload(300, [&](uint64_t key, uint64_t n) { filter.Insert(key, n); });
   CheckGolden("counting_bloom", filter.Serialize());
 }

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "core/concurrent_sbf.h"
-#include "core/counting_bloom_filter.h"
 #include "core/recurring_minimum.h"
 #include "core/spectral_bloom_filter.h"
 #include "util/health.h"
@@ -157,7 +156,11 @@ TEST(SbfHealthTest, RemoveBelowZeroClampsAndTallies) {
 TEST(CountingBloomHealthTest, StickySaturationReportsSaturated) {
   // 4-bit sticky counters are the designed overflow policy [FCAB98]; heavy
   // reuse of one key pins its counters at 15 and Health surfaces it.
-  CountingBloomFilter filter(128, 4);
+  SbfOptions options;
+  options.m = 128;
+  options.k = 4;
+  options.backing = CounterBacking::kSticky4;
+  SpectralBloomFilter filter(options);
   EXPECT_EQ(filter.Health().state, HealthState::kHealthy);
   for (int i = 0; i < 30; ++i) filter.Insert(42);
   const FilterHealth health = filter.Health();

@@ -18,7 +18,6 @@
 
 #include "core/bloom_filter.h"
 #include "core/concurrent_sbf.h"
-#include "core/counting_bloom_filter.h"
 #include "core/recurring_minimum.h"
 #include "core/sliding_window.h"
 #include "core/spectral_bloom_filter.h"
@@ -109,7 +108,8 @@ void ExpectEqualEstimatesOnProbeSet(const FilterA& a, const FilterB& b) {
 const std::vector<CounterBacking>& AllBackings() {
   static const std::vector<CounterBacking> backings = {
       CounterBacking::kFixed64, CounterBacking::kFixed32,
-      CounterBacking::kCompact, CounterBacking::kSerialScan};
+      CounterBacking::kCompact, CounterBacking::kSerialScan,
+      CounterBacking::kSticky4};
   return backings;
 }
 
@@ -223,6 +223,79 @@ TEST(SerializationFuzzTest, CounterTotalMatchesManualSum) {
   }
 }
 
+// --- counters at 2^64 - 1 -------------------------------------------------
+
+// A counter saturated at 2^64 - 1 travels as the 65-bit Elias-delta code
+// of 2^64. Before that code existed, the value wrapped to code(0) and the
+// frame could not be written or read back.
+constexpr uint64_t kFullCounter = ~uint64_t{0};
+
+TEST(SerializationFuzzTest, FullWidthCountersRoundTripOnGroupedBackings) {
+  for (const auto backing :
+       {CounterBacking::kCompact, CounterBacking::kSerialScan}) {
+    SbfOptions options;
+    options.m = 600;
+    options.k = 4;
+    options.backing = backing;
+    SpectralBloomFilter filter(options);
+    filter.Insert(7, kFullCounter - 40);
+    filter.Insert(7, 100);  // clamps at 2^64 - 1
+    filter.Insert(8, 3);
+    ASSERT_EQ(filter.Estimate(7), kFullCounter);
+    const Bytes bytes = filter.Serialize();
+    EXPECT_LT(bytes.size(), 1024u) << CounterBackingName(backing);
+    auto restored = SpectralBloomFilter::Deserialize(bytes);
+    ASSERT_TRUE(restored.ok()) << CounterBackingName(backing) << ": "
+                               << restored.status().message();
+    EXPECT_EQ(restored.value().Estimate(7), kFullCounter);
+    EXPECT_EQ(restored.value().Serialize(), bytes);
+    ExpectEqualEstimatesOnProbeSet(filter, restored.value());
+  }
+}
+
+TEST(SerializationFuzzTest, FullWidthCountersRoundTripSharded) {
+  ConcurrentSbfOptions options;
+  options.m = 2400;
+  options.k = 4;
+  options.num_shards = 4;
+  options.backing = CounterBacking::kCompact;
+  ConcurrentSbf filter(options);
+  // Flushed apart: the delta buffer sums counts of one key before they
+  // reach the shard, and this test is about the frame, not that sum.
+  filter.Insert(7, kFullCounter - 40);
+  filter.Flush();
+  filter.Insert(7, 100);  // clamps at 2^64 - 1
+  filter.Insert(8, 3);
+  ASSERT_EQ(filter.Estimate(7), kFullCounter);
+  const Bytes bytes = filter.Serialize();
+  auto restored = ConcurrentSbf::Deserialize(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_EQ(restored.value().Estimate(7), kFullCounter);
+  EXPECT_EQ(restored.value().Serialize(), bytes);
+  ExpectEqualEstimatesOnProbeSet(filter, restored.value());
+}
+
+TEST(SerializationFuzzTest, LengthSixtyFiveCodewordNeedsZeroPayload) {
+  // One compact counter at 2^64 - 1: the stream is gamma(65) (13 bits)
+  // and 64 zero payload bits, the last two words of the payload. Any
+  // non-zero payload bit makes the codeword name a value past 2^64.
+  auto counters = MakeCounterVector(CounterBacking::kCompact, 1);
+  counters->Set(0, kFullCounter);
+  const Bytes bytes = counters->Serialize();
+  auto restored = DeserializeCounterVector(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_EQ(restored.value()->Get(0), kFullCounter);
+  for (const size_t bit : {13u, 40u, 63u, 64u, 76u}) {
+    const Bytes crafted = Reframe(bytes, [bit](Bytes* p) {
+      const size_t words_at = p->size() - 16;
+      (*p)[words_at + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    });
+    EXPECT_EQ(DeserializeCounterVector(crafted).status().code(),
+              Status::Code::kDataLoss)
+        << "payload bit " << bit;
+  }
+}
+
 // --- flat SBF --------------------------------------------------------------
 
 bool DecodeSbf(const Bytes& bytes) {
@@ -303,6 +376,31 @@ TEST(SerializationFuzzTest, SbfStructuralHeaderMutationsRejected) {
       mutated_at(4, static_cast<uint8_t>(CounterBacking::kCompact))));
 }
 
+TEST(SerializationFuzzTest, SbfFrameWithStickyBackingByteRejected) {
+  // A sticky4 filter has exactly one encoding, 'SBcb': an 'SBsf' header
+  // carrying backing byte 4 is rejected even over a genuine sticky4
+  // counter frame.
+  SbfOptions options;
+  options.m = 500;
+  options.k = 4;
+  options.backing = CounterBacking::kSticky4;
+  const Bytes sticky_counters = MakeCounterVector(options.backing, 500)
+                                    ->Serialize();
+  wire::Writer payload;
+  payload.PutVarint(options.m);
+  payload.PutVarint(options.k);
+  payload.PutU8(0);  // Minimum Selection
+  payload.PutU8(static_cast<uint8_t>(CounterBacking::kSticky4));
+  payload.PutU8(0);  // kModuloMultiply
+  payload.PutU64(options.seed);
+  payload.PutVarint(0);  // total items
+  payload.PutFrame(sticky_counters);
+  const Bytes frame = wire::SealFrame(wire::kMagicSbf, wire::kFormatVersion,
+                                      std::move(payload));
+  const auto loaded = SpectralBloomFilter::Deserialize(frame);
+  EXPECT_EQ(loaded.status().code(), Status::Code::kDataLoss);
+}
+
 // --- sharded (ConcurrentSbf) -----------------------------------------------
 
 bool DecodeSharded(const Bytes& bytes) {
@@ -330,7 +428,10 @@ TEST(SerializationFuzzTest, ShardedRoundTripIsByteStableAcrossBackings) {
     ASSERT_TRUE(restored.ok()) << CounterBackingName(backing);
     EXPECT_EQ(restored.value().Serialize(), bytes)
         << CounterBackingName(backing);
-    EXPECT_EQ(restored.value().TotalItems(), filter.TotalItems());
+    // The sticky4 shard frame ('SBcb') records no item count.
+    if (backing != CounterBacking::kSticky4) {
+      EXPECT_EQ(restored.value().TotalItems(), filter.TotalItems());
+    }
     ExpectEqualEstimatesOnProbeSet(filter, restored.value());
   }
 }
@@ -457,11 +558,16 @@ TEST(SerializationFuzzTest, BloomFilterBitFlipsAlwaysRejected) {
 // --- counting Bloom filter -------------------------------------------------
 
 bool DecodeCbf(const Bytes& bytes) {
-  return CountingBloomFilter::Deserialize(bytes).ok();
+  return SpectralBloomFilter::Deserialize(bytes).ok();
 }
 
-CountingBloomFilter MakeLoadedCbf(uint64_t seed) {
-  CountingBloomFilter filter(512, 4, 4, seed);
+SpectralBloomFilter MakeLoadedCbf(uint64_t seed) {
+  SbfOptions options;
+  options.m = 512;
+  options.k = 4;
+  options.seed = seed;
+  options.backing = CounterBacking::kSticky4;
+  SpectralBloomFilter filter(options);
   const Multiset data = MakeZipfMultiset(100, 3000, 1.2, seed);
   for (uint64_t key : data.stream) filter.Insert(key);
   return filter;
@@ -470,10 +576,11 @@ CountingBloomFilter MakeLoadedCbf(uint64_t seed) {
 TEST(SerializationFuzzTest, CountingBloomRoundTripPreservesSaturation) {
   const auto filter = MakeLoadedCbf(61);
   const Bytes bytes = filter.Serialize();
-  auto restored = CountingBloomFilter::Deserialize(bytes);
+  auto restored = SpectralBloomFilter::Deserialize(bytes);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().Serialize(), bytes);
-  EXPECT_EQ(restored.value().SaturatedCount(), filter.SaturatedCount());
+  EXPECT_EQ(restored.value().counters().ScanOccupancy().saturated,
+            filter.counters().ScanOccupancy().saturated);
   ExpectEqualEstimatesOnProbeSet(filter, restored.value());
 }
 
@@ -498,6 +605,18 @@ TEST(SerializationFuzzTest, CountingBloomStructuralMutationsRejected) {
   // Width byte disagreeing with the embedded counter frame's own width.
   EXPECT_FALSE(DecodeCbf(Reframe(bytes, [](Bytes* p) { (*p)[12] = 5; })));
   EXPECT_FALSE(DecodeCbf(Reframe(bytes, [](Bytes* p) { (*p)[2] = 0; })));
+}
+
+TEST(SerializationFuzzTest, CountingBloomWidthOtherThanFourIsDataLoss) {
+  // Only 4-bit counters exist: every other width in the 'SBcb' header is
+  // DataLoss, even one that agrees with a well-formed embedded frame.
+  const Bytes bytes = MakeLoadedCbf(71).Serialize();
+  for (const uint8_t width : {1, 3, 5, 8, 32, 64}) {
+    const auto loaded = SpectralBloomFilter::Deserialize(
+        Reframe(bytes, [width](Bytes* p) { (*p)[12] = width; }));
+    EXPECT_EQ(loaded.status().code(), Status::Code::kDataLoss)
+        << "width " << int(width);
+  }
 }
 
 // --- blocked SBF -----------------------------------------------------------
@@ -589,6 +708,28 @@ TEST(SerializationFuzzTest, RecurringMinimumRoundTripWithAndWithoutMarker) {
     EXPECT_EQ(restored.value().marker().has_value(), use_marker);
     ExpectEqualEstimatesOnProbeSet(filter, restored.value());
   }
+}
+
+TEST(SerializationFuzzTest, RecurringMinimumStickyBackingRoundTrips) {
+  // Every filter that can be built also loads: an RM filter over sticky4
+  // embeds 'SBcb' primary and secondary frames.
+  RecurringMinimumOptions options;
+  options.primary_m = 600;
+  options.secondary_m = 150;
+  options.k = 4;
+  options.seed = 87;
+  options.use_marker_filter = true;
+  options.backing = CounterBacking::kSticky4;
+  RecurringMinimumSbf filter(options);
+  const Multiset data = MakeZipfMultiset(150, 4000, 1.0, 87);
+  for (uint64_t key : data.stream) filter.Insert(key);
+  const Bytes bytes = filter.Serialize();
+  auto restored = RecurringMinimumSbf::Deserialize(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_EQ(restored.value().primary().options().backing,
+            CounterBacking::kSticky4);
+  EXPECT_EQ(restored.value().Serialize(), bytes);
+  ExpectEqualEstimatesOnProbeSet(filter, restored.value());
 }
 
 TEST(SerializationFuzzTest, RecurringMinimumCorruptionAndTruncationRejected) {
@@ -844,7 +985,7 @@ TEST(SerializationFuzzTest, FaultArmedFramesNeverDecode) {
         MakeLoadedSbf(CounterBacking::kCompact, 151)));
     out.push_back(std::make_unique<ConcurrentSbf>(
         MakeLoadedShardedSbf(CounterBacking::kFixed64, 153)));
-    out.push_back(std::make_unique<CountingBloomFilter>(MakeLoadedCbf(155)));
+    out.push_back(std::make_unique<SpectralBloomFilter>(MakeLoadedCbf(155)));
     out.push_back(std::make_unique<SpectralBloomFilter>(
         MakeLoadedBlocked(CounterBacking::kCompact, 157)));
     out.push_back(std::make_unique<RecurringMinimumSbf>(
