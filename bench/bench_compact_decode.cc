@@ -5,7 +5,7 @@
 // (a) the current scalar path and (b) a faithful replica of the
 // pre-refactor per-access path that re-scanned the group's widths on
 // every probe. Also times the full-vector DecodeBlock sweep vs a scalar
-// Get sweep and the ApplyAddBatch flush path vs scalar inserts.
+// Get sweep and the epoch-apply flush path vs scalar inserts.
 //
 // Emits BENCH_compact_decode.json; scripts/check_compact.py gates the
 // `speedup_vs_per_access` param of the compact batched-estimate row. The
@@ -211,11 +211,12 @@ int main(int argc, char** argv) {
                rounds * cv.size() / (block_s * 1e6));
     }
 
-    // The flush path: ApplyAddBatch vs a loop of scalar inserts — what the
-    // concurrent frontend's shard drain pays per key. Only serial-scan
-    // takes a bulk path (SerialScanCounterVector::AddMany: probes
-    // clustered by group, one decode + one re-encode per touched group);
-    // the other backings run the same scalar loop, so their rows read ~1x.
+    // The flush path: SpectralBloomFilter::Apply with per-key counts vs a
+    // loop of scalar inserts — what the concurrent frontend's shard drain
+    // pays per key. Only serial-scan takes a bulk path
+    // (SerialScanCounterVector::AddMany: probes clustered by group, one
+    // decode + one re-encode per touched group); the other backings run
+    // the per-key write body through the batch pipeline.
     {
       std::vector<uint64_t> counts(data.keys.size());
       for (size_t i = 0; i < counts.size(); ++i) counts[i] = 1 + i % 3;
@@ -234,8 +235,8 @@ int main(int argc, char** argv) {
       SpectralBloomFilter batch_target = filter.CloneEmpty();
       timer.Restart();
       for (int r = 0; r < rounds / 4 + 1; ++r) {
-        batch_target.ApplyAddBatch(data.keys.data(), counts.data(),
-                                   counts.size());
+        batch_target.Apply(
+            {data.keys.data(), counts.size(), 0, false, counts.data()});
       }
       const double batch_s = timer.ElapsedSeconds();
       json.Add("flush_apply_add_batch",

@@ -10,7 +10,7 @@ The bench replicates that baseline against the live layout, so the gate
 keeps measuring the same gap after the slow path is gone from the
 library, and reports the median ratio of 5 interleaved (per-access,
 batched) timing pairs, so one noisy timing cannot flip the verdict. The artifact's other rows (DecodeBlock sweeps, the
-ApplyAddBatch flush path) ride along ungated.
+epoch-apply flush path) ride along ungated.
 
 The gate SKIPS — exit 0 with a message — when the artifact has no compact
 batched-estimate row carrying the speedup param (an artifact produced by

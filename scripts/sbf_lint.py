@@ -37,7 +37,7 @@ Structural rules that generic linters cannot express:
      enforces that part), and every backing must be exercised by name in
      tests/decode_view_test.cc, the suite that pins each DecodeBlock to
      the scalar Get reference, and the serial-scan bulk add
-     (SerialScanCounterVector::AddMany, the ApplyAddBatch path) to the
+     (SerialScanCounterVector::AddMany, the epoch Apply path) to the
      scalar Increment loop, across group boundaries, rebuilds, slack
      borrows and widenings. An unregistered implementation is an
      unverified equivalence claim, exactly like an untested SIMD kernel.

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/sbf_policy.h"
 #include "hashing/hash_family.h"
 
 namespace sbf {
@@ -54,39 +55,30 @@ inline void BatchPipeline(CV& cv, const uint64_t* keys, size_t n,
   }
 }
 
-// Branch-free minimum over the k counters at pos[0..k): the conditional
-// moves this compiles to keep the probe loop free of the data-dependent
-// early-exit branch of the scalar Estimate (mispredicted half the time on
-// mixed known/unknown query sets). Result is identical to the scalar
-// early-exit min.
+// The estimate m_x, min over the k counters at pos[0..k): the one min body
+// of SpectralBloomFilter's point and batch estimates. Branch-free where Get
+// is one load (the fixed-width backings, which expose words()): no branch
+// to mispredict on mixed known/unknown query sets. On the scan backings it
+// stops at the first zero counter, which on sparse filters skips most
+// probes, each a scan. Both forms return the same value.
 template <typename CV>
-inline uint64_t BranchFreeMin(const CV& cv, const uint64_t* pos, uint32_t k) {
+inline uint64_t MinProbe(const CV& cv, const uint64_t* pos, uint32_t k) {
+  constexpr bool kEarlyExit = !requires(const CV& c) { c.words(); };
   uint64_t min_value = cv.Get(pos[0]);
   for (uint32_t j = 1; j < k; ++j) {
+    if constexpr (kEarlyExit) {
+      if (min_value == 0) break;
+    }
     const uint64_t v = cv.Get(pos[j]);
     min_value = v < min_value ? v : min_value;
   }
   return min_value;
 }
 
-// Early-exit minimum: same value as BranchFreeMin, but stops at the first
-// zero counter. The right probe for backings whose Get is a scan (compact,
-// serial-scan): there a skipped probe saves far more than a mispredicted
-// branch costs, and on sparse filters most queries hit a zero early.
-template <typename CV>
-inline uint64_t EarlyExitMin(const CV& cv, const uint64_t* pos, uint32_t k) {
-  uint64_t min_value = cv.Get(pos[0]);
-  for (uint32_t j = 1; j < k && min_value != 0; ++j) {
-    const uint64_t v = cv.Get(pos[j]);
-    min_value = v < min_value ? v : min_value;
-  }
-  return min_value;
-}
-
-// Minimal Increase probe over the k counters at pos[0..k) — the paper's
-// Section 3.2 batch form, shared by the scalar Insert, the batched insert
-// pipelines, and the SIMD kernels' exact fallback path. Lifts every
-// counter below m_x + count up to it; the lift target saturates at 2^64
+// Minimal Increase lift over the k counters at pos[0..k), the paper's
+// Section 3.2 batch form: raises the minimal counter(s) by `count` and
+// lifts every other counter below m_x + count up to it, which equals
+// `count` iterative single insertions. The lift target saturates at 2^64
 // (a mod-2^64 wrap would *lower* counters and break the one-sided
 // guarantee), tallying the clamp. Narrower backings clamp again, and
 // tally, inside Set.
@@ -106,6 +98,34 @@ inline void MinimalIncreaseProbe(CV& cv, const uint64_t* pos, uint32_t k,
   }
   for (uint32_t j = 0; j < k; ++j) {
     if (values[j] < target) cv.Set(pos[j], target);
+  }
+}
+
+// The one per-key write body of SpectralBloomFilter (point ops, batch
+// pipelines, SIMD fallback, epoch apply): the key's counters at pos[0..k)
+// gain, or with `remove` lose, `count` occurrences. MS adds and removes
+// clamp (and tally) in Increment/Decrement; MI adds lift. An MI remove
+// clamps at zero, untallied, by sequential Get/Set, so a position probed
+// twice is lowered twice: MI counters may hold less than the deletions
+// of their keys, which is what makes MI deletions unsound (Figure 8).
+template <typename CV>
+inline void WriteProbe(CV& cv, const uint64_t* pos, uint32_t k,
+                       uint64_t count, SbfPolicy policy, bool remove) {
+  if (policy == SbfPolicy::kMinimumSelection) {
+    for (uint32_t j = 0; j < k; ++j) {
+      if (remove) {
+        cv.Decrement(pos[j], count);
+      } else {
+        cv.Increment(pos[j], count);
+      }
+    }
+  } else if (!remove) {
+    MinimalIncreaseProbe(cv, pos, k, count);
+  } else {
+    for (uint32_t j = 0; j < k; ++j) {
+      const uint64_t v = cv.Get(pos[j]);
+      cv.Set(pos[j], v >= count ? v - count : 0);
+    }
   }
 }
 

@@ -299,7 +299,7 @@ void ConcurrentSbf::CombinedEstimate(const SpectralBloomFilter& live,
 
 // --- the per-shard kernels -------------------------------------------------
 
-void ConcurrentSbf::WriteShard(uint32_t shard_index, const ShardWrite& write,
+void ConcurrentSbf::WriteShard(uint32_t shard_index, const SbfWrite& write,
                                DeltaSet* buffer) {
   Shard& shard = *shards_[shard_index];
   if (buffer != nullptr) {
@@ -309,17 +309,21 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const ShardWrite& write,
     util::MutexLock lock(set.mu);
     DeltaSet::ShardState& state = set.state(shard_index);
     const uint64_t delta = write.remove ? ~write.count + 1 : write.count;
+    // Nets wrap on the lock-free backing, like its counters; the clamping
+    // backings buffer inserts only, and their nets must reach the clamp.
+    const bool saturate = !lock_free_;
     for (size_t i = 0; i < write.n; ++i) {
       if (!DeltaAccumulate(set.map(shard_index), write.keys[i], delta,
-                           &state.size)) {
-        // Map full: merge this shard's epoch and retry against the
-        // now-empty map (cannot fail twice). The slice is not yet in
-        // pending_contrib, so the forced merge's bookkeeping balances; the
-        // publish below then transiently over-covers the keys it already
-        // applied (the safe direction) until the next merge rebalances.
+                           saturate, &state.size)) {
+        // Map full, or a saturating net would wrap: merge this shard's
+        // epoch and retry against the now-empty map (cannot fail twice).
+        // The slice is not yet in pending_contrib, so the forced merge's
+        // bookkeeping balances; the publish below then transiently
+        // over-covers the keys it already applied (the safe direction)
+        // until the next merge rebalances.
         MergeShardDelta(set, shard_index);
         const bool ok = DeltaAccumulate(set.map(shard_index), write.keys[i],
-                                        delta, &state.size);
+                                        delta, saturate, &state.size);
         SBF_DCHECK(ok);
         (void)ok;
       }
@@ -363,7 +367,7 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const ShardWrite& write,
         [k, &write, uniform](AtomicWordView& v, const uint64_t* pos,
                              size_t i) {
           const uint64_t delta =
-              write.nets != nullptr ? write.nets[i] : uniform;
+              write.counts != nullptr ? write.counts[i] : uniform;
           for (uint32_t j = 0; j < k; ++j) {
             std::atomic_ref<uint64_t>(v.words[pos[j]])
                 .fetch_add(delta, std::memory_order_relaxed);
@@ -371,7 +375,7 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const ShardWrite& write,
         });
     // An epoch merge's nets were tallied when buffered (ShardState::
     // net_ops); the merge folds that tally into net_items itself.
-    if (write.nets == nullptr) {
+    if (write.counts == nullptr) {
       shard.net_items.fetch_add(write.n * uniform, std::memory_order_relaxed);
     }
     return;
@@ -380,19 +384,10 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const ShardWrite& write,
   // Inside a window every write lands in pending. The pre-window
   // occurrences live in the old filter, so a remove there clamps at zero
   // (tallied) and leaves a benign one-sided overestimate that the fold
-  // does not disturb.
-  SpectralBloomFilter& f = shard.pending ? *shard.pending : *shard.live;
-  if (write.nets != nullptr) {
-    // An epoch merge. Removes never buffer on this path (Remove() flushes
-    // and applies directly on clamped backings), so every net is a sum of
-    // insert counts; ApplyAddBatch applies them group by group on
-    // serial-scan and by scalar inserts elsewhere.
-    f.ApplyAddBatch(write.keys, write.nets, write.n);
-  } else if (write.remove) {
-    for (size_t i = 0; i < write.n; ++i) f.Remove(write.keys[i], write.count);
-  } else {
-    f.InsertBatch(write.keys, write.n, write.count);
-  }
+  // does not disturb. Removes never buffer on this arm (Remove() flushes
+  // and applies directly on clamped backings), so an epoch merge's nets
+  // are all sums of insert counts.
+  (shard.pending ? *shard.pending : *shard.live).Apply(write);
 }
 
 void ConcurrentSbf::EstimateShard(uint32_t shard_index, const uint64_t* keys,
@@ -451,7 +446,11 @@ void ConcurrentSbf::EstimateShard(uint32_t shard_index, const uint64_t* keys,
     }
   }
   if (buffered > 0) {
-    for (size_t i = 0; i < n; ++i) out[i] += buffered;
+    // Saturating: past 2^64 - 1 the sum must not wrap to an underestimate.
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = out[i] > ~uint64_t{0} - buffered ? ~uint64_t{0}
+                                                : out[i] + buffered;
+    }
   }
 }
 
@@ -565,6 +564,12 @@ void ConcurrentSbf::FlushAllBuffers() {
         const uint64_t key = entries[i].first;
         uint64_t net = 0;
         for (; i < entries.size() && entries[i].first == key; ++i) {
+          // A clamping backing's net past 2^64 - 1 goes in two entries.
+          if (!lock_free_ && entries[i].second > ~uint64_t{0} - net) {
+            keys.push_back(key);
+            nets.push_back(net);
+            net = 0;
+          }
           net += entries[i].second;
         }
         if (net == 0) continue;

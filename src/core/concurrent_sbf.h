@@ -333,28 +333,18 @@ class ConcurrentSbf final : public FrequencyFilter {
   // lock-free writer enters and leaves a shard (defined in the .cc).
   class WindowWriter;
 
-  // A shard-local slice of writes: keys[0..n) all route to one shard. Each
-  // key carries `count` occurrences, inserted or (remove) removed — or, for
-  // an epoch merge, its own two's-complement net nets[i].
-  struct ShardWrite {
-    const uint64_t* keys;
-    size_t n;
-    uint64_t count = 0;
-    bool remove = false;
-    const uint64_t* nets = nullptr;
-  };
-
   // Raw 64-bit counter words of a filter's kFixed64 backing (counter i is
   // exactly word i), the substrate of the atomic fast path.
   static uint64_t* FilterWords(SpectralBloomFilter& f);
   static const uint64_t* FilterWords(const SpectralBloomFilter& f);
 
-  // The per-shard write kernel. With a `buffer` (the calling thread's
-  // DeltaSet, which it locks) the slice is delta-buffered; otherwise it is
-  // applied directly — lock-free or under the shard lock, honouring any
-  // expansion window. Epoch merges pass nets and no buffer; the locked
-  // path applies them through SpectralBloomFilter::ApplyAddBatch.
-  void WriteShard(uint32_t shard_index, const ShardWrite& write,
+  // The per-shard write kernel over a shard-local slice (keys[0..n) all
+  // route to one shard). With a `buffer` (the calling thread's DeltaSet,
+  // which it locks) the slice is delta-buffered; otherwise it is applied
+  // directly — lock-free or under the shard lock, honouring any expansion
+  // window. Epoch merges pass their drained nets as write.counts and no
+  // buffer; the locked arm hands every slice to SpectralBloomFilter::Apply.
+  void WriteShard(uint32_t shard_index, const SbfWrite& write,
                   DeltaSet* buffer);
   // The per-shard estimate kernel: out[i] = the shard's estimate of
   // keys[i] (plus its pending-op tally on the delta path).

@@ -40,10 +40,12 @@ constexpr size_t DeltaBitmapWords(size_t capacity) {
 // Accumulates `delta` (wrapping; pass ~count + 1 for a remove of `count`)
 // onto `key`'s net, inserting the key with linear probing if absent.
 // `*size` counts live slots. Returns false when the map has no free slot
-// for a new key — the caller must merge the map and retry (which cannot
-// fail again: a drained map is empty).
+// for a new key, or when `saturate` is set and the net would pass
+// 2^64 - 1 (the clamping backings, which buffer inserts only) — either way
+// the caller must merge the map and retry (which cannot fail again: a
+// drained map is empty).
 inline bool DeltaAccumulate(const DeltaMapView& map, uint64_t key,
-                            uint64_t delta, uint32_t* size) {
+                            uint64_t delta, bool saturate, uint32_t* size) {
   SBF_DCHECK(map.capacity_mask > 0);
   uint64_t at = Mix64(key) & map.capacity_mask;
   for (uint64_t probes = 0; probes <= map.capacity_mask; ++probes) {
@@ -57,6 +59,7 @@ inline bool DeltaAccumulate(const DeltaMapView& map, uint64_t key,
       return true;
     }
     if (map.keys[at] == key) {
+      if (saturate && delta > ~uint64_t{0} - map.nets[at]) return false;
       map.nets[at] += delta;
       return true;
     }

@@ -41,11 +41,12 @@ class FrequencyFilter {
   // filter gets a *correct* batch API for free; the hot frontends
   // (SpectralBloomFilter over every backing and layout, ConcurrentSbf)
   // override them with hash-ahead + software-prefetch pipelines that
-  // hide the k random counter reads behind useful work.
-  // Overrides must be
+  // hide the k random counter reads behind useful work. Overrides must be
   // *exactly* equivalent to the default loops (same estimates, same final
-  // counter state) — the batch-equals-scalar differential tests enforce
-  // this for every backing and policy.
+  // counter state). SpectralBloomFilter meets that by running its point
+  // ops' own per-key bodies inside the pipeline; the differential tests
+  // check every frontend's batches against its point ops, and the SBF's
+  // against an independent copy of the per-probe scalar loops.
 
   // Records `count` additional occurrences of each of keys[0..n).
   virtual void InsertBatch(const uint64_t* keys, size_t n,

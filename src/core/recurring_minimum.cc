@@ -8,6 +8,11 @@
 namespace sbf {
 namespace {
 
+constexpr uint64_t kSecondarySeedSalt = 0x5EC07DA21ULL;
+constexpr uint64_t kMarkerSeedSalt = 0xB100F11;
+
+}  // namespace
+
 SbfOptions PrimaryOptions(const RecurringMinimumOptions& options) {
   SbfOptions sbf;
   sbf.m = options.primary_m;
@@ -22,15 +27,9 @@ SbfOptions PrimaryOptions(const RecurringMinimumOptions& options) {
 SbfOptions SecondaryOptions(const RecurringMinimumOptions& options) {
   SbfOptions sbf = PrimaryOptions(options);
   sbf.m = options.secondary_m;
-  // A distinct seed: the secondary must use independent hash functions so
-  // its Bloom errors are uncorrelated with the primary's.
-  sbf.seed = options.seed ^ 0x5EC07DA21ULL;
+  sbf.seed = options.seed ^ kSecondarySeedSalt;
   return sbf;
 }
-
-constexpr uint64_t kMarkerSeedSalt = 0xB100F11;
-
-}  // namespace
 
 RecurringMinimumSbf::RecurringMinimumSbf(RecurringMinimumOptions options)
     : options_(options),
@@ -221,7 +220,7 @@ StatusOr<RecurringMinimumSbf> RecurringMinimumSbf::Deserialize(
   options.seed = in.ReadU64();
   const uint64_t moved = in.ReadVarint();
   if (!in.ok()) return in.status();
-  if (options.primary_m < 1 || options.secondary_m < 1 || k < 1 || k > 64 ||
+  if (options.primary_m < 1 || options.secondary_m < 1 || k < 1 || k > HashFamily::kMaxK ||
       backing > static_cast<uint8_t>(CounterBacking::kSticky4) ||
       kind > 1 || use_marker > 1) {
     return Status::DataLoss("bad RM filter header");

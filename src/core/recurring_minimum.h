@@ -29,6 +29,14 @@ struct RecurringMinimumOptions {
   bool use_marker_filter = false;
 };
 
+// The options of the two SBFs of a Recurring Minimum filter (RM and
+// Trapping RM alike): both Minimum Selection over the given backing and
+// hash kind; the secondary has its own m and a salted seed, so its hash
+// functions, and with them its Bloom errors, are independent of the
+// primary's.
+SbfOptions PrimaryOptions(const RecurringMinimumOptions& options);
+SbfOptions SecondaryOptions(const RecurringMinimumOptions& options);
+
 // The Recurring Minimum algorithm (paper Section 3.3).
 //
 // Observation: an item suffering a Bloom error rarely has a *recurring*

@@ -131,73 +131,14 @@ SpectralBloomFilter& SpectralBloomFilter::operator=(
   return *this;
 }
 
-void SpectralBloomFilter::Insert(uint64_t key, uint64_t count) {
-  SBF_DCHECK(count > 0);
-  uint64_t positions[HashFamily::kMaxK];
-  Positions(key, positions);
-  const uint32_t k = options_.k;
-
-  if (options_.policy == SbfPolicy::kMinimumSelection) {
-    for (uint32_t i = 0; i < k; ++i) counters_->Increment(positions[i], count);
-  } else {
-    // Minimal Increase, batch form (Section 3.2): raise the minimal
-    // counter(s) by `count` and lift every other counter to at least
-    // m_x + count. Equivalent to `count` iterative single insertions.
-    MinimalIncreaseProbe(*counters_, positions, k, count);
-  }
-  total_items_ += count;
-
-#ifdef SBF_AUDIT
-  // Key-local audit (O(k), cheap enough for every operation): both
-  // policies leave each of the key's counters at `count` or above —
-  // unless the backing cannot even represent `count` and clamped.
-  if (count <= counters_->MaxValue()) {
-    SBF_CHECK_MSG(Estimate(key) >= count,
-                  "SBF audit: insert did not raise the key's minimum");
-  }
-#endif
-
-  // Fault-injection site (no-op in production builds): a soft memory error
-  // flips one bit of one counter under write traffic. Routed through
-  // Get/Set so a flip past the backing's range clamps like any other
-  // out-of-range value instead of corrupting the encoding.
-  size_t flip_index;
-  uint32_t flip_bit;
-  if (fault::NextCounterFlip(options_.m, &flip_index, &flip_bit)) {
-    counters_->Set(flip_index,
-                   counters_->Get(flip_index) ^ (uint64_t{1} << flip_bit));
-  }
-}
-
-void SpectralBloomFilter::Remove(uint64_t key, uint64_t count) {
-  SBF_DCHECK(count > 0);
-  uint64_t positions[HashFamily::kMaxK];
-  Positions(key, positions);
-  const uint32_t k = options_.k;
-
-  if (options_.policy == SbfPolicy::kMinimumSelection) {
-    // Counters of genuinely inserted data never underflow under MS;
-    // Decrement checks that invariant.
-    for (uint32_t i = 0; i < k; ++i) counters_->Decrement(positions[i], count);
-  } else {
-    // Under Minimal Increase counters may hold less than the number of
-    // deletions of the keys mapped onto them; clamping at zero is what
-    // makes deletions unsound for MI (false negatives, Figure 8).
-    for (uint32_t i = 0; i < k; ++i) {
-      const uint64_t v = counters_->Get(positions[i]);
-      counters_->Set(positions[i], v >= count ? v - count : 0);
-    }
-  }
-  total_items_ -= std::min(total_items_, count);
-}
-
 namespace {
 
-// Batch kernels. Each batch picks its backing and addressing once; the
-// pipelines in core/batch_kernels.h then run devirtualized over the
-// concrete backing. Every kernel preserves the scalar operation's
-// semantics exactly; only the memory schedule changes (positions hashed
-// kBatchWindow keys ahead, counters prefetched).
+// Dispatch. Every op picks its backing (and a batch its addressing) once
+// per call; the per-key bodies of core/batch_kernels.h (WriteProbe,
+// MinProbe) then run devirtualized over the concrete backing, from the
+// point ops and the batch pipelines alike. A batch changes only the memory
+// schedule (positions hashed kBatchWindow keys ahead, counters
+// prefetched), never the result.
 
 template <typename Base, typename T>
 using SameConst = std::conditional_t<std::is_const_v<Base>, const T, T>;
@@ -322,6 +263,59 @@ constexpr uint64_t kSimdWordsPerBlock = 8;
 
 }  // namespace
 
+void SpectralBloomFilter::Insert(uint64_t key, uint64_t count) {
+  SBF_DCHECK(count > 0);
+  uint64_t positions[HashFamily::kMaxK];
+  Positions(key, positions);
+  VisitBacking(options_.backing, *counters_, [&](auto& cv) {
+    WriteProbe(cv, positions, options_.k, count, options_.policy,
+               /*remove=*/false);
+  });
+  total_items_ += count;
+
+#ifdef SBF_AUDIT
+  // Key-local audit (O(k), cheap enough for every operation): both
+  // policies leave each of the key's counters at `count` or above —
+  // unless the backing cannot even represent `count` and clamped.
+  if (count <= counters_->MaxValue()) {
+    SBF_CHECK_MSG(Estimate(key) >= count,
+                  "SBF audit: insert did not raise the key's minimum");
+  }
+#endif
+
+  // Fault-injection site (no-op in production builds): a soft memory error
+  // flips one bit of one counter under write traffic. Routed through
+  // Get/Set so a flip past the backing's range clamps like any other
+  // out-of-range value instead of corrupting the encoding.
+  size_t flip_index;
+  uint32_t flip_bit;
+  if (fault::NextCounterFlip(options_.m, &flip_index, &flip_bit)) {
+    counters_->Set(flip_index,
+                   counters_->Get(flip_index) ^ (uint64_t{1} << flip_bit));
+  }
+}
+
+void SpectralBloomFilter::Remove(uint64_t key, uint64_t count) {
+  SBF_DCHECK(count > 0);
+  uint64_t positions[HashFamily::kMaxK];
+  Positions(key, positions);
+  VisitBacking(options_.backing, *counters_, [&](auto& cv) {
+    WriteProbe(cv, positions, options_.k, count, options_.policy,
+               /*remove=*/true);
+  });
+  total_items_ -= std::min(total_items_, count);
+}
+
+uint64_t SpectralBloomFilter::Estimate(uint64_t key) const {
+  uint64_t positions[HashFamily::kMaxK];
+  Positions(key, positions);
+  uint64_t min_value = 0;
+  VisitBacking(options_.backing, *counters_, [&](const auto& cv) {
+    min_value = MinProbe(cv, positions, options_.k);
+  });
+  return min_value;
+}
+
 void SpectralBloomFilter::EstimateBatch(const uint64_t* keys, size_t n,
                                         uint64_t* out) const {
   const uint32_t k = options_.k;
@@ -356,32 +350,58 @@ void SpectralBloomFilter::EstimateBatch(const uint64_t* keys, size_t n,
                         });
           return;
         }
-        // Branch-free min: Get is one load, so the early-exit branch
-        // would be pure misprediction cost.
-        BatchPipeline(cv, keys, n, pos_of, prefetch,
-                      [k, out](const CV& c, const uint64_t* pos, size_t i) {
-                        out[i] = BranchFreeMin(c, pos, k);
-                      });
-      } else {
-        // Early-exit min: Get is a scan, so skipping the probes after a
-        // zero counter dominates.
-        BatchPipeline(cv, keys, n, pos_of, prefetch,
-                      [k, out](const CV& c, const uint64_t* pos, size_t i) {
-                        out[i] = EarlyExitMin(c, pos, k);
-                      });
       }
+      BatchPipeline(cv, keys, n, pos_of, prefetch,
+                    [k, out](const CV& c, const uint64_t* pos, size_t i) {
+                      out[i] = MinProbe(c, pos, k);
+                    });
     });
   });
 }
 
-void SpectralBloomFilter::InsertBatch(const uint64_t* keys, size_t n,
-                                      uint64_t count) {
-  SBF_DCHECK(count > 0);
+void SpectralBloomFilter::Apply(const SbfWrite& write) {
+  SBF_DCHECK(write.counts != nullptr || write.count > 0);
   const uint32_t k = options_.k;
-  const bool ms = options_.policy == SbfPolicy::kMinimumSelection;
+  const SbfPolicy policy = options_.policy;
+  // By value, so the probe loops keep the write's fields in registers
+  // rather than reloading them after every counter store.
+  const bool remove = write.remove;
+  const auto count_of = [counts = write.counts, count = write.count](size_t i) {
+    return counts != nullptr ? counts[i] : count;
+  };
+  // Item accounting, key by key as the point ops keep it.
+  for (size_t i = 0; i < write.n; ++i) {
+    const uint64_t c = count_of(i);
+    total_items_ = remove ? total_items_ - std::min(total_items_, c)
+                          : total_items_ + c;
+  }
+
+  if (write.counts != nullptr && !remove &&
+      policy == SbfPolicy::kMinimumSelection &&
+      options_.backing == CounterBacking::kSerialScan) {
+    // A drained epoch on serial-scan: its scalar write decodes and
+    // re-encodes a whole group per probe, so all k*n (position, count)
+    // pairs go to AddMany, which rewrites each touched group once (~9x
+    // the per-probe loop in BENCH_compact_decode.json). The other
+    // backings write in place in O(1), and MI lifts depend on the minimum
+    // at apply time (no commutative bulk form).
+    std::vector<std::pair<uint64_t, uint64_t>> adds;  // (position, count)
+    adds.reserve(write.n * k);
+    uint64_t positions[HashFamily::kMaxK];
+    for (size_t i = 0; i < write.n; ++i) {
+      Positions(write.keys[i], positions);
+      for (uint32_t j = 0; j < k; ++j) {
+        adds.emplace_back(positions[j], write.counts[i]);
+      }
+    }
+    static_cast<SerialScanCounterVector&>(*counters_).AddMany(std::move(adds));
+    SBF_AUDIT_INVARIANTS(*this);
+    return;
+  }
+
   const simd::BlockKernels& kn = simd::Active();
   const SimdShape shape = SimdShapeOf(options_);
-  if (kn.enabled && shape != SimdShape::kNone) {
+  if (!remove && kn.enabled && shape != SimdShape::kNone) {
     // The ring slot carries {block word base, mixed key}; the kernel
     // derives the lanes and applies the MS add / MI lift vectorially.
     auto& cv = static_cast<FixedWidthCounterVector&>(*counters_);
@@ -389,13 +409,14 @@ void SpectralBloomFilter::InsertBatch(const uint64_t* keys, size_t n,
     uint64_t alphas[HashFamily::kMaxK];
     hash_.FillModuloMultiplyAlphas(alphas);
     const bool wide = shape == SimdShape::kBlock64x8;
+    const bool ms = policy == SbfPolicy::kMinimumSelection;
     const auto kernel = ms ? (wide ? kn.blocked_add64 : kn.blocked_add32)
                            : (wide ? kn.blocked_lift64 : kn.blocked_lift32);
     const uint32_t lane_shift =
         wide ? simd::kLaneShift64 : simd::kLaneShift32;
     const uint64_t counters_per_word = wide ? 1 : 2;
     BatchPipeline(
-        cv, keys, n,
+        cv, write.keys, write.n,
         [this](uint64_t key, uint64_t* pos) {
           pos[0] = BlockOf(key) * kSimdWordsPerBlock;
           pos[1] = hash_.MixedKey(key);
@@ -403,82 +424,32 @@ void SpectralBloomFilter::InsertBatch(const uint64_t* keys, size_t n,
         [words](const FixedWidthCounterVector&, const uint64_t* pos) {
           SBF_PREFETCH(words + pos[0]);
         },
-        [&](FixedWidthCounterVector& c, const uint64_t* pos, size_t) {
+        [&](FixedWidthCounterVector& c, const uint64_t* pos, size_t i) {
+          const uint64_t count = count_of(i);
           if (kernel(words + pos[0], alphas, k, pos[1], count)) return;
           // The kernel wrote nothing because a saturation clamp could
-          // fire: rerun the key through the exact scalar clamping ops on
-          // its absolute positions, in probe order (simd_kernels.h
-          // saturation contract).
+          // fire: rerun the key through the exact write body on its
+          // absolute positions (simd_kernels.h saturation contract).
           uint64_t abs[HashFamily::kMaxK];
           const uint64_t base = pos[0] * counters_per_word;
           for (uint32_t j = 0; j < k; ++j) {
             abs[j] = base + ((alphas[j] * pos[1]) >> lane_shift);
           }
-          if (ms) {
-            for (uint32_t j = 0; j < k; ++j) c.Increment(abs[j], count);
-          } else {
-            MinimalIncreaseProbe(c, abs, k, count);
-          }
+          WriteProbe(c, abs, k, count, policy, /*remove=*/false);
         });
-  } else {
-    VisitBacking(options_.backing, *counters_, [&](auto& cv) {
-      using CV = std::decay_t<decltype(cv)>;
-      WithAddressing(*this, [&](auto pos_of, auto prefetch) {
-        if (ms) {
-          BatchPipeline(cv, keys, n, pos_of, prefetch,
-                        [k, count](CV& c, const uint64_t* pos, size_t) {
-                          for (uint32_t j = 0; j < k; ++j) {
-                            c.Increment(pos[j], count);
-                          }
-                        });
-          return;
-        }
-        // Minimal Increase, batch form — identical to the scalar Insert:
-        // lift every counter below m_x + count up to it.
-        BatchPipeline(cv, keys, n, pos_of, prefetch,
-                      [k, count](CV& c, const uint64_t* pos, size_t) {
-                        MinimalIncreaseProbe(c, pos, k, count);
-                      });
-      });
-    });
-  }
-  total_items_ += n * count;
-}
-
-void SpectralBloomFilter::ApplyAddBatch(const uint64_t* keys,
-                                        const uint64_t* counts, size_t n) {
-  // Only serial-scan's scalar write is costly enough for a bulk path: each
-  // one decodes and re-encodes a whole group (the bulk path is ~9x the
-  // loop in BENCH_compact_decode.json). Compact and the fixed backings
-  // increment in place in O(1), and MI lifts depend on the current minimum
-  // at apply time (no commutative bulk form).
-  if (options_.policy != SbfPolicy::kMinimumSelection ||
-      options_.backing != CounterBacking::kSerialScan) {
-    for (size_t e = 0; e < n; ++e) Insert(keys[e], counts[e]);
     return;
   }
-  const uint32_t k = options_.k;
-  std::vector<std::pair<uint64_t, uint64_t>> adds;  // (position, count)
-  adds.reserve(n * k);
-  uint64_t positions[HashFamily::kMaxK];
-  for (size_t e = 0; e < n; ++e) {
-    Positions(keys[e], positions);
-    for (uint32_t j = 0; j < k; ++j) adds.emplace_back(positions[j], counts[e]);
-    total_items_ += counts[e];
-  }
-  static_cast<SerialScanCounterVector&>(*counters_).AddMany(std::move(adds));
-  SBF_AUDIT_INVARIANTS(*this);
-}
 
-uint64_t SpectralBloomFilter::Estimate(uint64_t key) const {
-  uint64_t positions[HashFamily::kMaxK];
-  Positions(key, positions);
-  uint64_t min_value = counters_->Get(positions[0]);
-  for (uint32_t i = 1; i < options_.k; ++i) {
-    min_value = std::min(min_value, counters_->Get(positions[i]));
-    if (min_value == 0) break;
-  }
-  return min_value;
+  VisitBacking(options_.backing, *counters_, [&](auto& cv) {
+    using CV = std::decay_t<decltype(cv)>;
+    WithAddressing(*this, [&](auto pos_of, auto prefetch) {
+      BatchPipeline(cv, write.keys, write.n, pos_of, prefetch,
+                    [k, policy, remove, count_of](CV& c, const uint64_t* pos,
+                                                  size_t i) {
+                      WriteProbe(c, pos, k, count_of(i), policy, remove);
+                    });
+    });
+  });
 }
 
 size_t SpectralBloomFilter::MemoryUsageBits() const {

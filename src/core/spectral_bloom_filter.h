@@ -1,6 +1,7 @@
 #ifndef SBF_CORE_SPECTRAL_BLOOM_FILTER_H_
 #define SBF_CORE_SPECTRAL_BLOOM_FILTER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -41,6 +42,18 @@ struct SbfOptions {
   // Verdict thresholds for Health() / ExpandIfDegraded(). Process-local
   // tuning — not serialized; deserialized filters use the defaults.
   HealthThresholds health;
+};
+
+// A write of keys[0..n) (SpectralBloomFilter::Apply): each key gains, or
+// with `remove` loses, `count` occurrences, or counts[i] when `counts` is
+// set (a drained delta-buffer epoch). ConcurrentSbf's shard write kernel
+// takes it too; its lock-free arm adds counts[i] as two's-complement nets.
+struct SbfWrite {
+  const uint64_t* keys;
+  size_t n;
+  uint64_t count = 0;
+  bool remove = false;
+  const uint64_t* counts = nullptr;
 };
 
 // Validates an SbfOptions: m >= 1, 1 <= k <= 64, block_size either 0 or
@@ -108,33 +121,34 @@ class SpectralBloomFilter final : public FrequencyFilter {
   // "MS"/"MI", prefixed "blocked-" when blocked; "CBF" for sticky4.
   [[nodiscard]] std::string Name() const override;
 
-  // Batched point ops: hash-ahead + software-prefetch pipeline over the
-  // concrete backing (see core/batch_kernels.h). Exactly equivalent to a
-  // loop of the scalar ops, for every backing, policy and layout. The
-  // blocked layout prefetches each key's block once instead of every
-  // position; in the single-cache-line geometries (fixed64 with
-  // block_size 8, fixed32 with block_size 16, kModuloMultiply hashing) it
-  // runs the SIMD block kernels of core/simd_kernels.h, which fall back to
-  // the exact scalar path per key whenever a saturation clamp could fire.
+  // Batched ops: hash-ahead + software-prefetch pipeline over the
+  // concrete backing (see core/batch_kernels.h), running the same per-key
+  // bodies as the point ops, so a batch equals a loop of them for every
+  // backing, policy and layout. The blocked layout prefetches each key's
+  // block once instead of every position; in the single-cache-line
+  // geometries (fixed64 with block_size 8, fixed32 with block_size 16,
+  // kModuloMultiply hashing) inserts and estimates run the SIMD block
+  // kernels of core/simd_kernels.h, and an insert falls back to the
+  // per-key body whenever a saturation clamp could fire.
   void InsertBatch(const uint64_t* keys, size_t n,
-                   uint64_t count = 1) override;
+                   uint64_t count = 1) override {
+    Apply({keys, n, count});
+  }
   void EstimateBatch(const uint64_t* keys, size_t n,
                      uint64_t* out) const override;
   using FrequencyFilter::EstimateBatch;
   using FrequencyFilter::InsertBatch;
 
-  // Applies aggregated inserts — keys[e] gains counts[e] occurrences, a
-  // drained delta-buffer epoch — exactly as a loop of Insert(key, count).
-  // Only serial-scan under Minimum Selection takes a bulk path: all k*n
-  // counter positions are hashed up front and handed to
-  // SerialScanCounterVector::AddMany, which decodes and re-encodes each
-  // touched counter group once instead of once per probe. Counter values,
-  // estimates and clamp tallies are those of the scalar loop; the bulk
-  // path only skips the scalar Insert's fault-injection flip site. Every
-  // other backing, and Minimal Increase (order-dependent updates), keeps
-  // the scalar loop. Cold-path helper for ConcurrentSbf's shard flush;
-  // may allocate.
-  void ApplyAddBatch(const uint64_t* keys, const uint64_t* counts, size_t n);
+  // The batched write entry: applies `write` exactly as an in-order loop
+  // of Insert(keys[i], c), or with write.remove Remove(keys[i], c), c being
+  // counts[i] or count. ConcurrentSbf's locked arm hands it every shard
+  // slice: point ops, batches and drained epochs. A drained epoch (counts,
+  // no remove) on serial-scan under Minimum Selection goes to
+  // SerialScanCounterVector::AddMany, which rewrites each touched group
+  // once instead of once per probe (and may allocate). Counters, estimates
+  // and clamp tallies equal the loop's; unlike point Insert, no batch runs
+  // the fault-injection counter flip.
+  void Apply(const SbfWrite& write);
 
   // Convenience wrappers for string keys.
   void InsertBytes(std::string_view key, uint64_t count = 1) {

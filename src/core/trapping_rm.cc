@@ -9,27 +9,11 @@
 #include "util/audit.h"
 
 namespace sbf {
-namespace {
-
-SbfOptions MakeSbfOptions(const RecurringMinimumOptions& options, uint64_t m,
-                          uint64_t seed) {
-  SbfOptions sbf;
-  sbf.m = m;
-  sbf.k = options.k;
-  sbf.policy = SbfPolicy::kMinimumSelection;
-  sbf.backing = options.backing;
-  sbf.seed = seed;
-  sbf.hash_kind = options.hash_kind;
-  return sbf;
-}
-
-}  // namespace
 
 TrappingRmSbf::TrappingRmSbf(RecurringMinimumOptions options)
     : options_(options),
-      primary_(MakeSbfOptions(options, options.primary_m, options.seed)),
-      secondary_(MakeSbfOptions(options, options.secondary_m,
-                                options.seed ^ 0x5EC07DA21ULL)),
+      primary_(PrimaryOptions(options)),
+      secondary_(SecondaryOptions(options)),
       traps_(options.primary_m) {
   SBF_CHECK_MSG(options.primary_m >= 1 && options.secondary_m >= 1,
                 "TRM needs primary_m and secondary_m >= 1");
@@ -221,12 +205,9 @@ StatusOr<TrappingRmSbf> TrappingRmSbf::Deserialize(wire::ByteSpan bytes) {
   if (!primary.ok()) return primary.status();
   auto secondary = SpectralBloomFilter::Deserialize(secondary_frame);
   if (!secondary.ok()) return secondary.status();
-  if (!SameSbfOptions(primary.value().options(),
-                      MakeSbfOptions(options, options.primary_m,
-                                     options.seed)) ||
+  if (!SameSbfOptions(primary.value().options(), PrimaryOptions(options)) ||
       !SameSbfOptions(secondary.value().options(),
-                      MakeSbfOptions(options, options.secondary_m,
-                                     options.seed ^ 0x5EC07DA21ULL))) {
+                      SecondaryOptions(options))) {
     return Status::DataLoss("TRM embedded SBFs inconsistent with header");
   }
 
@@ -283,12 +264,8 @@ Status TrappingRmSbf::CheckInvariants() const {
   if (options_.primary_m < 1 || options_.secondary_m < 1) {
     return Status::FailedPrecondition("TRM: primary_m/secondary_m < 1");
   }
-  if (!SameSbfOptions(primary_.options(),
-                      MakeSbfOptions(options_, options_.primary_m,
-                                     options_.seed)) ||
-      !SameSbfOptions(secondary_.options(),
-                      MakeSbfOptions(options_, options_.secondary_m,
-                                     options_.seed ^ 0x5EC07DA21ULL))) {
+  if (!SameSbfOptions(primary_.options(), PrimaryOptions(options_)) ||
+      !SameSbfOptions(secondary_.options(), SecondaryOptions(options_))) {
     return Status::FailedPrecondition(
         "TRM: embedded SBF options disagree with the TRM options");
   }

@@ -5,10 +5,18 @@
 // sets. Duplicate-heavy batches are the interesting case: the pipeline
 // hashes W keys ahead, so a window can hold several copies of one key and
 // the probes must still observe each other's writes in input order.
+//
+// SpectralBloomFilter's point ops and batches run one per-key body, so
+// "batch equals scalar" alone compares that body with itself. The
+// ReferenceSbf below keeps an independent copy of the scalar ops as they
+// stood with one virtual CounterVector call per probe, and
+// SpectralBloomFilterMatchesVirtualReference pins every SBF entry point
+// (point ops, InsertBatch, EstimateBatch, Apply) to it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -19,6 +27,7 @@
 #include "core/frequency_filter.h"
 #include "core/recurring_minimum.h"
 #include "core/spectral_bloom_filter.h"
+#include "sai/counter_vector.h"
 #include "util/random.h"
 
 namespace sbf {
@@ -133,8 +142,222 @@ TEST(BatchPipelineTest, SpectralBloomFilterAllBackingsAndPolicies) {
   }
 }
 
-// ApplyAddBatch (the concurrent frontend's shard-flush path) must leave
-// exactly the state a loop of scalar Insert(key, count) leaves — compared
+// --- the virtual-interface reference ---------------------------------------
+
+// The scalar SBF ops as a loop of virtual CounterVector calls per probe,
+// over its own counter vector and item tally. The only thing it borrows
+// from the filter under test is Positions(), the key -> counters map.
+class ReferenceSbf {
+ public:
+  explicit ReferenceSbf(const SpectralBloomFilter& shape)
+      : shape_(shape),
+        counters_(MakeCounterVector(shape.options().backing, shape.m())) {}
+
+  void Insert(uint64_t key, uint64_t count) {
+    uint64_t positions[HashFamily::kMaxK];
+    shape_.Positions(key, positions);
+    const uint32_t k = shape_.k();
+    if (shape_.options().policy == SbfPolicy::kMinimumSelection) {
+      for (uint32_t i = 0; i < k; ++i) {
+        counters_->Increment(positions[i], count);
+      }
+    } else {
+      // Minimal Increase: lift every counter below m_x + count up to it,
+      // the target saturating (and tallying) at 2^64 - 1.
+      uint64_t values[HashFamily::kMaxK];
+      uint64_t min_value = ~uint64_t{0};
+      for (uint32_t i = 0; i < k; ++i) {
+        values[i] = counters_->Get(positions[i]);
+        min_value = std::min(min_value, values[i]);
+      }
+      uint64_t target = min_value + count;
+      if (count > ~uint64_t{0} - min_value) {
+        target = ~uint64_t{0};
+        counters_->MergeSaturationStats({1, 0});
+      }
+      for (uint32_t i = 0; i < k; ++i) {
+        if (values[i] < target) counters_->Set(positions[i], target);
+      }
+    }
+    total_items_ += count;
+  }
+
+  void Remove(uint64_t key, uint64_t count) {
+    uint64_t positions[HashFamily::kMaxK];
+    shape_.Positions(key, positions);
+    const uint32_t k = shape_.k();
+    if (shape_.options().policy == SbfPolicy::kMinimumSelection) {
+      for (uint32_t i = 0; i < k; ++i) {
+        counters_->Decrement(positions[i], count);
+      }
+    } else {
+      for (uint32_t i = 0; i < k; ++i) {
+        const uint64_t v = counters_->Get(positions[i]);
+        counters_->Set(positions[i], v >= count ? v - count : 0);
+      }
+    }
+    total_items_ -= std::min(total_items_, count);
+  }
+
+  uint64_t Estimate(uint64_t key) const {
+    uint64_t positions[HashFamily::kMaxK];
+    shape_.Positions(key, positions);
+    uint64_t min_value = counters_->Get(positions[0]);
+    for (uint32_t i = 1; i < shape_.k(); ++i) {
+      min_value = std::min(min_value, counters_->Get(positions[i]));
+      if (min_value == 0) break;
+    }
+    return min_value;
+  }
+
+  void Write(const SbfWrite& write) {
+    for (size_t i = 0; i < write.n; ++i) {
+      const uint64_t c =
+          write.counts != nullptr ? write.counts[i] : write.count;
+      if (write.remove) {
+        Remove(write.keys[i], c);
+      } else {
+        Insert(write.keys[i], c);
+      }
+    }
+  }
+
+  const CounterVector& counters() const { return *counters_; }
+  uint64_t total_items() const { return total_items_; }
+
+ private:
+  const SpectralBloomFilter& shape_;
+  std::unique_ptr<CounterVector> counters_;
+  uint64_t total_items_ = 0;
+};
+
+// Every counter, both clamp tallies and the item tally of `filter` equal
+// the reference's.
+void ExpectSameState(const SpectralBloomFilter& filter,
+                     const ReferenceSbf& ref, const std::string& label) {
+  for (uint64_t i = 0; i < filter.m(); ++i) {
+    ASSERT_EQ(filter.counters().Get(i), ref.counters().Get(i))
+        << label << ": counter " << i;
+  }
+  EXPECT_EQ(filter.saturation().saturation_clamps,
+            ref.counters().saturation().saturation_clamps)
+      << label;
+  EXPECT_EQ(filter.saturation().underflow_clamps,
+            ref.counters().saturation().underflow_clamps)
+      << label;
+  EXPECT_EQ(filter.total_items(), ref.total_items()) << label;
+}
+
+// A random op script over a small key pool, run three ways: on the
+// reference, on `point` as point Insert/Remove, and on `batch` through
+// InsertBatch (uniform inserts) and Apply (everything else) in slices of
+// 1 to 40 keys. Counts are mostly small, with values near the 4-bit,
+// 32-bit and 64-bit maxima mixed in so that every backing clamps, and
+// removes outrun the inserts of some keys so that counters underflow.
+void RunReferenceScript(const SbfOptions& options, uint64_t seed,
+                        const std::string& label) {
+  SpectralBloomFilter point(options);
+  SpectralBloomFilter batch(options);
+  ReferenceSbf ref(point);
+  constexpr uint64_t kMax = ~uint64_t{0};
+  constexpr std::array<uint64_t, 10> kCounts = {
+      1, 1, 2, 3, 7, 14, uint64_t{1} << 31, (uint64_t{1} << 32) - 3,
+      uint64_t{1} << 62, kMax - 5};
+  Xoshiro256 rng(seed);
+  const std::vector<uint64_t> pool = RandomKeys(40, seed ^ 0x9001);
+  const auto pick_count = [&] {
+    // Large counts one op in eight; removes of 1..3 mostly.
+    return rng.UniformInt(8) == 0 ? kCounts[rng.UniformInt(kCounts.size())]
+                                  : 1 + rng.UniformInt(3);
+  };
+  for (int step = 0; step < 60; ++step) {
+    const size_t n = 1 + rng.UniformInt(40);
+    std::vector<uint64_t> keys(n);
+    std::vector<uint64_t> counts(n);
+    for (size_t i = 0; i < n; ++i) {
+      // A skewed pick: the first keys repeat within most slices.
+      keys[i] = pool[rng.UniformInt(1 + rng.UniformInt(pool.size()))];
+      counts[i] = pick_count();
+    }
+    const bool remove = rng.UniformInt(3) == 0;
+    const bool per_key = rng.UniformInt(2) == 0;
+    const SbfWrite write{keys.data(), n, pick_count(), remove,
+                         per_key ? counts.data() : nullptr};
+    ref.Write(write);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t c = per_key ? counts[i] : write.count;
+      if (remove) {
+        point.Remove(keys[i], c);
+      } else {
+        point.Insert(keys[i], c);
+      }
+    }
+    if (!remove && !per_key) {
+      batch.InsertBatch(keys.data(), n, write.count);
+    } else {
+      batch.Apply(write);
+    }
+    const std::string at = label + " step " + std::to_string(step);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameState(point, ref, at + " (point)"));
+    ASSERT_NO_FATAL_FAILURE(ExpectSameState(batch, ref, at + " (batch)"));
+  }
+
+  std::vector<uint64_t> queries = pool;
+  const std::vector<uint64_t> unseen = RandomKeys(64, seed ^ 0xE57);
+  queries.insert(queries.end(), unseen.begin(), unseen.end());
+  std::vector<uint64_t> got(queries.size());
+  batch.EstimateBatch(queries.data(), queries.size(), got.data());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const uint64_t want = ref.Estimate(queries[i]);
+    ASSERT_EQ(point.Estimate(queries[i]), want) << label << " key " << i;
+    ASSERT_EQ(got[i], want) << label << " batch key " << i;
+  }
+}
+
+// Every backing x policy x layout x hash kind, at a roomy m and at a
+// small one where a key's probes often share a counter (and, blocked,
+// nearly always do). The blocked 8- and 16-counter layouts include the
+// SIMD block-kernel geometries (fixed64/b8 and fixed32/b16 under
+// multiply-shift hashing) and their per-key fallback.
+TEST(BatchPipelineTest, SpectralBloomFilterMatchesVirtualReference) {
+  uint64_t seed = 1;
+  for (const auto backing :
+       {CounterBacking::kFixed64, CounterBacking::kFixed32,
+        CounterBacking::kCompact, CounterBacking::kSerialScan,
+        CounterBacking::kSticky4}) {
+    for (const auto policy :
+         {SbfPolicy::kMinimumSelection, SbfPolicy::kMinimalIncrease}) {
+      for (const uint64_t block_size : {0u, 8u, 16u}) {
+        for (const auto kind : {HashFamily::Kind::kModuloMultiply,
+                                HashFamily::Kind::kDoubleMix}) {
+          for (const uint64_t m : {uint64_t{64}, uint64_t{2048}}) {
+            SbfOptions options;
+            options.m = m;
+            options.k = kK;
+            options.policy = policy;
+            options.backing = backing;
+            options.block_size = block_size;
+            options.hash_kind = kind;
+            options.seed = seed;
+            if (!ValidateSbfOptions(options).ok()) continue;  // sticky4
+            const std::string label =
+                std::string(CounterBackingName(backing)) +
+                (policy == SbfPolicy::kMinimumSelection ? "/MS" : "/MI") +
+                "/b" + std::to_string(block_size) +
+                (kind == HashFamily::Kind::kModuloMultiply ? "/mm" : "/dm") +
+                "/m" + std::to_string(m);
+            ASSERT_NO_FATAL_FAILURE(RunReferenceScript(options, seed++, label));
+          }
+        }
+      }
+    }
+  }
+}
+
+// Apply with per-key counts (a drained delta-buffer epoch, the concurrent
+// frontend's shard-flush path; the test keeps the name of the entry point
+// Apply replaced) must leave exactly the state a loop of scalar
+// Insert(key, count) leaves — compared
 // as serialized bytes — on every backing and policy. Sizes cover a sparse
 // epoch (n * k below the serial-scan group count: stable-sorted probes), a
 // dense one (n >= m/k + 1: counting-sorted by group) and one far past it;
@@ -167,8 +390,8 @@ TEST(BatchPipelineTest, ApplyAddBatchMatchesScalarInsertLoop) {
           counts[i] = 1 + rng.UniformInt(4);
           scalar->Insert(keys[i], counts[i]);
         }
-        static_cast<SpectralBloomFilter&>(*batch).ApplyAddBatch(
-            keys.data(), counts.data(), n);
+        static_cast<SpectralBloomFilter&>(*batch).Apply(
+            {keys.data(), n, 0, false, counts.data()});
         EXPECT_EQ(batch->Serialize(), scalar->Serialize()) << label;
       }
     }

@@ -431,6 +431,83 @@ TEST(ConcurrentDeltaTest, MetricsTrackMergesAndBufferedPeak) {
   EXPECT_EQ(totals.inserted_keys, 512u);
 }
 
+// The clamping (locked) backings buffer inserts only, and a net that
+// would pass 2^64 - 1 merges the epoch instead of wrapping: two inserts of
+// one key whose counts sum past 2^64 in one epoch reach the backing as two
+// writes, which clamp at its MaxValue() and tally the clamp.
+TEST(ConcurrentDeltaTest, LockedBackingNetsSaturateInsteadOfWrapping) {
+  constexpr uint64_t kMax = ~uint64_t{0};
+  for (const CounterBacking backing :
+       {CounterBacking::kCompact, CounterBacking::kSerialScan,
+        CounterBacking::kFixed32}) {
+    auto options = MakeDeltaOptions(backing, 4);
+    options.m = 2400;
+    ConcurrentSbf filter(options);
+    ASSERT_FALSE(filter.IsLockFree());
+    filter.Insert(7, kMax - 40);
+    filter.Insert(7, 100);
+    const uint64_t max = filter.shard(filter.ShardOf(7)).counters().MaxValue();
+    EXPECT_EQ(filter.Estimate(7), max) << CounterBackingName(backing);
+    EXPECT_GT(filter.saturation().saturation_clamps, 0u)
+        << CounterBackingName(backing);
+  }
+}
+
+// Across threads: the pending tally a reader adds to a shard minimum
+// saturates instead of wrapping, and Flush() applies two threads' nets of
+// one key, which together pass 2^64 - 1, so that the backing clamps.
+TEST(ConcurrentDeltaTest, CrossThreadCountsPastTwoToTheSixtyFourSaturate) {
+  constexpr uint64_t kMax = ~uint64_t{0};
+  constexpr uint64_t kKey = 7;
+  auto options = MakeDeltaOptions(CounterBacking::kCompact, 4);
+  options.m = 2400;
+  options.delta.merge_keys = 1u << 20;
+  options.delta.max_epoch_micros = 0;
+  ConcurrentSbf filter(options);
+  filter.Insert(kKey, 20);
+  filter.Flush();
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int stage = 0;
+  const auto advance_to = [&](int next) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      stage = next;
+    }
+    cv.notify_all();
+  };
+  const auto wait_for = [&](int want) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return stage == want; });
+  };
+  // Each writer buffers its insert, then parks (so the thread-exit drain
+  // cannot run) until the main thread is done.
+  std::thread first([&] {
+    filter.Insert(kKey, kMax - 10);
+    advance_to(1);
+    wait_for(4);
+  });
+  wait_for(1);
+  // 20 flushed plus 2^64 - 11 buffered by another thread.
+  EXPECT_EQ(filter.Estimate(kKey), kMax);
+  std::thread second([&] {
+    wait_for(2);
+    filter.Insert(kKey, 100);
+    advance_to(3);
+    wait_for(4);
+  });
+  advance_to(2);
+  wait_for(3);
+  filter.Flush();
+  EXPECT_EQ(filter.PendingDeltaOps(), 0u);
+  EXPECT_EQ(filter.Estimate(kKey), kMax);
+  EXPECT_GT(filter.saturation().saturation_clamps, 0u);
+  advance_to(4);
+  first.join();
+  second.join();
+}
+
 // Pins the per-thread clamp: the default 1024-slot maps shrink only once
 // num_shards * capacity * 17 B would pass 4 MiB per writing thread, and
 // merge_keys follows at capacity / 2. A writing thread's footprint is its

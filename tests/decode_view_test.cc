@@ -1,7 +1,7 @@
 // Differential suite for the grouped read and write paths: every
 // backing's DecodeBlock, and the serial-scan bulk add
-// (SerialScanCounterVector::AddMany) that SpectralBloomFilter::
-// ApplyAddBatch applies a drained epoch through, must be exactly
+// (SerialScanCounterVector::AddMany) that SpectralBloomFilter::Apply
+// applies a drained epoch through, must be exactly
 // equivalent to loops of the scalar Get/Increment ops — for every backing,
 // across group boundaries, after rebuilds, slack borrows and widenings,
 // and under duplicate-heavy access streams. Each concrete backing is
@@ -77,7 +77,7 @@ const BackingCase kBackings[] = {
     {"serial_g64", MakeSerialScan<64>},
 };
 
-// The SbfOptions backing of a case's kind, for the ApplyAddBatch checks
+// The SbfOptions backing of a case's kind, for the epoch-apply checks
 // (none for fixed4, which no filter offers).
 std::optional<CounterBacking> FilterBackingOf(const BackingCase& c) {
   const std::string name = c.name;
@@ -92,9 +92,9 @@ class DecodeViewBackingTest : public ::testing::TestWithParam<BackingCase> {};
 
 using Adds = std::vector<std::pair<uint64_t, uint64_t>>;  // (position, count)
 
-// Applies `adds` the way ApplyAddBatch applies a drained epoch's probes:
-// through AddMany on serial-scan, through the scalar Increment loop that
-// every other backing keeps.
+// Applies `adds` the way SpectralBloomFilter::Apply applies a drained
+// epoch's probes: through AddMany on serial-scan, one Increment per probe
+// on every other backing.
 void BulkAdd(CounterVector& cv, const Adds& adds) {
   if (auto* serial = dynamic_cast<SerialScanCounterVector*>(&cv)) {
     serial->AddMany(adds);
@@ -264,7 +264,7 @@ TEST_P(DecodeViewBackingTest, DecodeBlockMatchesScalarAcrossGroupBoundaries) {
 //
 // The write cases keep their decoded-view names. Each applies batches of
 // (position, count) adds through BulkAdd — AddMany on the serial-scan
-// params, the scalar loop ApplyAddBatch keeps on the others — against a
+// params, one Increment per add on the others — against a
 // twin driven by one scalar Increment per add.
 
 TEST_P(DecodeViewBackingTest, EncodeBlockMatchesScalarSetsWithWidening) {
@@ -374,7 +374,7 @@ TEST_P(DecodeViewBackingTest, ViewSurvivesInterleavedFlushes) {
     ASSERT_NO_FATAL_FAILURE(ExpectSameCounters(*cv, *ref, GetParam().name));
   }
 
-  // The filter level: ApplyAddBatch epochs between scalar Insert, Remove
+  // The filter level: Apply epochs between scalar Insert, Remove
   // and Estimate on a filter of this kind leave the state (serialized
   // bytes) and the clamp tallies of an Insert-only twin, under both
   // policies.
@@ -392,7 +392,7 @@ TEST_P(DecodeViewBackingTest, ViewSurvivesInterleavedFlushes) {
         counts[e] = 1 + rng.UniformInt(1000);
         scalar.Insert(keys[e], counts[e]);
       }
-      batch.ApplyAddBatch(keys.data(), counts.data(), n);
+      batch.Apply({keys.data(), n, 0, false, counts.data()});
       const uint64_t key = rng.UniformInt(300);
       batch.Insert(key, 3);
       scalar.Insert(key, 3);
@@ -621,7 +621,7 @@ TEST(DecodeViewGatingTest, NonStickyBackingsSupportDecodedWrites) {
 
 // --- saturation-tally equivalence at the filter level ----------------------
 
-// ApplyAddBatch with counts near 2^64 - 1 on every filter backing: the
+// An Apply epoch with counts near 2^64 - 1 on every filter backing: the
 // counters saturate mid-epoch, and every counter and both clamp tallies
 // must be those of the Insert loop.
 TEST(DecodeViewSaturationTest, ViewTalliesClampsLikeScalarOps) {
@@ -638,7 +638,7 @@ TEST(DecodeViewSaturationTest, ViewTalliesClampsLikeScalarOps) {
     const std::vector<uint64_t> counts = {kMax - 40, 30, 20,     kMax / 2,
                                           kMax - 1,  5,  kMax, 1};
     for (size_t e = 0; e < keys.size(); ++e) scalar.Insert(keys[e], counts[e]);
-    batch.ApplyAddBatch(keys.data(), counts.data(), keys.size());
+    batch.Apply({keys.data(), keys.size(), 0, false, counts.data()});
     const char* name = CounterBackingName(backing);
     ASSERT_GT(scalar.counters().saturation().saturation_clamps, 0u) << name;
     ExpectSameCounters(batch.counters(), scalar.counters(), name);

@@ -74,7 +74,7 @@ struct BitmapMap {
                         capacity - 1};
   }
   bool Accumulate(uint64_t key, uint64_t delta) {
-    return DeltaAccumulate(view(), key, delta, &size);
+    return DeltaAccumulate(view(), key, delta, /*saturate=*/false, &size);
   }
   uint32_t Drain() {
     size = 0;
@@ -231,6 +231,24 @@ TEST_P(DeltaKernelsTest, FullMapRejectsOnlyNewKeysAndDrainEmptiesIt) {
     EXPECT_TRUE(map.Empty());
     EXPECT_EQ(map.Drain(), 0u);
   }
+}
+
+TEST_P(DeltaKernelsTest, SaturatingAccumulateRefusesANetThatWouldWrap) {
+  BitmapMap map(GetParam());
+  constexpr uint64_t kMax = ~uint64_t{0};
+  DeltaMapView view = map.view();
+  ASSERT_TRUE(DeltaAccumulate(view, 7, kMax - 41, true, &map.size));
+  // Up to 2^64 - 1 the net still accumulates...
+  ASSERT_TRUE(DeltaAccumulate(view, 7, 41, true, &map.size));
+  // ...one more is refused and leaves the net as it was.
+  EXPECT_FALSE(DeltaAccumulate(view, 7, 1, true, &map.size));
+  EXPECT_EQ(map.size, 1u);
+  ASSERT_EQ(map.Drain(), 1u);
+  EXPECT_EQ(map.nets[0], kMax);
+  // A drained map takes the refused delta as a fresh net.
+  EXPECT_TRUE(DeltaAccumulate(map.view(), 7, 100, true, &map.size));
+  ASSERT_EQ(map.Drain(), 1u);
+  EXPECT_EQ(map.nets[0], 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, DeltaKernelsTest,
