@@ -22,10 +22,10 @@ Structural rules that generic linters cannot express:
      resize/reserve. The kernels' contract is that position rings live on
      the stack and delta maps view caller-owned storage.
   5. tsan-coverage — the CI workflow must keep a dedicated ThreadSanitizer
-     leg that runs BOTH concurrency suites (concurrent_sbf_test and
-     concurrent_delta_test) with retry + timeout flags. Dropping a suite
-     from the TSan leg is how a data race ships while the release leg
-     stays green.
+     leg that runs the concurrency suites (concurrent_sbf_test,
+     concurrent_delta_test, and expansion_test's dual-write window races)
+     with retry + timeout flags. Dropping a suite from the TSan leg is how
+     a data race ships while the release leg stays green.
   6. simd-differential — every SIMD kernel entry point declared as a
      function-pointer field of simd::BlockKernels (src/core/simd_kernels.h)
      must be exercised by name in tests/simd_differential_test.cc, the
@@ -113,7 +113,8 @@ WAL_RECORD_ENUMERATOR = re.compile(r"\b(k\w+)\s*=")
 
 # Rule 5: the CI workflow and what its TSan leg must keep running.
 CI_WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"
-TSAN_REQUIRED_SUITES = ["concurrent_sbf_test", "concurrent_delta_test"]
+TSAN_REQUIRED_SUITES = ["concurrent_sbf_test", "concurrent_delta_test",
+                        "expansion_test"]
 TSAN_REQUIRED_FLAGS = ["--repeat until-pass:1", "--timeout 300"]
 
 RAW_IO_PATTERNS = [
@@ -229,7 +230,7 @@ def check_kernel_allocations(violations):
 
 
 def check_tsan_coverage(violations, workflow_text=None):
-    """The dedicated TSan leg must run both concurrency suites with the
+    """The dedicated TSan leg must run the concurrency suites with the
     retry + timeout flags (flaky-looking hangs under TSan must fail the
     leg, not wedge it)."""
     text = (CI_WORKFLOW.read_text()
@@ -481,8 +482,9 @@ def self_test():
                  "    run: ctest -R concurrent_sbf_test\n")
     fired = []
     check_tsan_coverage(fired, workflow_text=synthetic)
-    if not any("concurrent_delta_test" in v for v in fired):
-        failures.append("tsan-coverage: missing suite did not fire")
+    for suite in ("concurrent_delta_test", "expansion_test"):
+        if not any(suite in v for v in fired):
+            failures.append(f"tsan-coverage: missing {suite} did not fire")
     if not any("--repeat until-pass:1" in v for v in fired):
         failures.append("tsan-coverage: missing retry flag did not fire")
     clean = []

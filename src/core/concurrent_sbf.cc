@@ -6,14 +6,12 @@
 #include <utility>
 
 #include "core/batch_kernels.h"
-#include "core/sbf_algebra.h"
 #include "hashing/hash.h"
 #include "sai/fixed_counter_vector.h"
 #include "util/bits.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
 #include "util/health.h"
-#include "util/prefetch.h"
 #include "util/audit.h"
 #include "util/thread_annotations.h"
 
@@ -26,9 +24,8 @@ constexpr uint64_t kRouterSalt = 0x5BF707E2D811ull;
 // Counters migrated per exclusive-lock acquisition on the locked expansion
 // path: small enough that readers interleave between chunks.
 constexpr uint64_t kMigrateChunk = 256;
-// Keys routed per delta-batch chunk before the per-shard pending tallies
-// are published (amortizes the shared fetch_adds over the chunk); also
-// sizes InsertBatch's stack scratch for grouping a chunk by shard.
+// Keys per delta-batch chunk, each shard's pending tally raised once per
+// chunk; also sizes InsertBatch's stack scratch for grouping a chunk.
 constexpr size_t kDeltaBatchChunk = 512;
 // The epoch staleness clock is consulted once per this many buffered ops.
 constexpr uint64_t kClockCheckMask = 63;
@@ -41,12 +38,57 @@ constexpr size_t kMaxDeltaBytesPerThread = 4u << 20;
 // was a byte, so every shard count keeps the capacity it was clamped to.
 constexpr size_t kDeltaSlotBytes = 2 * sizeof(uint64_t) + 1;
 
-// Relaxed atomic load from a logically-const counter word. atomic_ref of a
-// const type is C++26; the const_cast is sound because the referenced word
-// is always backed by a mutable BitVector.
-uint64_t AtomicLoad(const uint64_t& word) {
-  return std::atomic_ref<uint64_t>(const_cast<uint64_t&>(word))
-      .load(std::memory_order_relaxed);
+// The lock-free arm: relaxed atomic counters and no lock. Minimum
+// Selection's adds commute, so 64-bit counters can wrap mod 2^64.
+bool LockFreeArm(CounterBacking backing, SbfPolicy policy) {
+  return backing == CounterBacking::kFixed64 &&
+         policy == SbfPolicy::kMinimumSelection;
+}
+
+// A shard's counters inside an expansion window, addressed at the new
+// size: counter p reads pending[p] + live[i], i the old counter whose fold
+// (FoldedPosition) lands on p. The add wraps like the lock-free counters,
+// so a remove landing in pending cancels its insert in live.
+template <typename CV>
+struct WindowSum {
+  static constexpr bool kBranchFreeMin = BranchFreeMin<CV>;
+  const CV& live;
+  const CV& pending;
+  uint64_t unit;
+  uint64_t c;
+  [[nodiscard]] uint64_t Unfolded(uint64_t p) const {
+    return p / unit / c * unit + p % unit;
+  }
+  [[nodiscard]] uint64_t Get(uint64_t p) const {
+    return pending.Get(p) + live.Get(Unfolded(p));
+  }
+  void PrefetchCounter(uint64_t p) const {
+    pending.PrefetchCounter(p);
+    live.PrefetchCounter(Unfolded(p));
+  }
+};
+
+// Raises `tally` by `amount` unless it would pass 2^64 - 1.
+bool ReservePending(std::atomic<uint64_t>& tally, uint64_t amount) {
+  uint64_t current = tally.load(std::memory_order_relaxed);
+  do {
+    if (amount > ~uint64_t{0} - current) return false;
+  } while (!tally.compare_exchange_weak(current, current + amount,
+                                        std::memory_order_relaxed,
+                                        std::memory_order_relaxed));
+  return true;
+}
+
+// Calls fn(live) with a shard's serving filter: read through the atomic
+// pointer on the lock-free arm, under the shared lock otherwise.
+template <typename Shard, typename Fn>
+void ReadLive(bool lock_free, const Shard& shard, Fn&& fn) {
+  if (lock_free) {
+    fn(*shard.live_ptr.load(std::memory_order_acquire));
+    return;
+  }
+  util::ReaderMutexLock lock(shard.mu);
+  fn(*shard.live);
 }
 
 bool SameOptions(const ConcurrentSbfOptions& a, const ConcurrentSbfOptions& b) {
@@ -97,12 +139,6 @@ std::vector<uint32_t> GroupByShard(const ConcurrentSbf& filter,
   return order;
 }
 
-// Counter-word view of a filter's kFixed64 backing for the lock-free
-// pipelines: counter i is word i, accessed with relaxed atomics.
-struct AtomicWordView {
-  uint64_t* words;
-};
-
 }  // namespace
 
 SbfOptions ShardOptions(const ConcurrentSbfOptions& options, uint32_t index) {
@@ -122,8 +158,7 @@ ConcurrentSbf::ConcurrentSbf(ConcurrentSbfOptions options)
     : options_(options),
       shard_m_(CeilDiv(options.m, std::max<uint32_t>(options.num_shards, 1))),
       router_salt_(Mix64(options.seed ^ kRouterSalt)),
-      lock_free_(options.backing == CounterBacking::kFixed64 &&
-                 options.policy == SbfPolicy::kMinimumSelection),
+      lock_free_(LockFreeArm(options.backing, options.policy)),
       delta_active_(options.delta.enabled &&
                     options.policy == SbfPolicy::kMinimumSelection),
       metrics_(options.num_shards) {
@@ -159,22 +194,8 @@ ConcurrentSbf::ConcurrentSbf(ConcurrentSbfOptions options)
 
 ConcurrentSbf::~ConcurrentSbf() { DetachRegistry(); }
 
-ConcurrentSbf::ConcurrentSbf(ConcurrentSbf&& other) noexcept
-    : options_(std::move(other.options_)),
-      shard_m_(other.shard_m_),
-      router_salt_(other.router_salt_),
-      lock_free_(other.lock_free_),
-      delta_active_(other.delta_active_),
-      shards_(std::move(other.shards_)),
-      metrics_(std::move(other.metrics_)),
-      registry_(std::move(other.registry_)) {
-  other.delta_active_ = false;
-  if (registry_ != nullptr) {
-    // Buffered deltas reference keys, not positions, so they stay valid
-    // across the move; only the drain target changes.
-    util::MutexLock lock(registry_->mu);
-    registry_->owner = this;
-  }
+ConcurrentSbf::ConcurrentSbf(ConcurrentSbf&& other) noexcept {
+  *this = std::move(other);
 }
 
 ConcurrentSbf& ConcurrentSbf::operator=(ConcurrentSbf&& other) noexcept {
@@ -190,6 +211,8 @@ ConcurrentSbf& ConcurrentSbf::operator=(ConcurrentSbf&& other) noexcept {
   registry_ = std::move(other.registry_);
   other.delta_active_ = false;
   if (registry_ != nullptr) {
+    // Buffered deltas reference keys, not positions, so they stay valid
+    // across the move; only the drain target changes.
     util::MutexLock lock(registry_->mu);
     registry_->owner = this;
   }
@@ -213,25 +236,11 @@ uint32_t ConcurrentSbf::ShardOf(uint64_t key) const noexcept {
                                options_.num_shards);
 }
 
-uint64_t* ConcurrentSbf::FilterWords(SpectralBloomFilter& f) {
-  // Only valid for the kFixed64 backing, where counter i is word i.
-  auto& fixed = static_cast<FixedWidthCounterVector&>(f.mutable_counters());
-  return fixed.mutable_words();
-}
-
-const uint64_t* ConcurrentSbf::FilterWords(const SpectralBloomFilter& f) {
-  return static_cast<const FixedWidthCounterVector&>(f.counters()).words();
-}
-
 // Writer side of the expansion-window handshake (DESIGN.md §11): the one
-// place a lock-free writer enters and leaves a shard. Entering is a Dekker
-// handshake with ExpandShard: the seq-cst refcount increment and pending
-// load pair with the migrator's seq-cst pending publish and refcount drain
-// (both sides are on sbf_analyze's allowlist). Either the writer observes
-// the window and writes only pending, or the migrator observes the
-// increment and waits for the exit before freezing live. One guard covers
-// a whole shard slice; holding the refcount across it just extends the
-// migrator's drain by one pipeline.
+// place a lock-free writer enters and leaves a shard, a Dekker handshake
+// with ExpandShard's seq-cst pending publish and refcount drain. Either the
+// writer observes the window and writes only pending, or the migrator
+// waits for its exit before freezing live.
 class ConcurrentSbf::WindowWriter {
  public:
   explicit WindowWriter(Shard& shard) : shard_(shard) {
@@ -265,36 +274,17 @@ class ConcurrentSbf::WindowWriter {
   bool in_live_ = false;
 };
 
-void ConcurrentSbf::CombinedEstimate(const SpectralBloomFilter& live,
-                                     const SpectralBloomFilter& pending,
-                                     const uint64_t* keys, size_t n,
-                                     uint64_t* out, bool atomic_reads) const {
-  // Probe j of the old family corresponds to probe j of the new one (same
-  // seed, rebuilt range), so the per-probe sum live[old_j] + pending[new_j]
-  // bounds the key's true pre-window + in-window count from above, and the
-  // min over j is exactly the estimate a single merged filter would give.
-  // The window is short; pipelining the two-filter gather is not worth
-  // the code.
-  const uint32_t k = options_.k;
-  const uint64_t* live_words = atomic_reads ? FilterWords(live) : nullptr;
-  const uint64_t* pending_words =
-      atomic_reads ? FilterWords(pending) : nullptr;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t old_pos[HashFamily::kMaxK];
-    uint64_t new_pos[HashFamily::kMaxK];
-    live.Positions(keys[i], old_pos);
-    pending.Positions(keys[i], new_pos);
-    uint64_t min_value = ~0ull;
-    for (uint32_t j = 0; j < k; ++j) {
-      const uint64_t sum = atomic_reads
-                               ? AtomicLoad(live_words[old_pos[j]]) +
-                                     AtomicLoad(pending_words[new_pos[j]])
-                               : live.counters().Get(old_pos[j]) +
-                                     pending.counters().Get(new_pos[j]);
-      min_value = std::min(min_value, sum);
-    }
-    out[i] = min_value;
-  }
+void WindowEstimate(const SpectralBloomFilter& live,
+                    const SpectralBloomFilter& pending, const uint64_t* keys,
+                    size_t n, uint64_t* out) {
+  const SbfOptions& options = live.options();
+  VisitCounters(
+      LockFreeArm(options.backing, options.policy), live, pending,
+      [&](const auto& live_cv, const auto& pending_cv) {
+        const WindowSum sum{live_cv, pending_cv, ExpansionUnit(options),
+                            pending.m() / live.m()};
+        MinPipeline(sum, pending, keys, n, out);
+      });
 }
 
 // --- the per-shard kernels -------------------------------------------------
@@ -304,9 +294,20 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const SbfWrite& write,
   Shard& shard = *shards_[shard_index];
   if (buffer != nullptr) {
     // Delta-buffered: accumulate into the calling thread's map for this
-    // shard; the shared pending tally is published once per slice.
+    // shard. An insert slice first reserves its cover in the shared pending
+    // tally, which saturates: a slice it cannot cover merges this thread's
+    // epoch and is written directly, so no reservation wraps and each is
+    // released once. Removes never raise it (unapplied, they over-report).
     DeltaSet& set = *buffer;
     util::MutexLock lock(set.mu);
+    uint64_t cover = 0;
+    if (!write.remove &&
+        (__builtin_mul_overflow(write.n, write.count, &cover) ||
+         !ReservePending(shard.pending_ops, cover))) {
+      MergeShardDelta(set, shard_index);
+      WriteShard(shard_index, write, /*buffer=*/nullptr);
+      return;
+    }
     DeltaSet::ShardState& state = set.state(shard_index);
     const uint64_t delta = write.remove ? ~write.count + 1 : write.count;
     // Nets wrap on the lock-free backing, like its counters; the clamping
@@ -317,10 +318,7 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const SbfWrite& write,
                            saturate, &state.size)) {
         // Map full, or a saturating net would wrap: merge this shard's
         // epoch and retry against the now-empty map (cannot fail twice).
-        // The slice is not yet in pending_contrib, so the forced merge's
-        // bookkeeping balances; the publish below then transiently
-        // over-covers the keys it already applied (the safe direction)
-        // until the next merge rebalances.
+        // This slice's cover then over-covers the merged keys (safe).
         MergeShardDelta(set, shard_index);
         const bool ok = DeltaAccumulate(set.map(shard_index), write.keys[i],
                                         delta, saturate, &state.size);
@@ -328,14 +326,7 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const SbfWrite& write,
         (void)ok;
       }
     }
-    if (!write.remove) {
-      // Publish before returning: a completed insert is covered by the
-      // pending tally until the merge moves it into the counters. Buffered
-      // removes never raise it (an unapplied remove only over-reports).
-      shard.pending_ops.fetch_add(write.n * write.count,
-                                  std::memory_order_relaxed);
-      state.pending_contrib += write.n * write.count;
-    }
+    state.pending_contrib += cover;
     state.net_ops += write.n * delta;
     if (!state.epoch_open) {
       state.epoch_open = true;
@@ -348,45 +339,24 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const SbfWrite& write,
     return;
   }
   if (lock_free_) {
-    // Relaxed atomic adds of each key's two's-complement delta: a remove
-    // is a wrapping add, so one landing in pending while its paired insert
-    // went to live still cancels exactly once the fold adds the filters.
-    const uint64_t uniform = write.remove ? ~write.count + 1 : write.count;
+    // Relaxed atomic adds; a remove is a wrapping add, so one landing in
+    // pending while its paired insert went to live still cancels exactly
+    // once the fold adds the filters.
     WindowWriter window(shard);
-    SpectralBloomFilter& target = window.target();
-    const uint32_t k = options_.k;
-    AtomicWordView view{FilterWords(target)};
-    BatchPipeline(
-        view, write.keys, write.n,
-        [&target](uint64_t key, uint64_t* pos) {
-          target.Positions(key, pos);
-        },
-        [k](const AtomicWordView& v, const uint64_t* pos) {
-          for (uint32_t j = 0; j < k; ++j) SBF_PREFETCH_WRITE(v.words + pos[j]);
-        },
-        [k, &write, uniform](AtomicWordView& v, const uint64_t* pos,
-                             size_t i) {
-          const uint64_t delta =
-              write.counts != nullptr ? write.counts[i] : uniform;
-          for (uint32_t j = 0; j < k; ++j) {
-            std::atomic_ref<uint64_t>(v.words[pos[j]])
-                .fetch_add(delta, std::memory_order_relaxed);
-          }
-        });
+    AtomicCounters view = AtomicView(window.target());
+    WritePipeline(view, window.target(), write);
     // An epoch merge's nets were tallied when buffered (ShardState::
     // net_ops); the merge folds that tally into net_items itself.
     if (write.counts == nullptr) {
-      shard.net_items.fetch_add(write.n * uniform, std::memory_order_relaxed);
+      const uint64_t delta = write.remove ? ~write.count + 1 : write.count;
+      shard.net_items.fetch_add(write.n * delta, std::memory_order_relaxed);
     }
     return;
   }
   util::WriterMutexLock lock(shard.mu);
-  // Inside a window every write lands in pending. The pre-window
-  // occurrences live in the old filter, so a remove there clamps at zero
-  // (tallied) and leaves a benign one-sided overestimate that the fold
-  // does not disturb. Removes never buffer on this arm (Remove() flushes
-  // and applies directly on clamped backings), so an epoch merge's nets
-  // are all sums of insert counts.
+  // Inside a window every write lands in pending, where a remove of
+  // pre-window occurrences clamps at zero (tallied): a one-sided error.
+  // Removes never buffer on this arm, so epoch nets are all inserts.
   (shard.pending ? *shard.pending : *shard.live).Apply(write);
 }
 
@@ -400,47 +370,27 @@ void ConcurrentSbf::EstimateShard(uint32_t shard_index, const uint64_t* keys,
     DrainOwnShard(shard_index);
     // Acquire the pending tally BEFORE probing: pairs with the merge's
     // release decrement, so a reader that sees the lowered tally also sees
-    // the applied counters — the estimate never dips below the flushed +
-    // buffered frequency (other threads' buffered ops are covered by the
-    // tally, a one-sided overestimate until their epoch merges).
+    // the applied counters, and the estimate never dips below the flushed
+    // + buffered frequency.
     buffered = shard.pending_ops.load(std::memory_order_acquire);
   }
   if (lock_free_) {
-    // Pending before live: if we observe the window closed (pending null
-    // reading the migrator's clearing store), the subsequent live load is
-    // coherence-ordered after the swap and sees the folded filter — the
-    // window's content is never missed. Observing pending while live has
-    // already swapped reads the same filter twice: a transient, one-sided
-    // (over) estimate.
+    // Pending before live: a reader that observes the window closed loads
+    // live after the swap and sees the folded filter. Observing pending
+    // after live swapped reads one filter twice: a one-sided overestimate.
     const SpectralBloomFilter* pending =
         shard.pending_ptr.load(std::memory_order_acquire);
-    const SpectralBloomFilter* live =
-        shard.live_ptr.load(std::memory_order_acquire);
+    const SpectralBloomFilter& live =
+        *shard.live_ptr.load(std::memory_order_acquire);
     if (pending != nullptr) {
-      CombinedEstimate(*live, *pending, keys, n, out, /*atomic_reads=*/true);
+      WindowEstimate(live, *pending, keys, n, out);
     } else {
-      const uint32_t k = options_.k;
-      AtomicWordView view{const_cast<uint64_t*>(FilterWords(*live))};
-      BatchPipeline(
-          view, keys, n,
-          [live](uint64_t key, uint64_t* pos) { live->Positions(key, pos); },
-          [k](const AtomicWordView& v, const uint64_t* pos) {
-            for (uint32_t j = 0; j < k; ++j) SBF_PREFETCH(v.words + pos[j]);
-          },
-          [k, out](const AtomicWordView& v, const uint64_t* pos, size_t i) {
-            uint64_t min_value = AtomicLoad(v.words[pos[0]]);
-            for (uint32_t j = 1; j < k; ++j) {
-              const uint64_t value = AtomicLoad(v.words[pos[j]]);
-              min_value = value < min_value ? value : min_value;
-            }
-            out[i] = min_value;
-          });
+      MinPipeline(AtomicView(live), live, keys, n, out);
     }
   } else {
     util::ReaderMutexLock lock(shard.mu);
     if (shard.pending) {
-      CombinedEstimate(*shard.live, *shard.pending, keys, n, out,
-                       /*atomic_reads=*/false);
+      WindowEstimate(*shard.live, *shard.pending, keys, n, out);
     } else {
       shard.live->EstimateBatch(keys, n, out);
     }
@@ -448,8 +398,7 @@ void ConcurrentSbf::EstimateShard(uint32_t shard_index, const uint64_t* keys,
   if (buffered > 0) {
     // Saturating: past 2^64 - 1 the sum must not wrap to an underestimate.
     for (size_t i = 0; i < n; ++i) {
-      out[i] = out[i] > ~uint64_t{0} - buffered ? ~uint64_t{0}
-                                                : out[i] + buffered;
+      out[i] = std::min(out[i], ~uint64_t{0} - buffered) + buffered;
     }
   }
 }
@@ -457,8 +406,7 @@ void ConcurrentSbf::EstimateShard(uint32_t shard_index, const uint64_t* keys,
 // --- delta-buffer plumbing -------------------------------------------------
 
 DeltaSet* ConcurrentSbf::BufferFor(bool remove) {
-  // Clamped backings make buffered removes order-sensitive (Remove()
-  // flushes and applies them directly instead).
+  // Clamped backings apply removes directly (see Remove()).
   if (!delta_active_ || (remove && !lock_free_)) return nullptr;
   return ThreadDeltaSet(registry_, options_.num_shards, options_.delta);
 }
@@ -612,15 +560,11 @@ void ConcurrentSbf::Remove(uint64_t key, uint64_t count) {
   const uint32_t s = ShardOf(key);
   if (delta_active_ && !lock_free_) {
     // Clamped backings make removes order-sensitive: a remove applied
-    // before the insert it cancels clamps at zero and the occurrences are
-    // lost. Flushing every buffer first restores the caller's ordering
-    // ("only remove previously inserted occurrences" — such inserts are
-    // by then either applied or in a buffer the flush gathers), so the
-    // direct remove never clamps. Removes are the rare op on every
-    // workload this path serves; inserts stay buffered. On the lock-free
-    // backing removes are buffered: counter updates wrap mod 2^64, so a
-    // remove merged before the insert it cancels (buffered by another
-    // thread) still nets out exactly.
+    // before the insert it cancels clamps at zero and loses occurrences.
+    // Flushing every buffer first restores the caller's ordering, so the
+    // direct remove never clamps; removes are the rare op on the workloads
+    // this path serves. Lock-free removes are buffered: counters wrap mod
+    // 2^64, so they net out in any order.
     Flush();
   }
   WriteShard(s, {&key, 1, count, /*remove=*/true}, BufferFor(/*remove=*/true));
@@ -707,24 +651,18 @@ Status ConcurrentSbf::Merge(const ConcurrentSbf& other) {
     // The pair guard's std::scoped_lock deadlock-avoidance handles
     // concurrent A.Merge(B) and B.Merge(A).
     util::SharedMutexLockPair locks(dst.mu, src.mu);
+    // Pointwise add; atomic on the lock-free arm, so the merge is
+    // race-free against concurrent lock-free inserters on either operand.
+    VisitCounters(lock_free_, std::as_const(*src.live), *dst.live,
+                  [this](const auto& from, auto& to) {
+                    AddFolded(from, to, 0, shard_m_, 1, 1);
+                  });
     if (lock_free_) {
-      // Atomic pointwise add so the merge is race-free against concurrent
-      // lock-free inserters on either operand.
-      uint64_t* dst_words = FilterWords(*dst.live);
-      const uint64_t* src_words = FilterWords(*src.live);
-      for (uint64_t i = 0; i < shard_m_; ++i) {
-        const uint64_t add = AtomicLoad(src_words[i]);
-        if (add > 0) {
-          std::atomic_ref<uint64_t>(dst_words[i])
-              .fetch_add(add, std::memory_order_relaxed);
-        }
-      }
-      dst.net_items.fetch_add(
-          src.net_items.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
+      dst.net_items.fetch_add(src.net_items.load(std::memory_order_relaxed),
+                              std::memory_order_relaxed);
     } else {
-      const Status status = UnionInto(dst.live.get(), *src.live);
-      if (!status.ok()) return status;
+      dst.live->set_total_items(dst.live->total_items() +
+                                src.live->total_items());
     }
   }
   SBF_AUDIT_INVARIANTS(*this);
@@ -738,12 +676,10 @@ SpectralBloomFilter ConcurrentSbf::SnapshotShard(size_t i) const {
     const SpectralBloomFilter& live =
         *shard.live_ptr.load(std::memory_order_acquire);
     SpectralBloomFilter snap = live.CloneEmpty();
-    const uint64_t* words = FilterWords(live);
-    const uint64_t m = live.m();
-    for (uint64_t j = 0; j < m; ++j) {
-      const uint64_t v = AtomicLoad(words[j]);
-      if (v > 0) snap.mutable_counters().Set(j, v);
-    }
+    VisitCounters(/*atomic=*/true, live, snap,
+                  [&live](const auto& from, auto& to) {
+                    AddFolded(from, to, 0, live.m(), 1, 1);
+                  });
     snap.set_total_items(shard.net_items.load(std::memory_order_relaxed));
     return snap;
   }
@@ -769,15 +705,10 @@ uint64_t ConcurrentSbf::TotalItems() const {
 
 size_t ConcurrentSbf::MemoryUsageBits() const {
   size_t total = 0;
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    const Shard& shard = *shards_[s];
-    if (lock_free_) {
-      total += shard.live_ptr.load(std::memory_order_acquire)
-                   ->MemoryUsageBits();
-    } else {
-      util::ReaderMutexLock lock(shard.mu);
-      total += shard.live->MemoryUsageBits();
-    }
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    ReadLive(lock_free_, *shard, [&total](const SpectralBloomFilter& live) {
+      total += live.MemoryUsageBits();
+    });
   }
   if (registry_ != nullptr) {
     util::MutexLock lock(registry_->mu);
@@ -800,42 +731,28 @@ std::string ConcurrentSbf::Name() const {
 }
 
 FilterHealth ConcurrentSbf::Health() const {
-  // The fill scan must observe mid-epoch inserts (the latent-bug fix this
-  // PR pins with a regression test): drain all buffers first, then report
-  // anything re-buffered by racing writers in pending_delta_ops.
+  // The fill scan must observe mid-epoch inserts: drain all buffers first,
+  // then report anything re-buffered by racing writers in
+  // pending_delta_ops.
   const_cast<ConcurrentSbf*>(this)->Flush();
   FilterHealth health;
   health.shard_fill.reserve(options_.num_shards);
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    const Shard& shard = *shards_[s];
-    uint64_t m = 0;
-    OccupancyCounts counts;
-    SaturationStats stats;
-    if (lock_free_) {
-      const SpectralBloomFilter& live =
-          *shard.live_ptr.load(std::memory_order_acquire);
-      m = live.m();
-      const uint64_t* words = FilterWords(live);
-      for (uint64_t j = 0; j < m; ++j) {
-        const uint64_t v = AtomicLoad(words[j]);
-        counts.nonzero += v > 0;
-        counts.saturated += v == ~0ull;
-      }
-      stats = live.counters().saturation();
-    } else {
-      util::ReaderMutexLock lock(shard.mu);
-      m = shard.live->m();
-      counts = shard.live->counters().ScanOccupancy();
-      stats = shard.live->counters().saturation();
-    }
-    health.counters += m;
-    health.nonzero_counters += counts.nonzero;
-    health.saturated_counters += counts.saturated;
-    health.saturation_clamps += stats.saturation_clamps;
-    health.underflow_clamps += stats.underflow_clamps;
-    health.shard_fill.push_back(
-        m == 0 ? 0.0
-               : static_cast<double>(counts.nonzero) / static_cast<double>(m));
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    ReadLive(lock_free_, *shard, [&](const SpectralBloomFilter& live) {
+      const uint64_t m = live.m();
+      OccupancyCounts counts;
+      VisitCounters(lock_free_, live, [&](const auto& cv) {
+        counts = ScanOccupancyOf(cv, m);
+      });
+      health.counters += m;
+      health.nonzero_counters += counts.nonzero;
+      health.saturated_counters += counts.saturated;
+      const SaturationStats& stats = live.counters().saturation();
+      health.saturation_clamps += stats.saturation_clamps;
+      health.underflow_clamps += stats.underflow_clamps;
+      health.shard_fill.push_back(static_cast<double>(counts.nonzero) /
+                                  static_cast<double>(m));
+    });
   }
   health.pending_delta_ops = PendingDeltaOps();
   FinalizeHealth(options_.k, options_.health, &health);
@@ -844,103 +761,61 @@ FilterHealth ConcurrentSbf::Health() const {
 
 SaturationStats ConcurrentSbf::saturation() const {
   SaturationStats stats;
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    const Shard& shard = *shards_[s];
-    if (lock_free_) {
-      stats += shard.live_ptr.load(std::memory_order_acquire)
-                   ->counters()
-                   .saturation();
-    } else {
-      util::ReaderMutexLock lock(shard.mu);
-      stats += shard.live->counters().saturation();
-    }
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    ReadLive(lock_free_, *shard, [&stats](const SpectralBloomFilter& live) {
+      stats += live.counters().saturation();
+    });
   }
   return stats;
 }
 
 void ConcurrentSbf::ExpandShard(Shard& shard,
                                 std::unique_ptr<SpectralBloomFilter> pending) {
-  const uint64_t new_m = pending->m();
-  if (lock_free_) {
-    // Lock-free readers/writers never touch shard.mu, so taking it here is
-    // uncontended — it exists to serialize against other whole-filter
-    // operations (Merge, snapshots) and to keep the unique_ptr swaps below
-    // provable under thread-safety analysis.
+  uint64_t old_m = 0;
+  uint64_t unit = 0;
+  uint64_t c = 0;
+  {
     util::WriterMutexLock lock(shard.mu);
-    const uint64_t old_m = shard.live->m();
-    const uint64_t c = new_m / old_m;
-    const uint64_t unit = ExpansionUnit(shard.live->options());
-    // Open the window: new writers divert to pending, then drain writers
-    // that loaded a null pending and still target live (the seq-cst pair
-    // of WindowWriter; both sides are on sbf_analyze's allowlist —
-    // DESIGN.md §11 "window handshake").
+    old_m = shard.live->m();
+    unit = ExpansionUnit(shard.live->options());
+    c = pending->m() / old_m;
+    // Open the window: new writers divert to pending, then drain lock-free
+    // writers that loaded a null pending and still target live (the
+    // seq-cst pair of WindowWriter, DESIGN.md §11 "window handshake").
     shard.pending = std::move(pending);
     shard.pending_ptr.store(shard.pending.get(), std::memory_order_seq_cst);
     while (shard.live_writers.load(std::memory_order_seq_cst) != 0) {
       std::this_thread::yield();
     }
-    // live is now frozen for writers; fold-add it into pending while
-    // readers keep combining both filters. fetch_add tolerates the
-    // concurrent window writes landing in pending.
-    const uint64_t* old_words = FilterWords(*shard.live);
-    uint64_t* new_words = FilterWords(*shard.pending);
-    for (uint64_t i = 0; i < old_m; ++i) {
-      const uint64_t v = AtomicLoad(old_words[i]);
-      if (v == 0) continue;
-      for (uint64_t rep = 0; rep < c; ++rep) {
-        std::atomic_ref<uint64_t>(new_words[FoldedPosition(i, unit, c, rep)])
-            .fetch_add(v, std::memory_order_relaxed);
-      }
-    }
-    shard.pending->mutable_counters().MergeSaturationStats(
-        shard.live->counters().saturation());
-    // Swap live first, clear pending second: a reader that still observes
-    // the window combines the new filter with itself (a transient, one-
-    // sided overestimate); a reader that observes it closed is coherence-
-    // ordered after the swap and sees the folded filter. The old filter is
-    // retired, not freed — unsynchronized readers may still hold it.
-    shard.retired.push_back(std::move(shard.live));
-    shard.live = std::move(shard.pending);
-    shard.live_ptr.store(shard.live.get(), std::memory_order_release);
-    shard.pending_ptr.store(nullptr, std::memory_order_release);
-    return;
   }
-  // Locked path: the window opens under the exclusive lock; migration runs
-  // in short chunks so readers interleave between lock acquisitions.
-  uint64_t old_m = 0;
-  uint64_t unit = 0;
-  {
-    util::WriterMutexLock lock(shard.mu);
-    old_m = shard.live->m();
-    unit = ExpansionUnit(shard.live->options());
-    shard.pending = std::move(pending);
-  }
-  const uint64_t c = new_m / old_m;
-  // Minimal Increase folds in one hold: an insert landing between chunks
-  // would take its min from a counter not folded yet and skip lifting the
-  // key's folded counters, which would then read below the true count.
+  // live is now frozen for writers; fold-add it into pending while readers
+  // combine both filters. The locked arm folds in chunks so that readers
+  // interleave between lock holds; lock-free readers never take it, so
+  // that arm folds in one. So does Minimal Increase: an insert between
+  // chunks would lift from an unfolded min, leaving folded counters low.
   const uint64_t chunk =
-      options_.policy == SbfPolicy::kMinimalIncrease ? old_m : kMigrateChunk;
+      lock_free_ || options_.policy == SbfPolicy::kMinimalIncrease
+          ? old_m
+          : kMigrateChunk;
   for (uint64_t start = 0; start < old_m; start += chunk) {
     util::WriterMutexLock lock(shard.mu);
     const uint64_t end = std::min(old_m, start + chunk);
-    for (uint64_t i = start; i < end; ++i) {
-      const uint64_t v = shard.live->counters().Get(i);
-      if (v == 0) continue;
-      for (uint64_t rep = 0; rep < c; ++rep) {
-        shard.pending->mutable_counters().Increment(
-            FoldedPosition(i, unit, c, rep), v);
-      }
-    }
+    VisitCounters(lock_free_, std::as_const(*shard.live), *shard.pending,
+                  [&](const auto& from, auto& to) {
+                    AddFolded(from, to, start, end, unit, c);
+                  });
   }
   util::WriterMutexLock lock(shard.mu);
   shard.pending->set_total_items(shard.pending->total_items() +
                                  shard.live->total_items());
   shard.pending->mutable_counters().MergeSaturationStats(
       shard.live->counters().saturation());
+  // Swap live first, clear pending second (see EstimateShard). The old
+  // filter is retired, not freed: lock-free readers may still hold it.
   shard.retired.push_back(std::move(shard.live));
   shard.live = std::move(shard.pending);
   shard.live_ptr.store(shard.live.get(), std::memory_order_release);
+  shard.pending_ptr.store(nullptr, std::memory_order_release);
 }
 
 Status ConcurrentSbf::ExpandTo(uint64_t new_m) {
@@ -953,19 +828,16 @@ Status ConcurrentSbf::ExpandTo(uint64_t new_m) {
   const uint64_t new_shard_m = CeilDiv(new_m, options_.num_shards);
   if (new_shard_m != c * shard_m_) {
     // Rounding would desynchronize per-shard sizes from the fold factor
-    // (and from what Deserialize derives). Guaranteed to hold when m is a
-    // multiple of num_shards.
+    // (and from what Deserialize derives).
     return Status::InvalidArgument(
         "ExpandTo needs per-shard sizes to scale by the same factor as m "
         "(pick m divisible by num_shards)");
   }
-  // Drain buffered deltas into the pre-expansion counters so the fold
-  // migrates them; deltas buffered by racing writers during the expansion
-  // re-hash at merge time and land through the window protocol.
+  // Drain buffered deltas so the fold migrates them; deltas buffered during
+  // the expansion re-hash at merge time and land through the window.
   Flush();
-  // Allocate every shard's pending filter up front — the only fallible
-  // step — so a failure returns with the filter fully unexpanded rather
-  // than half-migrated.
+  // Allocate every shard's pending filter up front (the only fallible
+  // step), so a failure leaves the filter fully unexpanded.
   std::vector<std::unique_ptr<SpectralBloomFilter>> pendings;
   pendings.reserve(options_.num_shards);
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
@@ -1077,27 +949,25 @@ StatusOr<ConcurrentSbf> ConcurrentSbf::Deserialize(wire::ByteSpan bytes) {
 
 
 Status ConcurrentSbf::CheckInvariants() const {
+  const auto broken = [](const char* what) {
+    return Status::FailedPrecondition(std::string("concurrent SBF: ") + what);
+  };
   if (shards_.size() != options_.num_shards || options_.num_shards < 1) {
-    return Status::FailedPrecondition(
-        "concurrent SBF: shard count disagrees with options");
+    return broken("shard count disagrees with options");
   }
   if (shard_m_ != CeilDiv(options_.m, options_.num_shards)) {
-    return Status::FailedPrecondition(
-        "concurrent SBF: per-shard size disagrees with m / num_shards");
+    return broken("per-shard size disagrees with m / num_shards");
   }
   if (metrics_.num_shards() != options_.num_shards) {
-    return Status::FailedPrecondition(
-        "concurrent SBF: metrics shard count disagrees with options");
+    return broken("metrics shard count disagrees with options");
   }
   if (delta_active_) {
     if (registry_ == nullptr) {
-      return Status::FailedPrecondition(
-          "concurrent SBF: delta buffering active but registry missing");
+      return broken("delta buffering active but registry missing");
     }
     util::MutexLock lock(registry_->mu);
     if (registry_->owner != this) {
-      return Status::FailedPrecondition(
-          "concurrent SBF: delta registry owner link broken");
+      return broken("delta registry owner link broken");
     }
   }
   for (uint32_t i = 0; i < options_.num_shards; ++i) {
@@ -1105,24 +975,20 @@ Status ConcurrentSbf::CheckInvariants() const {
     // Audit requires quiescence, so the shared lock is uncontended; it
     // makes the live/pending reads provable.
     util::ReaderMutexLock lock(shard.mu);
-    if (shard.live == nullptr) {
-      return Status::FailedPrecondition(
-          "concurrent SBF: shard has no live filter");
-    }
+    if (shard.live == nullptr) return broken("shard has no live filter");
     if (shard.pending != nullptr ||
         shard.pending_ptr.load(std::memory_order_acquire) != nullptr) {
-      return Status::FailedPrecondition(
-          "concurrent SBF: shard caught inside an expansion window (audit "
-          "requires quiescence)");
+      return broken(
+          "shard caught inside an expansion window (audit requires "
+          "quiescence)");
     }
     if (shard.live_ptr.load(std::memory_order_acquire) != shard.live.get()) {
-      return Status::FailedPrecondition(
-          "concurrent SBF: shard live pointer mirror out of sync");
+      return broken("shard live pointer mirror out of sync");
     }
     if (!SameSbfOptions(shard.live->options(), ShardOptions(options_, i))) {
-      return Status::FailedPrecondition(
-          "concurrent SBF: shard filter options disagree with the derived "
-          "per-shard options");
+      return broken(
+          "shard filter options disagree with the derived per-shard "
+          "options");
     }
     const Status status = shard.live->CheckInvariants();
     if (!status.ok()) return status;

@@ -51,15 +51,17 @@ struct ConcurrentSbfOptions {
 //
 //  * The write kernel has three arms. Delta-buffered: the slice accumulates
 //    into the calling thread's delta map for the shard (below). Lock-free
-//    (kFixed64 backing + Minimum Selection): relaxed std::atomic_ref
-//    fetch_adds of each key's two's-complement delta through the prefetch
-//    pipeline, so a remove is a wrapping add. Locked (every other backing
-//    or policy): the shard's exclusive lock around the filter's own batch
-//    kernels. Epoch merges feed drained (key, net) slices through the same
-//    lock-free and locked arms.
-//  * The estimate kernel probes the shard lock-free (relaxed loads) or
-//    under its shared lock, combines both filters per probe inside an
-//    expansion window, and adds the shard's pending-op tally.
+//    (kFixed64 backing + Minimum Selection): the filter's own write
+//    pipeline and probe body over the AtomicCounters view
+//    (core/batch_kernels.h) — relaxed fetch_adds, so a remove is a
+//    wrapping add. Locked (every other backing or policy): the shard's
+//    exclusive lock around the filter's own batch kernels. Epoch merges
+//    feed drained (key, net) slices through the same lock-free and locked
+//    arms.
+//  * The estimate kernel runs the filter's MinProbe over the atomic view
+//    or under the shared lock, combines both filters per probe inside an
+//    expansion window (WindowEstimate), and adds the shard's pending-op
+//    tally.
 //
 // The compact backing's push-to-slack expansion moves neighbouring
 // counters, so locking finer than a shard is unsound; throughput scales by
@@ -80,7 +82,8 @@ struct ConcurrentSbfOptions {
 // then applies directly, because a remove merged ahead of the insert it
 // cancels would clamp at zero. Each shard keeps a pending-op tally
 // that is raised before an insert is buffered and lowered (release-
-// ordered) only after the merge applies it, and readers return
+// ordered) only after the merge applies it; it saturates, and an insert
+// it cannot cover is written directly instead of buffered. Readers return
 // shard_min + pending, so estimates never under-report completed inserts
 // even mid-epoch — the same one-sided dual-write discipline as ExpandTo's
 // expansion window. The calling thread's own buffers are drained before it
@@ -141,7 +144,7 @@ class ConcurrentSbf final : public FrequencyFilter {
   // --- algebra ------------------------------------------------------------
 
   // Pointwise counter addition of `other` into this filter (multiset
-  // union), shard by shard via the sbf_algebra UnionInto. Requires
+  // union), shard by shard (atomic adds on the lock-free arm). Requires
   // identical options (shards, m, k, seeds, policy, backing). Flushes both
   // operands' delta buffers first so mid-epoch state is never missed. Safe
   // against concurrent operations on both operands; self-merge is rejected.
@@ -314,9 +317,10 @@ class ConcurrentSbf final : public FrequencyFilter {
     // filter.total_items() is bypassed and stays zero ---------------------
     alignas(64) std::atomic<uint64_t> net_items{0};
     // -- line 3: occurrences buffered in delta maps (or being merged) but
-    // not yet applied to the counters. Raised before an insert is
-    // buffered; lowered with release order only after the merge applies
-    // it. Readers acquire-load it and add it to the shard minimum. --------
+    // not yet applied to the counters. Raised (by a saturating CAS) before
+    // an insert is buffered; lowered with release order only after the
+    // merge applies it. Readers acquire-load it and add it to the shard
+    // minimum. -------------------------------------------------------------
     alignas(64) mutable std::atomic<uint64_t> pending_ops{0};
     // -- line 4: the shard lock (locked path writers/readers; guards the
     // unique_ptrs) --------------------------------------------------------
@@ -333,11 +337,6 @@ class ConcurrentSbf final : public FrequencyFilter {
   // lock-free writer enters and leaves a shard (defined in the .cc).
   class WindowWriter;
 
-  // Raw 64-bit counter words of a filter's kFixed64 backing (counter i is
-  // exactly word i), the substrate of the atomic fast path.
-  static uint64_t* FilterWords(SpectralBloomFilter& f);
-  static const uint64_t* FilterWords(const SpectralBloomFilter& f);
-
   // The per-shard write kernel over a shard-local slice (keys[0..n) all
   // route to one shard). With a `buffer` (the calling thread's DeltaSet,
   // which it locks) the slice is delta-buffered; otherwise it is applied
@@ -350,11 +349,6 @@ class ConcurrentSbf final : public FrequencyFilter {
   // keys[i] (plus its pending-op tally on the delta path).
   void EstimateShard(uint32_t shard_index, const uint64_t* keys, size_t n,
                      uint64_t* out) const;
-  // Per-probe combined estimates across a dual-write window.
-  void CombinedEstimate(const SpectralBloomFilter& live,
-                        const SpectralBloomFilter& pending,
-                        const uint64_t* keys, size_t n, uint64_t* out,
-                        bool atomic_reads) const;
   void ExpandShard(Shard& shard, std::unique_ptr<SpectralBloomFilter> pending);
 
   // --- delta-buffer plumbing (active iff delta_active_) -------------------
@@ -394,6 +388,15 @@ class ConcurrentSbf final : public FrequencyFilter {
 // Per-shard SbfOptions for shard `index` of a sharded filter with the
 // given options (exposed for tests and for Deserialize validation).
 SbfOptions ShardOptions(const ConcurrentSbfOptions& options, uint32_t index);
+
+// The estimates of keys[0..n) for a shard inside an expansion's dual-write
+// window (`pending` is `live`'s c-fold target): MinProbe over pending plus
+// the folded live counters, which for quiescent Minimum Selection filters
+// equals live.ExpandTo(pending.m()) plus pending's inserts. Lock-free
+// shards are read with relaxed atomics; any other shard needs its lock.
+void WindowEstimate(const SpectralBloomFilter& live,
+                    const SpectralBloomFilter& pending, const uint64_t* keys,
+                    size_t n, uint64_t* out);
 
 }  // namespace sbf
 

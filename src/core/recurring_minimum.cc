@@ -24,6 +24,21 @@ SbfOptions PrimaryOptions(const RecurringMinimumOptions& options) {
   return sbf;
 }
 
+bool SecondaryCanAbsorb(const SpectralBloomFilter& secondary, uint64_t key,
+                        uint64_t count) {
+  uint64_t positions[HashFamily::kMaxK];
+  const uint32_t k = secondary.k();
+  secondary.Positions(key, positions);
+  for (uint32_t i = 0; i < k; ++i) {
+    const uint64_t multiplicity =
+        std::count(positions, positions + k, positions[i]);
+    if (secondary.counters().Get(positions[i]) < count * multiplicity) {
+      return false;
+    }
+  }
+  return true;
+}
+
 SbfOptions SecondaryOptions(const RecurringMinimumOptions& options) {
   SbfOptions sbf = PrimaryOptions(options);
   sbf.m = options.secondary_m;
@@ -102,17 +117,7 @@ void RecurringMinimumSbf::Remove(uint64_t key, uint64_t count) {
   // repeat (two hash functions may agree), so each counter must cover
   // count times its multiplicity among the k positions.
   if (primary_.HasRecurringMinimum(key) && !MarkedInSecondary(key)) return;
-  uint64_t positions[HashFamily::kMaxK];
-  const uint32_t k = secondary_.k();
-  secondary_.Positions(key, positions);
-  bool can_absorb = true;
-  for (uint32_t i = 0; i < k && can_absorb; ++i) {
-    uint64_t multiplicity = 0;
-    for (uint32_t j = 0; j < k; ++j) multiplicity += (positions[j] == positions[i]);
-    can_absorb =
-        secondary_.counters().Get(positions[i]) >= count * multiplicity;
-  }
-  if (can_absorb) secondary_.Remove(key, count);
+  if (SecondaryCanAbsorb(secondary_, key, count)) secondary_.Remove(key, count);
 }
 
 uint64_t RecurringMinimumSbf::Estimate(uint64_t key) const {

@@ -37,6 +37,13 @@ struct RecurringMinimumOptions {
 SbfOptions PrimaryOptions(const RecurringMinimumOptions& options);
 SbfOptions SecondaryOptions(const RecurringMinimumOptions& options);
 
+// True when removing `count` occurrences of `key` from an RM secondary
+// takes no counter below zero: each of the key's counters holds `count`
+// times the number of its probes landing there (positions can repeat).
+// RM and TRM remove from their secondary only then.
+bool SecondaryCanAbsorb(const SpectralBloomFilter& secondary, uint64_t key,
+                        uint64_t count);
+
 // The Recurring Minimum algorithm (paper Section 3.3).
 //
 // Observation: an item suffering a Bloom error rarely has a *recurring*

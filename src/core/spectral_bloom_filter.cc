@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <type_traits>
+#include <utility>
 
 #include "core/batch_kernels.h"
 #include "core/simd_kernels.h"
-#include "sai/compact_counter_vector.h"
 #include "sai/fixed_counter_vector.h"
 #include "sai/serial_scan_counter_vector.h"
 #include "util/check.h"
@@ -132,78 +132,6 @@ SpectralBloomFilter& SpectralBloomFilter::operator=(
 }
 
 namespace {
-
-// Dispatch. Every op picks its backing (and a batch its addressing) once
-// per call; the per-key bodies of core/batch_kernels.h (WriteProbe,
-// MinProbe) then run devirtualized over the concrete backing, from the
-// point ops and the batch pipelines alike. A batch changes only the memory
-// schedule (positions hashed kBatchWindow keys ahead, counters
-// prefetched), never the result.
-
-template <typename Base, typename T>
-using SameConst = std::conditional_t<std::is_const_v<Base>, const T, T>;
-
-// Calls fn(cv) with `cv` downcast to the backing's final type, keeping
-// its constness, so the probe functors' counter calls inline.
-template <typename Base, typename Fn>
-void VisitBacking(CounterBacking backing, Base& cv, Fn&& fn) {
-  switch (backing) {
-    case CounterBacking::kFixed64:
-    case CounterBacking::kFixed32:
-    case CounterBacking::kSticky4:
-      fn(static_cast<SameConst<Base, FixedWidthCounterVector>&>(cv));
-      return;
-    case CounterBacking::kCompact:
-      fn(static_cast<SameConst<Base, CompactCounterVector>&>(cv));
-      return;
-    case CounterBacking::kSerialScan:
-      fn(static_cast<SameConst<Base, SerialScanCounterVector>&>(cv));
-      return;
-  }
-}
-
-// Stage-1 prefetch for the blocked layout: every probe of a key lands in
-// its block, so one hint per block replaces one per position. Fixed-width
-// backings recover the block's first word from any position and hint the
-// whole block (a second line for blocks wider than 64 bytes); the
-// scan-based backings hint the first probe's group.
-struct PrefetchBlock {
-  uint64_t block_size;
-  template <typename CV>
-  void operator()(const CV& cv, const uint64_t* pos) const {
-    if constexpr (std::is_same_v<CV, FixedWidthCounterVector>) {
-      const uint64_t base = pos[0] / block_size * block_size;
-      const uint64_t* first = cv.words() + (base * cv.width_bits() >> 6);
-      SBF_PREFETCH(first);
-      if (block_size * cv.width_bits() > 512) SBF_PREFETCH(first + 8);
-    } else {
-      cv.PrefetchCounter(pos[0]);
-    }
-  }
-};
-
-// Calls fn(pos_of, prefetch) with the filter's addressing: the stage-1
-// position functor and prefetch hint of BatchPipeline. Both compute what
-// SpectralBloomFilter::Positions computes, with the layout branch hoisted
-// out of the per-key loop.
-template <typename Fn>
-void WithAddressing(const SpectralBloomFilter& filter, Fn&& fn) {
-  const HashFamily& hash = filter.hash();
-  const uint32_t k = filter.k();
-  const uint64_t block_size = filter.block_size();
-  if (block_size == 0) {
-    fn([&hash](uint64_t key, uint64_t* pos) { hash.Positions(key, pos); },
-       PrefetchEachPosition{k});
-    return;
-  }
-  fn(
-      [&filter, &hash, k, block_size](uint64_t key, uint64_t* pos) {
-        const uint64_t base = filter.BlockOf(key) * block_size;
-        hash.Positions(key, pos);
-        for (uint32_t j = 0; j < k; ++j) pos[j] += base;
-      },
-      PrefetchBlock{block_size});
-}
 
 // Blocked geometries the SIMD block kernels serve (simd_kernels.h): one
 // 64-byte block of a fixed-width backing under multiply-shift hashing.
@@ -332,30 +260,29 @@ void SpectralBloomFilter::EstimateBatch(const uint64_t* keys, size_t n,
                        options_.backing == CounterBacking::kFixed32);
   VisitBacking(options_.backing, *counters_, [&](const auto& cv) {
     using CV = std::decay_t<decltype(cv)>;
-    WithAddressing(*this, [&](auto pos_of, auto prefetch) {
-      if constexpr (std::is_same_v<CV, FixedWidthCounterVector>) {
-        if (gather) {
-          // Vectorized gathered min over the k absolute positions (the
-          // flat layout has no single-line locality to exploit, but the
-          // min reduction itself vectorizes; see core/simd_kernels.h).
-          const uint64_t* words = cv.words();
-          const auto gather_min =
-              options_.backing == CounterBacking::kFixed64 ? kn.gather_min64
-                                                           : kn.gather_min32;
-          BatchPipeline(cv, keys, n, pos_of, prefetch,
-                        [gather_min, words, k, out](const CV&,
-                                                    const uint64_t* pos,
-                                                    size_t i) {
-                          out[i] = gather_min(words, pos, k);
-                        });
-          return;
-        }
+    if constexpr (std::is_same_v<CV, FixedWidthCounterVector>) {
+      if (gather) {
+        // Vectorized gathered min over the k absolute positions (the flat
+        // layout has no single-line locality to exploit, but the min
+        // reduction itself vectorizes; see core/simd_kernels.h).
+        const uint64_t* words = cv.words();
+        const auto gather_min = options_.backing == CounterBacking::kFixed64
+                                    ? kn.gather_min64
+                                    : kn.gather_min32;
+        BatchPipeline(cv, keys, n,
+                      [&hash = hash_](uint64_t key, uint64_t* pos) {
+                        hash.Positions(key, pos);
+                      },
+                      PrefetchEachPosition{k},
+                      [gather_min, words, k, out](const CV&,
+                                                  const uint64_t* pos,
+                                                  size_t i) {
+                        out[i] = gather_min(words, pos, k);
+                      });
+        return;
       }
-      BatchPipeline(cv, keys, n, pos_of, prefetch,
-                    [k, out](const CV& c, const uint64_t* pos, size_t i) {
-                      out[i] = MinProbe(c, pos, k);
-                    });
-    });
+    }
+    MinPipeline(cv, *this, keys, n, out);
   });
 }
 
@@ -440,16 +367,8 @@ void SpectralBloomFilter::Apply(const SbfWrite& write) {
     return;
   }
 
-  VisitBacking(options_.backing, *counters_, [&](auto& cv) {
-    using CV = std::decay_t<decltype(cv)>;
-    WithAddressing(*this, [&](auto pos_of, auto prefetch) {
-      BatchPipeline(cv, write.keys, write.n, pos_of, prefetch,
-                    [k, policy, remove, count_of](CV& c, const uint64_t* pos,
-                                                  size_t i) {
-                      WriteProbe(c, pos, k, count_of(i), policy, remove);
-                    });
-    });
-  });
+  VisitBacking(options_.backing, *counters_,
+               [&](auto& cv) { WritePipeline(cv, *this, write); });
 }
 
 size_t SpectralBloomFilter::MemoryUsageBits() const {
@@ -506,30 +425,6 @@ FilterHealth SpectralBloomFilter::Health() const {
   return health;
 }
 
-namespace {
-
-// Copies every old counter's value onto its c-position preimage set in the
-// expanded vector (FoldedPosition in the header).
-void FoldExpandCounters(const CounterVector& old_cv, uint64_t c,
-                        uint64_t unit, CounterVector* next) {
-  const size_t old_m = old_cv.size();
-  constexpr size_t kChunk = 256;
-  uint64_t values[kChunk];
-  for (size_t base = 0; base < old_m; base += kChunk) {
-    const size_t len = std::min(kChunk, old_m - base);
-    old_cv.DecodeBlock(base, len, values);
-    for (size_t j = 0; j < len; ++j) {
-      if (values[j] == 0) continue;
-      const uint64_t i = base + j;
-      for (uint64_t rep = 0; rep < c; ++rep) {
-        next->Set(FoldedPosition(i, unit, c, rep), values[j]);
-      }
-    }
-  }
-}
-
-}  // namespace
-
 Status SpectralBloomFilter::ExpandTo(uint64_t new_m) {
   if (new_m == options_.m) return Status::Ok();
   if (new_m < options_.m || new_m % options_.m != 0) {
@@ -542,13 +437,19 @@ Status SpectralBloomFilter::ExpandTo(uint64_t new_m) {
   const uint64_t c = new_m / options_.m;
   std::unique_ptr<CounterVector> next =
       MakeCounterVector(options_.backing, new_m);
-  FoldExpandCounters(*counters_, c, ExpansionUnit(options_), next.get());
+  const uint64_t unit = ExpansionUnit(options_);
+  VisitBacking(options_.backing, std::as_const(*counters_),
+               [&](const auto& from) {
+                 using CV = std::decay_t<decltype(from)>;
+                 AddFolded</*kOntoZero=*/true>(
+                     from, static_cast<CV&>(*next), 0, options_.m, unit, c);
+               });
   next->MergeSaturationStats(counters_->saturation());
   counters_ = std::move(next);
   options_.m = new_m;
   // Same seed, larger range: the families derive every per-probe
   // parameter from the seed alone, so rebuilding them keeps the position
-  // correspondence FoldExpandCounters relied on.
+  // correspondence the fold relied on.
   hash_ = ProbeFamily(options_);
   block_hash_ = BlockRouter(options_);
   SBF_AUDIT_INVARIANTS(*this);

@@ -38,18 +38,14 @@ void TrappingRmSbf::FireTrapsHitBy(uint64_t key, const uint64_t* positions) {
     const uint64_t trapped_key = owner->second;
     const uint64_t stepping_estimate = primary_.Estimate(key);
     const uint64_t trapped_primary_min = primary_.Estimate(trapped_key);
-    uint64_t secondary_positions[HashFamily::kMaxK];
-    secondary_.Positions(trapped_key, secondary_positions);
-    uint64_t secondary_min = ~0ull;
-    for (uint32_t j = 0; j < options_.k; ++j) {
-      secondary_min = std::min(
-          secondary_min, secondary_.counters().Get(secondary_positions[j]));
-    }
+    const uint64_t secondary_min = secondary_.Estimate(trapped_key);
     const uint64_t provable_excess = secondary_min > trapped_primary_min
                                          ? secondary_min - trapped_primary_min
                                          : 0;
     const uint64_t reduce = std::min(stepping_estimate, provable_excess);
     if (reduce > 0) {
+      uint64_t secondary_positions[HashFamily::kMaxK];
+      secondary_.Positions(trapped_key, secondary_positions);
       for (uint32_t j = 0; j < options_.k; ++j) {
         // Clamp per position: duplicate hash positions would otherwise be
         // decremented twice.
@@ -112,20 +108,8 @@ void TrappingRmSbf::Insert(uint64_t key, uint64_t count) {
 
 void TrappingRmSbf::Remove(uint64_t key, uint64_t count) {
   primary_.Remove(key, count);
-  // See RecurringMinimumSbf::Remove — the absorption check accounts for
-  // repeated positions.
-  uint64_t positions[HashFamily::kMaxK];
-  secondary_.Positions(key, positions);
-  bool can_absorb = true;
-  for (uint32_t i = 0; i < options_.k && can_absorb; ++i) {
-    uint64_t multiplicity = 0;
-    for (uint32_t j = 0; j < options_.k; ++j) {
-      multiplicity += (positions[j] == positions[i]);
-    }
-    can_absorb =
-        secondary_.counters().Get(positions[i]) >= count * multiplicity;
-  }
-  if (can_absorb) secondary_.Remove(key, count);
+  // See RecurringMinimumSbf::Remove.
+  if (SecondaryCanAbsorb(secondary_, key, count)) secondary_.Remove(key, count);
 }
 
 uint64_t TrappingRmSbf::Estimate(uint64_t key) const {

@@ -32,23 +32,6 @@ uint64_t CounterVector::Total() const {
   return total;
 }
 
-OccupancyCounts CounterVector::ScanOccupancy() const {
-  constexpr size_t kChunk = 256;
-  uint64_t values[kChunk];
-  OccupancyCounts counts;
-  const uint64_t max = MaxValue();
-  const size_t n = size();
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t len = std::min(kChunk, n - base);
-    DecodeBlock(base, len, values);
-    for (size_t j = 0; j < len; ++j) {
-      counts.nonzero += values[j] > 0;
-      counts.saturated += values[j] == max;
-    }
-  }
-  return counts;
-}
-
 std::unique_ptr<CounterVector> MakeCounterVector(CounterBacking backing,
                                                  size_t m) {
   switch (backing) {

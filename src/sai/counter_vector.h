@@ -33,6 +33,26 @@ struct OccupancyCounts {
   uint64_t saturated = 0;  // counters pinned at the backing's MaxValue()
 };
 
+// One occupancy sweep over counters [0, n) of `cv`, chunked through its
+// DecodeBlock: the body of CounterVector::ScanOccupancy, and of the
+// concurrent frontend's health scan over any of its counter types.
+template <typename CV>
+OccupancyCounts ScanOccupancyOf(const CV& cv, size_t n) {
+  constexpr size_t kChunk = 256;
+  uint64_t values[kChunk];
+  OccupancyCounts counts;
+  const uint64_t max = cv.MaxValue();
+  for (size_t base = 0; base < n; base += kChunk) {
+    const size_t len = n - base < kChunk ? n - base : kChunk;
+    cv.DecodeBlock(base, len, values);
+    for (size_t j = 0; j < len; ++j) {
+      counts.nonzero += values[j] > 0;
+      counts.saturated += values[j] == max;
+    }
+  }
+  return counts;
+}
+
 // Abstract array of m non-negative counters — the storage substrate of the
 // Spectral Bloom Filter. Implementations trade compactness for speed:
 //
@@ -141,7 +161,9 @@ class CounterVector {
 
   // One sweep over the counters tallying occupancy for health reporting,
   // chunked through DecodeBlock like Total().
-  [[nodiscard]] OccupancyCounts ScanOccupancy() const;
+  [[nodiscard]] OccupancyCounts ScanOccupancy() const {
+    return ScanOccupancyOf(*this, size());
+  }
 
   // Clamp-event tallies since construction (clones inherit the tallies of
   // their source; deserialized vectors start at zero).

@@ -20,6 +20,9 @@ namespace sbf {
 // without it are kFixed64 and kFixed32.
 class FixedWidthCounterVector final : public CounterVector {
  public:
+  // Get is one load: core/batch_kernels.h's MinProbe reads every probe.
+  static constexpr bool kBranchFreeMin = true;
+
   FixedWidthCounterVector(size_t m, uint32_t width_bits,
                           bool sticky_saturation = false);
 
@@ -82,8 +85,8 @@ class FixedWidthCounterVector final : public CounterVector {
   [[nodiscard]] bool sticky_saturation() const noexcept { return sticky_; }
 
   // Raw backing words. For the 64-bit-wide configuration counter i is
-  // exactly word i — the layout the concurrent frontend's std::atomic_ref
-  // fast path relies on (core/concurrent_sbf.h).
+  // exactly word i — the layout the lock-free arm's AtomicCounters view
+  // relies on (core/batch_kernels.h).
   [[nodiscard]] const uint64_t* words() const noexcept {
     return bits_.words();
   }

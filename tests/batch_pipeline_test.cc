@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -182,19 +183,12 @@ class ReferenceSbf {
     total_items_ += count;
   }
 
+  // Both policies decrement every probe, clamping (and tallying) at zero.
   void Remove(uint64_t key, uint64_t count) {
     uint64_t positions[HashFamily::kMaxK];
     shape_.Positions(key, positions);
-    const uint32_t k = shape_.k();
-    if (shape_.options().policy == SbfPolicy::kMinimumSelection) {
-      for (uint32_t i = 0; i < k; ++i) {
-        counters_->Decrement(positions[i], count);
-      }
-    } else {
-      for (uint32_t i = 0; i < k; ++i) {
-        const uint64_t v = counters_->Get(positions[i]);
-        counters_->Set(positions[i], v >= count ? v - count : 0);
-      }
+    for (uint32_t i = 0; i < shape_.k(); ++i) {
+      counters_->Decrement(positions[i], count);
     }
     total_items_ -= std::min(total_items_, count);
   }
@@ -466,6 +460,99 @@ TEST(BatchPipelineTest, ConcurrentSbfLockFreeAndLocked) {
   RunAllKeySets("CSBF/fixed64/MI (locked)",
                 ConcurrentFactory(SbfPolicy::kMinimalIncrease,
                                   CounterBacking::kFixed64));
+}
+
+// The lock-free arm (fixed64 + MS) against per-shard virtual references:
+// reference shard s is built on ShardOptions(options, s) and fed the keys
+// ShardOf routes to it. Removes take back only inserted occurrences, so
+// neither side clamps and the wrapping atomic counters must equal the
+// reference exactly, through point ops, batches, removes and Flush, with
+// delta buffering off and on (its small merge threshold forces epoch
+// merges mid-script).
+TEST(BatchPipelineTest, ConcurrentSbfLockFreeMatchesVirtualReference) {
+  for (const bool delta : {false, true}) {
+    ConcurrentSbfOptions options;
+    options.m = 4 * 512;
+    options.k = kK;
+    options.backing = CounterBacking::kFixed64;
+    options.num_shards = 4;
+    options.seed = 61;
+    options.delta.enabled = delta;
+    options.delta.merge_keys = 16;
+    ConcurrentSbf filter(options);
+    ASSERT_TRUE(filter.IsLockFree());
+    ASSERT_EQ(filter.IsDeltaBuffered(), delta);
+    std::vector<SpectralBloomFilter> shapes;
+    shapes.reserve(options.num_shards);
+    std::vector<ReferenceSbf> refs;
+    refs.reserve(options.num_shards);
+    for (uint32_t s = 0; s < options.num_shards; ++s) {
+      shapes.emplace_back(ShardOptions(options, s));
+      refs.emplace_back(shapes.back());
+    }
+    const auto ref_of = [&](uint64_t key) -> ReferenceSbf& {
+      return refs[filter.ShardOf(key)];
+    };
+    const auto expect_same = [&](const std::string& at) {
+      filter.Flush();
+      uint64_t total = 0;
+      for (uint32_t s = 0; s < options.num_shards; ++s) {
+        // The lock-free arm tallies items outside the shard filter; the
+        // snapshot carries them.
+        ExpectSameState(filter.SnapshotShard(s), refs[s], at);
+        total += refs[s].total_items();
+      }
+      EXPECT_EQ(filter.TotalItems(), total) << at;
+    };
+
+    Xoshiro256 rng(delta ? 71 : 73);
+    const std::vector<uint64_t> pool = RandomKeys(48, 0x5EED);
+    std::map<uint64_t, uint64_t> inserted;
+    for (int step = 0; step < 120; ++step) {
+      const std::string at = std::string(delta ? "delta" : "direct") +
+                             " step " + std::to_string(step);
+      const uint64_t key = pool[rng.UniformInt(pool.size())];
+      const uint64_t count = 1 + rng.UniformInt(3);
+      switch (rng.UniformInt(4)) {
+        case 0:
+          filter.Insert(key, count);
+          ref_of(key).Insert(key, count);
+          inserted[key] += count;
+          break;
+        case 1: {
+          std::vector<uint64_t> keys(1 + rng.UniformInt(40));
+          for (auto& k : keys) k = pool[rng.UniformInt(pool.size())];
+          filter.InsertBatch(keys.data(), keys.size(), count);
+          for (uint64_t k : keys) {
+            ref_of(k).Insert(k, count);
+            inserted[k] += count;
+          }
+          break;
+        }
+        case 2:
+          if (inserted[key] == 0) break;
+          {
+            const uint64_t take = 1 + rng.UniformInt(inserted[key]);
+            filter.Remove(key, take);
+            ref_of(key).Remove(key, take);
+            inserted[key] -= take;
+          }
+          break;
+        default:
+          ASSERT_NO_FATAL_FAILURE(expect_same(at));
+      }
+      ASSERT_EQ(filter.Estimate(key), ref_of(key).Estimate(key)) << at;
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same("final"));
+    std::vector<uint64_t> queries = pool;
+    const std::vector<uint64_t> unseen = RandomKeys(64, 0xE57);
+    queries.insert(queries.end(), unseen.begin(), unseen.end());
+    std::vector<uint64_t> got(queries.size());
+    filter.EstimateBatch(queries.data(), queries.size(), got.data());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(got[i], ref_of(queries[i]).Estimate(queries[i])) << i;
+    }
+  }
 }
 
 TEST(BatchPipelineTest, ConcurrentSbfShardSkewedKeys) {

@@ -508,6 +508,61 @@ TEST(ConcurrentDeltaTest, CrossThreadCountsPastTwoToTheSixtyFourSaturate) {
   second.join();
 }
 
+// The shard pending tally saturates instead of wrapping: two parked
+// threads buffer inserts into one shard whose counts sum past 2^64 - 1.
+// The second slice cannot be covered, so it is written directly; a third
+// thread's estimate of the first key still covers its parked occurrences,
+// and every reservation is released once the writers exit.
+TEST(ConcurrentDeltaTest, PendingTallySaturatesAcrossParkedThreads) {
+  constexpr uint64_t kMax = ~uint64_t{0};
+  auto options = MakeDeltaOptions(CounterBacking::kCompact, 4, /*seed=*/0);
+  options.m = 2400;
+  options.delta.merge_keys = 1u << 20;
+  options.delta.max_epoch_micros = 0;
+  ConcurrentSbf filter(options);
+  ASSERT_EQ(filter.ShardOf(7), filter.ShardOf(8));
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int parked = 0;
+  bool release = false;
+  const auto park = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    ++parked;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  std::thread first([&] {
+    filter.Insert(7, kMax - 40);
+    park();
+  });
+  std::thread second([&] {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return parked == 1; });
+    }
+    filter.Insert(8, 100);
+    park();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked == 2; });
+  }
+  EXPECT_GE(filter.Estimate(7), kMax - 40);
+  EXPECT_GE(filter.Estimate(8), 100u);
+  EXPECT_GE(filter.PendingDeltaOps(), kMax - 40);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  first.join();
+  second.join();
+  EXPECT_EQ(filter.PendingDeltaOps(), 0u);
+  EXPECT_GE(filter.Estimate(7), kMax - 40);
+  EXPECT_GE(filter.Estimate(8), 100u);
+}
+
 // Pins the per-thread clamp: the default 1024-slot maps shrink only once
 // num_shards * capacity * 17 B would pass 4 MiB per writing thread, and
 // merge_keys follows at capacity / 2. A writing thread's footprint is its

@@ -411,6 +411,47 @@ TEST(ConcurrentExpandArgsTest, DoubleMixExpansionPreservesProbes) {
   }
 }
 
+// The estimate inside an expansion's dual-write window, without threads:
+// WindowEstimate over a shard's live filter and its pending target must
+// equal the serial reference, live.ExpandTo() plus the inserts that landed
+// in pending. Minimum Selection adds commute, so the two agree exactly on
+// the lock-free arm (fixed64, read through the atomic view) and the
+// locked one (compact), under both hash kinds.
+TEST(ConcurrentExpandArgsTest, WindowEstimateMatchesSerialExpansion) {
+  for (const CounterBacking backing :
+       {CounterBacking::kFixed64, CounterBacking::kCompact}) {
+    for (const auto kind : {HashFamily::Kind::kModuloMultiply,
+                            HashFamily::Kind::kDoubleMix}) {
+      ConcurrentSbfOptions options =
+          ConcurrentOptions(backing, SbfPolicy::kMinimumSelection);
+      options.hash_kind = kind;
+      const SbfOptions shard = ShardOptions(options, 1);
+      SbfOptions expanded = shard;
+      expanded.m = 3 * shard.m;
+      SpectralBloomFilter live(shard);
+      SpectralBloomFilter pending(expanded);
+      Xoshiro256 rng(41);
+      std::vector<uint64_t> queries(kProbeKeys);
+      for (auto& key : queries) key = rng.UniformInt(4 * kProbeKeys);
+      for (size_t i = 0; i < 400; ++i) live.Insert(queries[i], 1 + i % 3);
+      SpectralBloomFilter serial = live;
+      ASSERT_TRUE(serial.ExpandTo(expanded.m).ok());
+      // In-window inserts: some keys seen before the window, some new.
+      for (size_t i = 200; i < 600; ++i) {
+        pending.Insert(queries[i], 1 + i % 2);
+        serial.Insert(queries[i], 1 + i % 2);
+      }
+      std::vector<uint64_t> got(queries.size());
+      WindowEstimate(live, pending, queries.data(), queries.size(),
+                     got.data());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_EQ(got[i], serial.Estimate(queries[i]))
+            << CounterBackingName(backing) << " query " << i;
+      }
+    }
+  }
+}
+
 TEST(ConcurrentExpandArgsTest, RejectsShardMisalignedSizes) {
   ConcurrentSbfOptions options;
   options.m = 100;  // CeilDiv(100, 8) = 13, but CeilDiv(200, 8) = 25 != 26

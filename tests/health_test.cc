@@ -151,6 +151,32 @@ TEST(SbfHealthTest, RemoveBelowZeroClampsAndTallies) {
   }
 }
 
+// A Minimal Increase remove decrements every probe like a Minimum Selection
+// remove, so its clamped deletions (the Figure 8 false negatives) show up
+// in the same underflow tally.
+TEST(SbfHealthTest, MinimalIncreaseRemoveTalliesLikeMinimumSelection) {
+  for (CounterBacking backing :
+       {CounterBacking::kFixed64, CounterBacking::kFixed32,
+        CounterBacking::kCompact, CounterBacking::kSerialScan}) {
+    SbfOptions options;
+    options.m = 128;
+    options.k = 4;
+    options.backing = backing;
+    SpectralBloomFilter ms(options);
+    options.policy = SbfPolicy::kMinimalIncrease;
+    SpectralBloomFilter mi(options);
+    for (SpectralBloomFilter* filter : {&ms, &mi}) {
+      filter->Insert(1, 2);
+      filter->Remove(1, 5);
+    }
+    EXPECT_EQ(mi.Health().underflow_clamps, ms.Health().underflow_clamps)
+        << CounterBackingName(backing);
+    EXPECT_EQ(mi.Health().underflow_clamps, options.k)
+        << CounterBackingName(backing);
+    EXPECT_EQ(mi.Estimate(1), 0u) << CounterBackingName(backing);
+  }
+}
+
 // --- other frontends -------------------------------------------------------
 
 TEST(CountingBloomHealthTest, StickySaturationReportsSaturated) {
