@@ -199,10 +199,7 @@ int CmdInfo(int argc, char** argv) {
   bool ok = false;
   const SpectralBloomFilter filter = Load(argv[2], &ok);
   if (!ok) return 1;
-  uint64_t nonzero = 0;
-  for (uint64_t i = 0; i < filter.m(); ++i) {
-    nonzero += filter.counters().Get(i) > 0;
-  }
+  const uint64_t nonzero = filter.Health().nonzero_counters;
   std::printf("m=%llu k=%u policy=%s items=%s\n",
               (unsigned long long)filter.m(), filter.k(),
               filter.Name().c_str(), ItemsText(filter).c_str());

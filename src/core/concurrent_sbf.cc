@@ -79,6 +79,19 @@ bool ReservePending(std::atomic<uint64_t>& tally, uint64_t amount) {
   return true;
 }
 
+// a + b, held at 2^64 - 1 rather than wrapping to an underestimate.
+uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  return std::min(a, ~uint64_t{0} - b) + b;
+}
+
+// A shard's N: its net item tally read as a signed count clamped at zero,
+// so removes of never-inserted occurrences read as an empty shard.
+uint64_t ItemsOf(const std::atomic<uint64_t>& net_items) {
+  const auto net = static_cast<int64_t>(
+      net_items.load(std::memory_order_relaxed));
+  return net < 0 ? 0 : static_cast<uint64_t>(net);
+}
+
 // Calls fn(live) with a shard's serving filter: read through the atomic
 // pointer on the lock-free arm, under the shared lock otherwise.
 template <typename Shard, typename Fn>
@@ -221,7 +234,7 @@ ConcurrentSbf& ConcurrentSbf::operator=(ConcurrentSbf&& other) noexcept {
 
 void ConcurrentSbf::DetachRegistry() {
   if (registry_ == nullptr) return;
-  FlushAllBuffers();
+  Flush();
   {
     util::MutexLock lock(registry_->mu);
     registry_->owner = nullptr;
@@ -338,6 +351,12 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const SbfWrite& write,
     if (ShouldMergeEpoch(set, state)) MergeShardDelta(set, shard_index);
     return;
   }
+  // An epoch merge's nets were tallied when buffered (ShardState::
+  // net_ops); the merge adds that tally to net_items itself.
+  if (write.counts == nullptr) {
+    const uint64_t delta = write.remove ? ~write.count + 1 : write.count;
+    shard.net_items.fetch_add(write.n * delta, std::memory_order_relaxed);
+  }
   if (lock_free_) {
     // Relaxed atomic adds; a remove is a wrapping add, so one landing in
     // pending while its paired insert went to live still cancels exactly
@@ -345,12 +364,6 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const SbfWrite& write,
     WindowWriter window(shard);
     AtomicCounters view = AtomicView(window.target());
     WritePipeline(view, window.target(), write);
-    // An epoch merge's nets were tallied when buffered (ShardState::
-    // net_ops); the merge folds that tally into net_items itself.
-    if (write.counts == nullptr) {
-      const uint64_t delta = write.remove ? ~write.count + 1 : write.count;
-      shard.net_items.fetch_add(write.n * delta, std::memory_order_relaxed);
-    }
     return;
   }
   util::WriterMutexLock lock(shard.mu);
@@ -396,10 +409,7 @@ void ConcurrentSbf::EstimateShard(uint32_t shard_index, const uint64_t* keys,
     }
   }
   if (buffered > 0) {
-    // Saturating: past 2^64 - 1 the sum must not wrap to an underestimate.
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = std::min(out[i], ~uint64_t{0} - buffered) + buffered;
-    }
+    for (size_t i = 0; i < n; ++i) out[i] = SaturatingAdd(out[i], buffered);
   }
 }
 
@@ -435,9 +445,7 @@ void ConcurrentSbf::MergeShardDelta(DeltaSet& set, uint32_t shard_index) {
     const uint32_t applied = DeltaDrain(map);
     WriteShard(shard_index, {map.keys, applied, 0, false, map.nets},
                /*buffer=*/nullptr);
-    if (lock_free_) {
-      s.net_items.fetch_add(state.net_ops, std::memory_order_relaxed);
-    }
+    s.net_items.fetch_add(state.net_ops, std::memory_order_relaxed);
     state.size = 0;
     metrics_.RecordDeltaMerge(shard_index, applied);
   }
@@ -467,83 +475,21 @@ void ConcurrentSbf::DrainDeltaSet(DeltaSet& set) {
   for (uint32_t s = 0; s < options_.num_shards; ++s) MergeShardDelta(set, s);
 }
 
-void ConcurrentSbf::FlushAllBuffers() {
+void ConcurrentSbf::Flush() {
   if (!delta_active_ || registry_ == nullptr) return;
-  util::MutexLock registry_lock(registry_->mu);
-  // The canonical cross-thread drain: per shard, gather every thread's
-  // buffered entries, aggregate per key and apply in ascending key order —
-  // the flushed image is independent of which thread buffered which ops
-  // (Minimum Selection increments commute). Cold path; may allocate.
-  std::vector<std::pair<uint64_t, uint64_t>> entries;
-  std::vector<uint64_t> keys;
-  std::vector<uint64_t> nets;
-  for (uint32_t shard_index = 0; shard_index < options_.num_shards;
-       ++shard_index) {
-    entries.clear();
-    uint64_t contrib = 0;
-    uint64_t net_ops = 0;
-    for (const std::shared_ptr<DeltaSet>& set : registry_->sets) {
-      util::MutexLock set_lock(set->mu);
-      DeltaSet::ShardState& state = set->state(shard_index);
-      if (state.size > 0) {
-        metrics_.RecordDeltaBufferedPeak(shard_index, state.size);
-        const DeltaMapView map = set->map(shard_index);
-        const uint32_t drained = DeltaDrain(map);
-        for (uint32_t i = 0; i < drained; ++i) {
-          entries.emplace_back(map.keys[i], map.nets[i]);
-        }
-        state.size = 0;
-      }
-      // Transfer the tally responsibility to this drain; the shard's
-      // pending_ops itself stays raised until the counters are updated.
-      contrib += state.pending_contrib;
-      net_ops += state.net_ops;
-      state.pending_contrib = 0;
-      state.net_ops = 0;
-      state.ops_since_merge = 0;
-      state.epoch_open = false;
-    }
-    Shard& s = *shards_[shard_index];
-    if (!entries.empty()) {
-      std::sort(entries.begin(), entries.end());
-      keys.clear();
-      nets.clear();
-      for (size_t i = 0; i < entries.size();) {
-        const uint64_t key = entries[i].first;
-        uint64_t net = 0;
-        for (; i < entries.size() && entries[i].first == key; ++i) {
-          // A clamping backing's net past 2^64 - 1 goes in two entries.
-          if (!lock_free_ && entries[i].second > ~uint64_t{0} - net) {
-            keys.push_back(key);
-            nets.push_back(net);
-            net = 0;
-          }
-          net += entries[i].second;
-        }
-        if (net == 0) continue;
-        keys.push_back(key);
-        nets.push_back(net);
-      }
-      WriteShard(shard_index,
-                 {keys.data(), keys.size(), 0, false, nets.data()},
-                 /*buffer=*/nullptr);
-      metrics_.RecordDeltaMerge(shard_index, keys.size());
-    }
-    if (lock_free_ && net_ops != 0) {
-      s.net_items.fetch_add(net_ops, std::memory_order_relaxed);
-    }
-    if (contrib > 0) {
-      s.pending_ops.fetch_sub(contrib, std::memory_order_release);
-    }
+  // Thread by thread through the epoch merge: Minimum Selection adds
+  // commute, so the flushed counters do not depend on the order.
+  util::MutexLock lock(registry_->mu);
+  for (const std::shared_ptr<DeltaSet>& set : registry_->sets) {
+    DrainDeltaSet(*set);
   }
 }
 
-void ConcurrentSbf::Flush() { FlushAllBuffers(); }
-
 uint64_t ConcurrentSbf::PendingDeltaOps() const noexcept {
   uint64_t total = 0;
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    total += shards_[s]->pending_ops.load(std::memory_order_relaxed);
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    total = SaturatingAdd(
+        total, shard->pending_ops.load(std::memory_order_relaxed));
   }
   return total;
 }
@@ -657,13 +603,8 @@ Status ConcurrentSbf::Merge(const ConcurrentSbf& other) {
                   [this](const auto& from, auto& to) {
                     AddFolded(from, to, 0, shard_m_, 1, 1);
                   });
-    if (lock_free_) {
-      dst.net_items.fetch_add(src.net_items.load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-    } else {
-      dst.live->set_total_items(dst.live->total_items() +
-                                src.live->total_items());
-    }
+    dst.net_items.fetch_add(src.net_items.load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
   }
   SBF_AUDIT_INVARIANTS(*this);
   return Status::Ok();
@@ -672,33 +613,29 @@ Status ConcurrentSbf::Merge(const ConcurrentSbf& other) {
 SpectralBloomFilter ConcurrentSbf::SnapshotShard(size_t i) const {
   const_cast<ConcurrentSbf*>(this)->Flush();
   const Shard& shard = *shards_[i];
-  if (lock_free_) {
+  SpectralBloomFilter snap = [&]() -> SpectralBloomFilter {
+    if (!lock_free_) {
+      util::ReaderMutexLock lock(shard.mu);
+      return *shard.live;
+    }
     const SpectralBloomFilter& live =
         *shard.live_ptr.load(std::memory_order_acquire);
-    SpectralBloomFilter snap = live.CloneEmpty();
-    VisitCounters(/*atomic=*/true, live, snap,
+    SpectralBloomFilter copy = live.CloneEmpty();
+    VisitCounters(/*atomic=*/true, live, copy,
                   [&live](const auto& from, auto& to) {
                     AddFolded(from, to, 0, live.m(), 1, 1);
                   });
-    snap.set_total_items(shard.net_items.load(std::memory_order_relaxed));
-    return snap;
-  }
-  util::ReaderMutexLock lock(shard.mu);
-  return *shard.live;
+    return copy;
+  }();
+  snap.set_total_items(ItemsOf(shard.net_items));
+  return snap;
 }
 
 uint64_t ConcurrentSbf::TotalItems() const {
   const_cast<ConcurrentSbf*>(this)->Flush();
   uint64_t total = 0;
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    const Shard& shard = *shards_[s];
-    if (lock_free_) {
-      total += shard.net_items.load(std::memory_order_relaxed);
-    } else {
-      util::ReaderMutexLock lock(shard.mu);
-      total += shard.live->total_items();
-      if (shard.pending) total += shard.pending->total_items();
-    }
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    total = SaturatingAdd(total, ItemsOf(shard->net_items));
   }
   return total;
 }
@@ -806,8 +743,6 @@ void ConcurrentSbf::ExpandShard(Shard& shard,
                   });
   }
   util::WriterMutexLock lock(shard.mu);
-  shard.pending->set_total_items(shard.pending->total_items() +
-                                 shard.live->total_items());
   shard.pending->mutable_counters().MergeSaturationStats(
       shard.live->counters().saturation());
   // Swap live first, clear pending second (see EstimateShard). The old
@@ -937,11 +872,9 @@ StatusOr<ConcurrentSbf> ConcurrentSbf::Deserialize(wire::ByteSpan bytes) {
     util::WriterMutexLock lock(shard.mu);
     // Assign through the stable live object so live_ptr stays valid.
     *shard.live = std::move(shard_filters[s]);
-    if (filter.lock_free_) {
-      shard.net_items.store(shard.live->total_items(),
-                            std::memory_order_relaxed);
-      shard.live->set_total_items(0);
-    }
+    shard.net_items.fetch_add(shard.live->total_items(),
+                              std::memory_order_relaxed);
+    shard.live->set_total_items(0);
   }
   SBF_AUDIT_INVARIANTS(filter);
   return filter;

@@ -188,20 +188,28 @@ class ConcurrentSbf final : public FrequencyFilter {
   // Shard index for a key (the routing function; exposed for tests).
   [[nodiscard]] uint32_t ShardOf(uint64_t key) const noexcept;
 
-  // Net inserted occurrences across all shards. Drains delta buffers
-  // first. Exact only when quiescent.
+  // Net inserted occurrences across all shards: the sum of the per-shard
+  // net item tallies, each read as a signed net clamped at zero (removes
+  // of never-inserted occurrences read as an empty shard on every arm).
+  // The signed read bounds a shard's N below 2^63: a shard holding 2^63 or
+  // more net occurrences reads 0. Drains delta buffers first. Exact only
+  // when quiescent.
   [[nodiscard]] uint64_t TotalItems() const;
 
   // Occurrences buffered-or-merging across all shards right now (the sum
-  // of the per-shard pending tallies). Zero when quiescent and flushed.
+  // of the per-shard pending tallies, saturating at 2^64 - 1). Zero when
+  // quiescent and flushed.
   [[nodiscard]] uint64_t PendingDeltaOps() const noexcept;
 
   // Drains every thread's buffered deltas into the shard counters (the
-  // explicit epoch boundary). Buffered updates are aggregated per key and
-  // applied in ascending key order, so the flushed state is independent of
-  // which threads buffered which ops. Safe under concurrent writers —
-  // their new ops simply start the next epoch. No-op when delta buffering
-  // is inactive.
+  // explicit epoch boundary): each registered thread's buffers go through
+  // the same epoch merge as a size-triggered merge or a thread-exit drain.
+  // Minimum Selection adds commute and clamping at the maximum does not
+  // depend on their order, so the flushed counters, frames and estimates
+  // do not depend on which threads buffered which ops. Only the clamp
+  // tallies can: each thread's net that reaches a counter at its maximum
+  // tallies its own clamp. Safe under concurrent writers — their new ops
+  // simply start the next epoch. No-op when delta buffering is inactive.
   void Flush();
 
   // Read-only view of one shard's filter. Caller must guarantee quiescence
@@ -226,8 +234,9 @@ class ConcurrentSbf final : public FrequencyFilter {
   }
 
   // Internal: drains one registered DeltaSet into the shard counters.
-  // Called by the thread-exit hook in core/delta_buffer.cc (under the
-  // registry mutex) — use Flush() instead.
+  // Run by Flush() for every set and by the thread-exit hook in
+  // core/delta_buffer.cc, both under the registry mutex — use Flush()
+  // instead.
   void DrainDeltaSet(DeltaSet& set);
 
   // --- lifecycle: health & online expansion --------------------------------
@@ -313,8 +322,9 @@ class ConcurrentSbf final : public FrequencyFilter {
     // -- line 1: lock-free writer drain refcount (hot on every un-buffered
     // lock-free write; the expansion drain barrier, see ExpandTo step 2) --
     alignas(64) mutable std::atomic<uint32_t> live_writers{0};
-    // -- line 2: net item tally for the lock-free path, where
-    // filter.total_items() is bypassed and stays zero ---------------------
+    // -- line 2: the shard's N, as a two's-complement net of every direct
+    // write, epoch net, Merge and Deserialize, read as a signed net clamped
+    // at zero; the shard filters' own total_items() is not consulted -----
     alignas(64) std::atomic<uint64_t> net_items{0};
     // -- line 3: occurrences buffered in delta maps (or being merged) but
     // not yet applied to the counters. Raised (by a saturating CAS) before
@@ -356,10 +366,11 @@ class ConcurrentSbf final : public FrequencyFilter {
   // this kind is buffered — every insert, and removes only on the wrapping
   // lock-free backing — else null (the direct path).
   DeltaSet* BufferFor(bool remove);
-  // Epoch merge: drains `set`'s map for one shard into the shard counters
-  // and releases its pending-tally contribution (a no-op when it has
-  // neither). Allocation-free (the epoch-merge hot path) except
-  // serial-scan's bulk add (SerialScanCounterVector::AddMany).
+  // Epoch merge: drains `set`'s map for one shard into the shard counters,
+  // adds its net to the shard's net_items and releases its pending-tally
+  // contribution (a no-op when it has neither). Allocation-free (the
+  // epoch-merge hot path) except serial-scan's bulk add
+  // (SerialScanCounterVector::AddMany).
   void MergeShardDelta(DeltaSet& set, uint32_t shard_index)
       SBF_REQUIRES(set.mu);
   // Drains the calling thread's buffers for one shard (the
@@ -368,8 +379,6 @@ class ConcurrentSbf final : public FrequencyFilter {
   // True when `state` crossed an epoch boundary (size or staleness).
   bool ShouldMergeEpoch(const DeltaSet& set,
                         const DeltaSet::ShardState& state) const;
-  // Cross-thread canonical drain (the body of Flush()).
-  void FlushAllBuffers();
   // Detaches registry_ from this instance (drain + null owner); used by
   // the destructor and move operations.
   void DetachRegistry();

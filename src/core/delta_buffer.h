@@ -55,7 +55,8 @@ class DeltaSet {
     // merge applies them).
     uint64_t pending_contrib = 0;
     // Net occurrence count (two's-complement) buffered since the last
-    // merge; folded into the shard's net-item tally at merge time.
+    // merge; added to the shard's net item tally when the merge applies
+    // it, on every backing.
     uint64_t net_ops = 0;
     // Ops buffered since the last merge (cadence for the clock check).
     uint64_t ops_since_merge = 0;
@@ -95,7 +96,8 @@ class DeltaSet {
   [[nodiscard]] size_t MemoryBits() const noexcept SBF_REQUIRES(mu);
 
   // Taken by the owning thread around every accumulate/merge (uncontended
-  // in steady state) and by cross-thread Flush()/thread-exit drains.
+  // in steady state) and by cross-thread Flush() and thread-exit drains,
+  // which run the same epoch merge set by set.
   mutable util::Mutex mu;
 
  private:

@@ -78,10 +78,11 @@ class FrequencyFilter {
   }
 
   // Live health snapshot: fill ratio, estimated current FPR from observed
-  // occupancy, saturation tallies, and a traffic-light verdict. The
-  // default is an empty kHealthy snapshot; counter-backed frontends
-  // override it with a real occupancy scan (O(m)).
-  [[nodiscard]] virtual FilterHealth Health() const { return FilterHealth{}; }
+  // occupancy, saturation tallies, and a traffic-light verdict, from an
+  // occupancy scan of the filter's counters (O(m)). Pure virtual: a
+  // frontend that did not scan its own counters would report kHealthy
+  // whatever it holds.
+  [[nodiscard]] virtual FilterHealth Health() const = 0;
 
   // Total memory footprint in bits, including all auxiliary structures.
   [[nodiscard]] virtual size_t MemoryUsageBits() const = 0;

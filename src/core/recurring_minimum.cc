@@ -39,6 +39,19 @@ bool SecondaryCanAbsorb(const SpectralBloomFilter& secondary, uint64_t key,
   return true;
 }
 
+FilterHealth RecurringMinimumHealth(const SpectralBloomFilter& primary,
+                                    const SpectralBloomFilter& secondary) {
+  FilterHealth health = primary.Health();
+  const FilterHealth secondary_health = secondary.Health();
+  health.saturation_clamps += secondary_health.saturation_clamps;
+  health.underflow_clamps += secondary_health.underflow_clamps;
+  if (static_cast<int>(secondary_health.state) >
+      static_cast<int>(health.state)) {
+    health.state = secondary_health.state;
+  }
+  return health;
+}
+
 SbfOptions SecondaryOptions(const RecurringMinimumOptions& options) {
   SbfOptions sbf = PrimaryOptions(options);
   sbf.m = options.secondary_m;
@@ -138,17 +151,6 @@ size_t RecurringMinimumSbf::MemoryUsageBits() const {
   size_t bits = primary_.MemoryUsageBits() + secondary_.MemoryUsageBits();
   if (marker_.has_value()) bits += marker_->MemoryUsageBits();
   return bits;
-}
-
-FilterHealth RecurringMinimumSbf::Health() const {
-  FilterHealth health = primary_.Health();
-  const FilterHealth secondary = secondary_.Health();
-  health.saturation_clamps += secondary.saturation_clamps;
-  health.underflow_clamps += secondary.underflow_clamps;
-  if (static_cast<int>(secondary.state) > static_cast<int>(health.state)) {
-    health.state = secondary.state;
-  }
-  return health;
 }
 
 SaturationStats RecurringMinimumSbf::saturation() const {

@@ -44,6 +44,13 @@ SbfOptions SecondaryOptions(const RecurringMinimumOptions& options);
 bool SecondaryCanAbsorb(const SpectralBloomFilter& secondary, uint64_t key,
                         uint64_t count);
 
+// Live health of an RM or Trapping RM filter: the primary SBF's snapshot
+// (every lookup probes it, so its occupancy governs the Bloom error), with
+// the secondary's clamp tallies folded in and its verdict escalated if
+// worse.
+FilterHealth RecurringMinimumHealth(const SpectralBloomFilter& primary,
+                                    const SpectralBloomFilter& secondary);
+
 // The Recurring Minimum algorithm (paper Section 3.3).
 //
 // Observation: an item suffering a Bloom error rarely has a *recurring*
@@ -99,10 +106,10 @@ class RecurringMinimumSbf final : public FrequencyFilter {
     return moved_to_secondary_;
   }
 
-  // Live health: the primary SBF's snapshot (every lookup probes it, so
-  // its occupancy governs the Bloom error), with the secondary's clamp
-  // tallies folded in and its verdict escalated if worse.
-  [[nodiscard]] FilterHealth Health() const override;
+  // Live health (RecurringMinimumHealth).
+  [[nodiscard]] FilterHealth Health() const override {
+    return RecurringMinimumHealth(primary_, secondary_);
+  }
 
   // Combined clamp-event tallies of both SBFs.
   [[nodiscard]] SaturationStats saturation() const;

@@ -1,5 +1,7 @@
 #include "core/sbf_algebra.h"
 
+#include "core/batch_kernels.h"
+
 namespace sbf {
 namespace {
 
@@ -18,10 +20,13 @@ Status UnionInto(SpectralBloomFilter* dst, const SpectralBloomFilter& src) {
     return Status::FailedPrecondition(
         "SBF union requires identical parameters and hash functions");
   }
-  for (uint64_t i = 0; i < dst->m(); ++i) {
-    const uint64_t add = src.counters().Get(i);
-    if (add > 0) dst->mutable_counters().Increment(i, add);
-  }
+  // The pointwise add of ConcurrentSbf::Merge (AddFolded with c = 1),
+  // visiting each operand's backing on its own so that mixed backings
+  // union; dst's Increment clamps and tallies as a point insert would.
+  VisitBacking(src.options().backing, src.counters(), [&](const auto& from) {
+    VisitBacking(dst->options().backing, dst->mutable_counters(),
+                 [&](auto& to) { AddFolded(from, to, 0, dst->m(), 1, 1); });
+  });
   dst->set_total_items(dst->total_items() + src.total_items());
   return Status::Ok();
 }

@@ -38,6 +38,10 @@ class TrappingRmSbf final : public FrequencyFilter {
   [[nodiscard]] uint64_t Estimate(uint64_t key) const override;
   [[nodiscard]] size_t MemoryUsageBits() const override;
   [[nodiscard]] std::string Name() const override { return "TRM"; }
+  // Live health (RecurringMinimumHealth, shared with RM).
+  [[nodiscard]] FilterHealth Health() const override {
+    return RecurringMinimumHealth(primary_, secondary_);
+  }
 
   [[nodiscard]] const SpectralBloomFilter& primary() const noexcept {
     return primary_;

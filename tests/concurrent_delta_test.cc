@@ -13,12 +13,14 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/concurrent_sbf.h"
 #include "core/delta_buffer.h"
 #include "core/spectral_bloom_filter.h"
+#include "io/wire.h"
 #include "workload/multiset_stream.h"
 
 namespace sbf {
@@ -561,6 +563,157 @@ TEST(ConcurrentDeltaTest, PendingTallySaturatesAcrossParkedThreads) {
   EXPECT_EQ(filter.PendingDeltaOps(), 0u);
   EXPECT_GE(filter.Estimate(7), kMax - 40);
   EXPECT_GE(filter.Estimate(8), 100u);
+}
+
+// The pending total saturates like each shard's tally: one parked thread
+// buffered 2^63 occurrences into each of two shards, whose tallies sum to
+// 2^64, and PendingDeltaOps() reads 2^64 - 1 rather than a wrapped 0.
+TEST(ConcurrentDeltaTest, PendingDeltaOpsSaturatesAcrossShards) {
+  constexpr uint64_t kHalf = uint64_t{1} << 63;
+  auto options = MakeDeltaOptions(CounterBacking::kCompact, 2);
+  options.m = 2400;
+  options.delta.merge_keys = 1u << 20;
+  options.delta.max_epoch_micros = 0;
+  ConcurrentSbf filter(options);
+  const uint64_t a = 1;
+  uint64_t b = 2;
+  while (filter.ShardOf(b) == filter.ShardOf(a)) ++b;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool release = false;
+  std::thread writer([&] {
+    filter.Insert(a, kHalf);
+    filter.Insert(b, kHalf);
+    std::unique_lock<std::mutex> lock(mu);
+    parked = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked; });
+  }
+  EXPECT_EQ(filter.PendingDeltaOps(), ~uint64_t{0});
+  EXPECT_GE(filter.Estimate(a), kHalf);
+  EXPECT_GE(filter.Estimate(b), kHalf);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  writer.join();
+  EXPECT_EQ(filter.PendingDeltaOps(), 0u);
+}
+
+// The N recorded in each shard frame embedded in an 'SBcs' frame.
+std::vector<uint64_t> FrameShardItems(const std::vector<uint8_t>& frame) {
+  auto reader = wire::OpenFrame(frame, wire::kMagicShardedSbf,
+                                wire::kFormatVersion, "sharded SBF");
+  EXPECT_TRUE(reader.ok());
+  if (!reader.ok()) return {};
+  wire::Reader& in = reader.value();
+  const uint64_t num_shards = in.ReadVarint();
+  (void)in.ReadVarint();  // m
+  (void)in.ReadU64();     // seed
+  std::vector<uint64_t> items;
+  for (uint64_t s = 0; s < num_shards; ++s) {
+    auto shard = SpectralBloomFilter::Deserialize(in.ReadFrameSpan());
+    EXPECT_TRUE(shard.ok()) << "shard " << s;
+    if (!shard.ok()) return {};
+    items.push_back(shard.value().total_items());
+  }
+  return items;
+}
+
+// Removing occurrences that were never inserted breaks the Remove
+// contract, but the item count must still read as an empty filter, not
+// ~2^64, on the lock-free arm (fixed64 MS) as on the locked ones (compact
+// MS, fixed64 MI), with delta buffering on and off.
+TEST(ConcurrentDeltaTest, OverRemoveReadsZeroItemsOnEveryArm) {
+  const struct {
+    CounterBacking backing;
+    SbfPolicy policy;
+  } arms[] = {{CounterBacking::kFixed64, SbfPolicy::kMinimumSelection},
+              {CounterBacking::kCompact, SbfPolicy::kMinimumSelection},
+              {CounterBacking::kFixed64, SbfPolicy::kMinimalIncrease}};
+  for (const auto& arm : arms) {
+    for (const bool delta : {true, false}) {
+      auto options = MakeDeltaOptions(arm.backing, 4);
+      options.policy = arm.policy;
+      options.delta.enabled = delta;
+      ConcurrentSbf filter(options);
+      const std::string label =
+          std::string(CounterBackingName(arm.backing)) +
+          (arm.policy == SbfPolicy::kMinimumSelection ? "/MS" : "/MI") +
+          (delta ? " delta" : " direct");
+      filter.Remove(1, 5);
+      EXPECT_EQ(filter.TotalItems(), 0u) << label;
+      EXPECT_EQ(filter.SnapshotShard(filter.ShardOf(1)).total_items(), 0u)
+          << label;
+      for (const uint64_t items : FrameShardItems(filter.Serialize())) {
+        EXPECT_EQ(items, 0u) << label;
+      }
+    }
+  }
+}
+
+// Flush() drains each thread's buffers while its writers keep buffering:
+// once the writers join, the item count is the exact net and the frame
+// equals a serially built reference byte for byte. Removes ride along on
+// the lock-free arm, the only one that buffers them.
+TEST(ConcurrentDeltaTest, FlushRacingWritersKeepsExactNet) {
+  constexpr int kRacers = 4;
+  const Multiset data = MakeZipfMultiset(200, 8000, 1.0, 53);
+  for (const CounterBacking backing :
+       {CounterBacking::kFixed64, CounterBacking::kCompact}) {
+    auto options = MakeDeltaOptions(backing, 4);
+    options.delta.capacity = 64;
+    options.delta.merge_keys = 32;
+    ConcurrentSbf filter(options);
+    ConcurrentSbf reference(WithoutDelta(options));
+    const bool removes = filter.IsLockFree();
+
+    const auto starts = SliceStarts(data.stream.size(), kRacers);
+    std::atomic<int> running{kRacers};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kRacers; ++w) {
+      threads.emplace_back([&, w] {
+        const std::vector<uint64_t> slice(data.stream.begin() + starts[w],
+                                          data.stream.begin() + starts[w + 1]);
+        for (size_t i = 0; i < slice.size(); ++i) {
+          filter.Insert(slice[i]);
+          // Remove every fourth occurrence this thread inserted.
+          if (removes && i % 4 == 3) filter.Remove(slice[i]);
+        }
+        running.fetch_sub(1, std::memory_order_release);
+      });
+    }
+    threads.emplace_back([&] {
+      while (running.load(std::memory_order_acquire) > 0) {
+        filter.Flush();
+        (void)filter.Estimate(data.keys[0]);
+      }
+    });
+    for (auto& t : threads) t.join();
+
+    uint64_t net = 0;
+    for (int w = 0; w < kRacers; ++w) {
+      for (size_t i = starts[w]; i < starts[w + 1]; ++i) {
+        reference.Insert(data.stream[i]);
+        ++net;
+        if (removes && (i - starts[w]) % 4 == 3) {
+          reference.Remove(data.stream[i]);
+          --net;
+        }
+      }
+    }
+    EXPECT_EQ(filter.TotalItems(), net) << CounterBackingName(backing);
+    EXPECT_EQ(filter.PendingDeltaOps(), 0u) << CounterBackingName(backing);
+    EXPECT_EQ(filter.Serialize(), reference.Serialize())
+        << CounterBackingName(backing);
+  }
 }
 
 // Pins the per-thread clamp: the default 1024-slot maps shrink only once

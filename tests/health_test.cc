@@ -13,6 +13,7 @@
 #include "core/concurrent_sbf.h"
 #include "core/recurring_minimum.h"
 #include "core/spectral_bloom_filter.h"
+#include "core/trapping_rm.h"
 #include "util/health.h"
 
 namespace sbf {
@@ -228,6 +229,35 @@ TEST(RmHealthTest, EscalatesWorstComponentVerdict) {
   const FilterHealth health = filter.Health();
   EXPECT_EQ(health.state, HealthState::kSaturated);
   EXPECT_GT(filter.saturation().saturation_clamps, 0u);
+}
+
+// Trapping RM reports the same combined snapshot as RM: a filter whose
+// counters clamped at the 32-bit backing's maximum reads kSaturated with
+// the primary's fill and the clamp tallies, not an empty healthy default.
+TEST(TrmHealthTest, ClampedCountersReportSaturated) {
+  RecurringMinimumOptions options;
+  options.primary_m = 64;
+  options.secondary_m = 32;
+  options.k = 3;
+  options.backing = CounterBacking::kFixed32;
+  TrappingRmSbf trm(options);
+  RecurringMinimumSbf rm(options);
+  EXPECT_EQ(trm.Health().state, HealthState::kHealthy);
+
+  const uint64_t kMax32 = (uint64_t{1} << 32) - 1;
+  for (uint64_t key = 1; key <= 8; ++key) {
+    trm.Insert(key, kMax32);
+    trm.Insert(key, 5);
+    rm.Insert(key, kMax32);
+    rm.Insert(key, 5);
+  }
+  const FilterHealth health = trm.Health();
+  EXPECT_EQ(health.state, HealthState::kSaturated);
+  EXPECT_GT(health.saturation_clamps, 0u);
+  EXPECT_EQ(health.counters, 64u);
+  EXPECT_EQ(health.nonzero_counters, trm.primary().Health().nonzero_counters);
+  EXPECT_GT(health.fill_ratio, 0.0);
+  EXPECT_EQ(rm.Health().state, HealthState::kSaturated);
 }
 
 // --- ConcurrentSbf ---------------------------------------------------------

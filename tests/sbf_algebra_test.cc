@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,23 +21,48 @@ SbfOptions MakeOptions(uint64_t m, uint32_t k, uint64_t seed) {
 }
 
 TEST(UnionTest, EquivalentToInsertingBothStreams) {
-  const auto options = MakeOptions(3000, 5, 3);
-  SpectralBloomFilter a(options), b(options), reference(options);
+  // Every backing unions with itself, and a compact filter absorbs a
+  // fixed64 one: the union equals one filter of dst's backing fed both
+  // streams (sticky4 counters clamp at 15 either way).
   const Multiset left = MakeZipfMultiset(200, 4000, 0.7, 5);
   const Multiset right = MakeZipfMultiset(300, 6000, 0.4, 7);
-  for (uint64_t key : left.stream) {
-    a.Insert(key);
-    reference.Insert(key);
+  const std::pair<CounterBacking, CounterBacking> pairs[] = {
+      {CounterBacking::kFixed64, CounterBacking::kFixed64},
+      {CounterBacking::kFixed32, CounterBacking::kFixed32},
+      {CounterBacking::kSticky4, CounterBacking::kSticky4},
+      {CounterBacking::kCompact, CounterBacking::kCompact},
+      {CounterBacking::kSerialScan, CounterBacking::kSerialScan},
+      {CounterBacking::kCompact, CounterBacking::kFixed64}};
+  for (const auto& [dst_backing, src_backing] : pairs) {
+    auto dst_options = MakeOptions(3000, 5, 3);
+    dst_options.backing = dst_backing;
+    auto src_options = dst_options;
+    src_options.backing = src_backing;
+    SpectralBloomFilter a(dst_options), b(src_options),
+        reference(dst_options);
+    for (uint64_t key : left.stream) {
+      a.Insert(key);
+      reference.Insert(key);
+    }
+    for (uint64_t key : right.stream) {
+      b.Insert(key);
+      reference.Insert(key);
+    }
+    const std::string label = std::string(CounterBackingName(dst_backing)) +
+                              " <- " + CounterBackingName(src_backing);
+    const uint64_t clamps_before = a.counters().saturation().saturation_clamps;
+    ASSERT_TRUE(UnionInto(&a, b).ok()) << label;
+    if (dst_backing == CounterBacking::kSticky4) {
+      // The union's adds clamp at 15 and tally like inserts.
+      EXPECT_GT(a.counters().saturation().saturation_clamps, clamps_before)
+          << label;
+    }
+    for (uint64_t i = 0; i < a.m(); ++i) {
+      ASSERT_EQ(a.counters().Get(i), reference.counters().Get(i))
+          << label << " counter " << i;
+    }
+    EXPECT_EQ(a.total_items(), reference.total_items()) << label;
   }
-  for (uint64_t key : right.stream) {
-    b.Insert(key);
-    reference.Insert(key);
-  }
-  ASSERT_TRUE(UnionInto(&a, b).ok());
-  for (uint64_t i = 0; i < a.m(); ++i) {
-    ASSERT_EQ(a.counters().Get(i), reference.counters().Get(i)) << i;
-  }
-  EXPECT_EQ(a.total_items(), reference.total_items());
 }
 
 TEST(UnionTest, PartitionedRelationMergesExactly) {
