@@ -6,22 +6,29 @@
 // cost that bounds it. A final pair contrasts recovery of a long
 // uncheckpointed log against the same history compacted by one checkpoint:
 // the ratio is the argument for the size-triggered background
-// checkpointer.
+// checkpointer. The `checkpoint_ingest` row times one checkpoint of a
+// loaded filter at the perfbench durable_ingest geometry, with the
+// filter's Serialize alone beside it.
 //
 // Emits BENCH_recovery.json. Numbers are wall-clock file I/O and are NOT
 // gated in CI (shared runners' disks are noisy); EXPERIMENTS.md quotes a
 // reference transcript.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bench_json.h"
+#include "hashing/hash.h"
 #include "io/durable_store.h"
+#include "util/random.h"
 #include "util/timer.h"
+#include "workload/zipf.h"
 
 namespace {
 
@@ -164,6 +171,55 @@ int main(int argc, char** argv) {
              {"recovery_ms", seconds * 1e3}},
             seconds * 1e9 / static_cast<double>(tail),
             static_cast<double>(tail) / seconds / 1e6);
+  }
+
+  // One checkpoint at the durable_ingest geometry: compact backing,
+  // Minimum Selection, k = 5, 8 shards, m = 2^22, loaded with 1280
+  // batches of 1024 Zipf(1.0) keys over 2^20 ranks. Medians of 5 rounds;
+  // each checkpoint also rotates the log.
+  {
+    constexpr int kRounds = 5;
+    const uint64_t batches = small ? 128 : 1280;
+    ScopedDir dir;
+    DurableOptions options = MakeOptions();
+    options.filter.m = uint64_t{1} << 22;
+    options.filter.k = 5;
+    options.filter.policy = sbf::SbfPolicy::kMinimumSelection;
+    options.filter.backing = sbf::CounterBacking::kCompact;
+    options.filter.seed = 0x5BF;
+    options.filter.delta.max_epoch_micros = 0;
+    auto store = DurableSbf::Open(dir.path(), options);
+    if (!store.ok()) std::abort();
+    const sbf::ZipfDistribution zipf(uint64_t{1} << 20, 1.0);
+    sbf::Xoshiro256 rng(1);
+    std::vector<uint64_t> keys(1024);
+    for (uint64_t b = 0; b < batches; ++b) {
+      for (uint64_t& key : keys) key = sbf::Mix64(zipf.Sample(rng));
+      if (!store.value()->InsertBatch(keys.data(), keys.size()).ok()) {
+        std::abort();
+      }
+    }
+    std::vector<double> serialize_ms, checkpoint_ms;
+    for (int round = 0; round < kRounds; ++round) {
+      Timer serialize;
+      const std::vector<uint8_t> frame = store.value()->filter().Serialize();
+      serialize_ms.push_back(serialize.ElapsedSeconds() * 1e3);
+      Timer checkpoint;
+      if (!store.value()->Checkpoint().ok()) std::abort();
+      checkpoint_ms.push_back(checkpoint.ElapsedSeconds() * 1e3);
+    }
+    std::sort(serialize_ms.begin(), serialize_ms.end());
+    std::sort(checkpoint_ms.begin(), checkpoint_ms.end());
+    const double median_ms = checkpoint_ms[kRounds / 2];
+    const double m = static_cast<double>(options.filter.m);
+    out.Add("checkpoint_ingest",
+            {{"m", options.filter.m},
+             {"shards", uint64_t{options.filter.num_shards}},
+             {"keys", batches * keys.size()},
+             {"nproc", uint64_t{std::thread::hardware_concurrency()}},
+             {"serialize_ms", serialize_ms[kRounds / 2]},
+             {"checkpoint_ms", median_ms}},
+            median_ms * 1e6 / m, m / (median_ms * 1e3));
   }
 
   return out.WriteFile() ? 0 : 1;

@@ -4,64 +4,10 @@
 #include "util/check.h"
 
 namespace sbf {
-namespace {
-
-// Writes the L-bit binary representation of n, MSB first.
-void WriteBinaryMsbFirst(uint64_t n, uint32_t bits, BitWriter* writer) {
-  for (uint32_t i = bits; i-- > 0;) {
-    writer->WriteBit((n >> i) & 1ull);
-  }
-}
-
-uint64_t ReadBinaryMsbFirst(uint32_t bits, BitReader* reader) {
-  uint64_t v = 0;
-  for (uint32_t i = 0; i < bits; ++i) {
-    v = (v << 1) | static_cast<uint64_t>(reader->ReadBit());
-  }
-  return v;
-}
-
-}  // namespace
-
-void EliasGammaEncode(uint64_t n, BitWriter* writer) {
-  SBF_DCHECK(n >= 1);
-  const uint32_t len = FloorLog2(n) + 1;
-  writer->WriteZeros(len - 1);
-  WriteBinaryMsbFirst(n, len, writer);
-}
-
-uint64_t EliasGammaDecode(BitReader* reader) {
-  uint32_t zeros = 0;
-  while (!reader->ReadBit()) ++zeros;
-  // The leading 1 just consumed is the MSB of the value.
-  uint64_t v = 1;
-  if (zeros > 0) {
-    v = (v << zeros) | ReadBinaryMsbFirst(zeros, reader);
-  }
-  return v;
-}
 
 uint32_t EliasGammaLength(uint64_t n) {
   SBF_DCHECK(n >= 1);
   return 2 * FloorLog2(n) + 1;
-}
-
-void EliasDeltaEncode(uint64_t n, BitWriter* writer) {
-  SBF_DCHECK(n >= 1);
-  const uint32_t len = FloorLog2(n) + 1;
-  EliasGammaEncode(len, writer);
-  if (len > 1) {
-    WriteBinaryMsbFirst(n & LowMask(len - 1), len - 1, writer);
-  }
-}
-
-uint64_t EliasDeltaDecode(BitReader* reader) {
-  const uint32_t len = static_cast<uint32_t>(EliasGammaDecode(reader));
-  uint64_t v = 1;
-  if (len > 1) {
-    v = (v << (len - 1)) | ReadBinaryMsbFirst(len - 1, reader);
-  }
-  return v;
 }
 
 uint32_t EliasDeltaLength(uint64_t n) {

@@ -8,6 +8,9 @@ namespace sbf {
 StepsCode::StepsCode(std::vector<uint32_t> step_widths)
     : step_widths_(std::move(step_widths)) {
   SBF_CHECK_MSG(!step_widths_.empty(), "steps code needs at least one step");
+  // The escape's continuation run rides in the Elias code's first write.
+  SBF_CHECK_MSG(step_widths_.size() <= kMaxDeltaPrefixBits,
+                "steps code has too many steps");
   uint64_t base = 0;
   bases_.reserve(step_widths_.size());
   for (uint32_t w : step_widths_) {
@@ -16,28 +19,6 @@ StepsCode::StepsCode(std::vector<uint32_t> step_widths)
     base += 1ull << w;
   }
   escape_base_ = base;
-}
-
-void StepsCode::Encode(uint64_t value, BitWriter* writer) const {
-  for (size_t j = 0; j < step_widths_.size(); ++j) {
-    const uint64_t capacity = 1ull << step_widths_[j];
-    if (value < bases_[j] + capacity) {
-      writer->WriteBit(false);
-      writer->WriteBits(value - bases_[j], step_widths_[j]);
-      return;
-    }
-    writer->WriteBit(true);
-  }
-  EliasDeltaEncode(value - escape_base_ + 1, writer);
-}
-
-uint64_t StepsCode::Decode(BitReader* reader) const {
-  for (size_t j = 0; j < step_widths_.size(); ++j) {
-    if (!reader->ReadBit()) {
-      return bases_[j] + reader->ReadBits(step_widths_[j]);
-    }
-  }
-  return escape_base_ + EliasDeltaDecode(reader) - 1;
 }
 
 uint32_t StepsCode::Length(uint64_t value) const {

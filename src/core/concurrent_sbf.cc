@@ -84,12 +84,30 @@ uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
   return std::min(a, ~uint64_t{0} - b) + b;
 }
 
-// A shard's N: its net item tally read as a signed count clamped at zero,
-// so removes of never-inserted occurrences read as an empty shard.
-uint64_t ItemsOf(const std::atomic<uint64_t>& net_items) {
-  const auto net = static_cast<int64_t>(
-      net_items.load(std::memory_order_relaxed));
-  return net < 0 ? 0 : static_cast<uint64_t>(net);
+// a * b, held at 2^64 - 1.
+uint64_t SaturatingMul(uint64_t a, uint64_t b) {
+  uint64_t product = 0;
+  return __builtin_mul_overflow(a, b, &product) ? ~uint64_t{0} : product;
+}
+
+// Raises an item tally by `amount`, held at 2^64 - 1.
+void AddItems(std::atomic<uint64_t>& tally, uint64_t amount) {
+  if (amount == 0) return;
+  uint64_t current = tally.load(std::memory_order_relaxed);
+  while (!tally.compare_exchange_weak(current, SaturatingAdd(current, amount),
+                                      std::memory_order_relaxed,
+                                      std::memory_order_relaxed)) {
+  }
+}
+
+// A shard's N: occurrences inserted minus occurrences removed, clamped at
+// zero, so removes of never-inserted occurrences read as an empty shard
+// while a shard holding 2^63 or more occurrences still reads them all.
+uint64_t ItemsOf(const std::atomic<uint64_t>& inserted,
+                 const std::atomic<uint64_t>& removed) {
+  const uint64_t in = inserted.load(std::memory_order_relaxed);
+  const uint64_t out = removed.load(std::memory_order_relaxed);
+  return in > out ? in - out : 0;
 }
 
 // Calls fn(live) with a shard's serving filter: read through the atomic
@@ -167,7 +185,8 @@ SbfOptions ShardOptions(const ConcurrentSbfOptions& options, uint32_t index) {
   return shard;
 }
 
-ConcurrentSbf::ConcurrentSbf(ConcurrentSbfOptions options)
+ConcurrentSbf::ConcurrentSbf(ConcurrentSbfOptions options,
+                             std::vector<SpectralBloomFilter> shard_filters)
     : options_(options),
       shard_m_(CeilDiv(options.m, std::max<uint32_t>(options.num_shards, 1))),
       router_salt_(Mix64(options.seed ^ kRouterSalt)),
@@ -180,8 +199,13 @@ ConcurrentSbf::ConcurrentSbf(ConcurrentSbfOptions options)
       options_.num_shards >= 1 && options_.num_shards <= kMaxShards,
       "ConcurrentSbf needs 1 <= num_shards <= 4096");
   shards_.reserve(options_.num_shards);
+  SBF_CHECK(shard_filters.empty() ||
+            shard_filters.size() == options_.num_shards);
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(ShardOptions(options_, s)));
+    shards_.push_back(std::make_unique<Shard>(
+        shard_filters.empty()
+            ? SpectralBloomFilter(ShardOptions(options_, s))
+            : std::move(shard_filters[s])));
   }
   if (delta_active_) {
     // Sanitize the delta tuning: power-of-two capacity, clamped so one
@@ -340,22 +364,27 @@ void ConcurrentSbf::WriteShard(uint32_t shard_index, const SbfWrite& write,
       }
     }
     state.pending_contrib += cover;
-    state.net_ops += write.n * delta;
+    if (write.remove) {
+      state.removed_ops =
+          SaturatingAdd(state.removed_ops, SaturatingMul(write.n, write.count));
+    } else {
+      state.inserted_ops = SaturatingAdd(state.inserted_ops, cover);
+    }
     if (!state.epoch_open) {
       state.epoch_open = true;
       if (set.options().max_epoch_micros > 0) {
         state.epoch_start = std::chrono::steady_clock::now();
       }
     }
-    state.ops_since_merge += write.n;
+    state.ops_since_merge += static_cast<uint32_t>(write.n);
     if (ShouldMergeEpoch(set, state)) MergeShardDelta(set, shard_index);
     return;
   }
-  // An epoch merge's nets were tallied when buffered (ShardState::
-  // net_ops); the merge adds that tally to net_items itself.
+  // An epoch merge's ops were tallied when buffered (ShardState::
+  // inserted_ops, removed_ops); the merge adds those tallies itself.
   if (write.counts == nullptr) {
-    const uint64_t delta = write.remove ? ~write.count + 1 : write.count;
-    shard.net_items.fetch_add(write.n * delta, std::memory_order_relaxed);
+    AddItems(write.remove ? shard.removed_items : shard.inserted_items,
+             SaturatingMul(write.n, write.count));
   }
   if (lock_free_) {
     // Relaxed atomic adds; a remove is a wrapping add, so one landing in
@@ -445,7 +474,8 @@ void ConcurrentSbf::MergeShardDelta(DeltaSet& set, uint32_t shard_index) {
     const uint32_t applied = DeltaDrain(map);
     WriteShard(shard_index, {map.keys, applied, 0, false, map.nets},
                /*buffer=*/nullptr);
-    s.net_items.fetch_add(state.net_ops, std::memory_order_relaxed);
+    AddItems(s.inserted_items, state.inserted_ops);
+    AddItems(s.removed_items, state.removed_ops);
     state.size = 0;
     metrics_.RecordDeltaMerge(shard_index, applied);
   }
@@ -458,7 +488,8 @@ void ConcurrentSbf::MergeShardDelta(DeltaSet& set, uint32_t shard_index) {
                             std::memory_order_release);
     state.pending_contrib = 0;
   }
-  state.net_ops = 0;
+  state.inserted_ops = 0;
+  state.removed_ops = 0;
   state.ops_since_merge = 0;
   state.epoch_open = false;
 }
@@ -603,8 +634,10 @@ Status ConcurrentSbf::Merge(const ConcurrentSbf& other) {
                   [this](const auto& from, auto& to) {
                     AddFolded(from, to, 0, shard_m_, 1, 1);
                   });
-    dst.net_items.fetch_add(src.net_items.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
+    AddItems(dst.inserted_items,
+             src.inserted_items.load(std::memory_order_relaxed));
+    AddItems(dst.removed_items,
+             src.removed_items.load(std::memory_order_relaxed));
   }
   SBF_AUDIT_INVARIANTS(*this);
   return Status::Ok();
@@ -627,7 +660,7 @@ SpectralBloomFilter ConcurrentSbf::SnapshotShard(size_t i) const {
                   });
     return copy;
   }();
-  snap.set_total_items(ItemsOf(shard.net_items));
+  snap.set_total_items(ItemsOf(shard.inserted_items, shard.removed_items));
   return snap;
 }
 
@@ -635,7 +668,8 @@ uint64_t ConcurrentSbf::TotalItems() const {
   const_cast<ConcurrentSbf*>(this)->Flush();
   uint64_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    total = SaturatingAdd(total, ItemsOf(shard->net_items));
+    total = SaturatingAdd(
+        total, ItemsOf(shard->inserted_items, shard->removed_items));
   }
   return total;
 }
@@ -864,16 +898,13 @@ StatusOr<ConcurrentSbf> ConcurrentSbf::Deserialize(wire::ByteSpan bytes) {
     }
   }
 
-  ConcurrentSbf filter(options);
+  ConcurrentSbf filter(options, std::move(shard_filters));
   for (uint64_t s = 0; s < num_shards; ++s) {
     Shard& shard = *filter.shards_[s];
     // `filter` is not yet shared, but the lock keeps the guarded access
     // provable (and is free).
     util::WriterMutexLock lock(shard.mu);
-    // Assign through the stable live object so live_ptr stays valid.
-    *shard.live = std::move(shard_filters[s]);
-    shard.net_items.fetch_add(shard.live->total_items(),
-                              std::memory_order_relaxed);
+    AddItems(shard.inserted_items, shard.live->total_items());
     shard.live->set_total_items(0);
   }
   SBF_AUDIT_INVARIANTS(filter);

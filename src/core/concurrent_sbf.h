@@ -104,7 +104,8 @@ struct ConcurrentSbfOptions {
 // provides the needed happens-before edge.
 class ConcurrentSbf final : public FrequencyFilter {
  public:
-  explicit ConcurrentSbf(ConcurrentSbfOptions options);
+  explicit ConcurrentSbf(ConcurrentSbfOptions options)
+      : ConcurrentSbf(options, {}) {}
   ~ConcurrentSbf() override;
 
   // Moves drain the source's buffered deltas first (cheap when none are
@@ -306,8 +307,8 @@ class ConcurrentSbf final : public FrequencyFilter {
   // allocations owned by the shard's SpectralBloomFilter, so two shards
   // never share a counter line either.
   struct alignas(64) Shard {
-    explicit Shard(const SbfOptions& o)
-        : live(std::make_unique<SpectralBloomFilter>(o)),
+    explicit Shard(SpectralBloomFilter filter)
+        : live(std::make_unique<SpectralBloomFilter>(std::move(filter))),
           live_ptr(live.get()) {}
     // -- line 0: read-mostly routing state (filter pointers) --------------
     // The serving filter. Lock-free readers/writers go through the atomic
@@ -322,10 +323,12 @@ class ConcurrentSbf final : public FrequencyFilter {
     // -- line 1: lock-free writer drain refcount (hot on every un-buffered
     // lock-free write; the expansion drain barrier, see ExpandTo step 2) --
     alignas(64) mutable std::atomic<uint32_t> live_writers{0};
-    // -- line 2: the shard's N, as a two's-complement net of every direct
-    // write, epoch net, Merge and Deserialize, read as a signed net clamped
-    // at zero; the shard filters' own total_items() is not consulted -----
-    alignas(64) std::atomic<uint64_t> net_items{0};
+    // -- line 2: the shard's N, as tallies of the occurrences inserted and
+    // removed by every direct write, epoch merge, Merge and Deserialize,
+    // each held at 2^64 - 1; N is their difference clamped at zero, and
+    // the shard filters' own total_items() is not consulted --------------
+    alignas(64) std::atomic<uint64_t> inserted_items{0};
+    std::atomic<uint64_t> removed_items{0};
     // -- line 3: occurrences buffered in delta maps (or being merged) but
     // not yet applied to the counters. Raised (by a saturating CAS) before
     // an insert is buffered; lowered with release order only after the
@@ -342,6 +345,11 @@ class ConcurrentSbf final : public FrequencyFilter {
   };
   static_assert(alignof(util::SharedMutex) <= 64,
                 "Shard line map assumes <=64-byte mutex alignment");
+
+  // Shards serve `shard_filters` when given (Deserialize's load), else
+  // fresh filters.
+  ConcurrentSbf(ConcurrentSbfOptions options,
+                std::vector<SpectralBloomFilter> shard_filters);
 
   // Writer side of the expansion-window handshake: the one place a
   // lock-free writer enters and leaves a shard (defined in the .cc).
@@ -367,7 +375,7 @@ class ConcurrentSbf final : public FrequencyFilter {
   // lock-free backing — else null (the direct path).
   DeltaSet* BufferFor(bool remove);
   // Epoch merge: drains `set`'s map for one shard into the shard counters,
-  // adds its net to the shard's net_items and releases its pending-tally
+  // adds its item tallies to the shard's and releases its pending-tally
   // contribution (a no-op when it has neither). Allocation-free (the
   // epoch-merge hot path) except serial-scan's bulk add
   // (SerialScanCounterVector::AddMany).

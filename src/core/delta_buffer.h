@@ -50,16 +50,18 @@ class DeltaSet {
 
   struct ShardState {
     uint32_t size = 0;             // live slots in this shard's map
+    // Ops buffered since the last merge; only its low bits pace the clock
+    // check, so it may wrap.
+    uint32_t ops_since_merge = 0;
     // Occurrences published to the shard's pending-op tally but not yet
     // merged into its counters (subtracted, release-ordered, after the
     // merge applies them).
     uint64_t pending_contrib = 0;
-    // Net occurrence count (two's-complement) buffered since the last
-    // merge; added to the shard's net item tally when the merge applies
-    // it, on every backing.
-    uint64_t net_ops = 0;
-    // Ops buffered since the last merge (cadence for the clock check).
-    uint64_t ops_since_merge = 0;
+    // Occurrences inserted and removed since the last merge (each held at
+    // 2^64 - 1); added to the shard's item tallies when the merge applies
+    // them, on every backing.
+    uint64_t inserted_ops = 0;
+    uint64_t removed_ops = 0;
     std::chrono::steady_clock::time_point epoch_start{};
     bool epoch_open = false;
   };

@@ -103,6 +103,13 @@ SpectralBloomFilter::SpectralBloomFilter(SbfOptions options)
   SBF_AUDIT_INVARIANTS(*this);
 }
 
+SpectralBloomFilter::SpectralBloomFilter(
+    SbfOptions options, std::unique_ptr<CounterVector> counters)
+    : options_(ValidatedOrDie(options)),
+      hash_(ProbeFamily(options_)),
+      block_hash_(BlockRouter(options_)),
+      counters_(std::move(counters)) {}
+
 SpectralBloomFilter::SpectralBloomFilter(uint64_t m, uint32_t k)
     : SpectralBloomFilter([&] {
         SbfOptions options;
@@ -574,8 +581,7 @@ StatusOr<SpectralBloomFilter> SpectralBloomFilter::Deserialize(
     return Status::DataLoss("SBF counter vector backing mismatch");
   }
 
-  SpectralBloomFilter filter(options);
-  filter.counters_ = std::move(cv).value();
+  SpectralBloomFilter filter(options, std::move(cv).value());
   filter.total_items_ = total_items;
   // The frame does not record whether the writer's accounting was ever
   // adjusted out of band, so the sum-identity audit rule cannot be

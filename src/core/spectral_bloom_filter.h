@@ -289,6 +289,10 @@ class SpectralBloomFilter final : public FrequencyFilter {
   Status CheckInvariants() const override;
 
  private:
+  // A filter over already-built counters (Deserialize's load).
+  SpectralBloomFilter(SbfOptions options,
+                      std::unique_ptr<CounterVector> counters);
+
   SbfOptions options_;
   HashFamily hash_;
   // Key -> block over num_blocks() blocks (range 1 for the flat layout).

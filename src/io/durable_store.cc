@@ -421,17 +421,17 @@ StatusOr<std::unique_ptr<DurableSbf>> DurableSbf::Open(const std::string& dir,
   store->dir_ = dir;
 
   const std::string wal_path = WalPath(dir, resume_gen);
-  auto writer =
-      resume ? io::DeltaLogWriter::Resume(wal_path, resume_bytes,
-                                          store->options_.sync_each_append)
-             : io::DeltaLogWriter::Create(wal_path, resume_gen,
-                                          store->EmptyFilterFrame(),
-                                          store->options_.sync_each_append);
-  if (!writer.ok()) return writer.status();
   {
-    // No other thread can reference the store yet, but installing the log
+    // No other thread can reference the store yet, but opening the log
     // under its mutex keeps wal_/stats_ access provable for the analysis.
     util::MutexLock lock(store->log_mu_);
+    auto writer =
+        resume ? io::DeltaLogWriter::Resume(wal_path, resume_bytes,
+                                            store->options_.sync_each_append)
+               : io::DeltaLogWriter::Create(wal_path, resume_gen,
+                                            store->EmptyFilterFrame(),
+                                            store->options_.sync_each_append);
+    if (!writer.ok()) return writer.status();
     store->wal_ = std::move(writer).value();
     store->stats_.wal_bytes = store->wal_.bytes_written();
   }
@@ -461,8 +461,11 @@ DurableSbf::~DurableSbf() {
   wal_.Close();
 }
 
-std::vector<uint8_t> DurableSbf::EmptyFilterFrame() const {
-  return ConcurrentSbf(filter_.options()).Serialize();
+const std::vector<uint8_t>& DurableSbf::EmptyFilterFrame() {
+  if (empty_filter_frame_.empty()) {
+    empty_filter_frame_ = ConcurrentSbf(filter_.options()).Serialize();
+  }
+  return empty_filter_frame_;
 }
 
 Status DurableSbf::Insert(uint64_t key, uint64_t count) {

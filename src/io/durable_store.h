@@ -220,9 +220,8 @@ class DurableSbf {
       SBF_EXCLUDES(log_mu_, cp_wake_mu_);
   void CheckpointerLoop()
       SBF_EXCLUDES(checkpoint_mu_, log_mu_, cp_wake_mu_);
-  // Serialized empty filter with the store's configuration (each new log's
-  // header embeds it).
-  std::vector<uint8_t> EmptyFilterFrame() const;
+  // empty_filter_frame_, built on first use.
+  const std::vector<uint8_t>& EmptyFilterFrame() SBF_REQUIRES(log_mu_);
 
   DurableOptions options_;
   std::string dir_;
@@ -232,6 +231,10 @@ class DurableSbf {
   mutable util::Mutex log_mu_;
   io::DeltaLogWriter wal_ SBF_GUARDED_BY(log_mu_);
   uint64_t generation_ SBF_GUARDED_BY(log_mu_) = 0;
+  // Serialized empty filter with the store's configuration: every new
+  // log's header embeds it. Built once, when Open creates a log or else at
+  // the first rotation (the store never expands, so it never changes).
+  std::vector<uint8_t> empty_filter_frame_ SBF_GUARDED_BY(log_mu_);
   uint64_t next_sequence_ SBF_GUARDED_BY(log_mu_) = 1;
   bool wedged_ SBF_GUARDED_BY(log_mu_) = false;
   DurabilityStats stats_ SBF_GUARDED_BY(log_mu_);

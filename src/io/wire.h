@@ -99,7 +99,14 @@ class Writer {
   void PutBytes(ByteSpan bytes) { PutBytes(bytes.data(), bytes.size()); }
   // `n` 64-bit words, each little-endian.
   void PutWords(const uint64_t* words, size_t n) {
-    for (size_t i = 0; i < n; ++i) PutU64(words[i]);
+    const size_t at = buf_.size();
+    buf_.resize(at + n * 8);
+    uint8_t* p = buf_.data() + at;
+    for (size_t i = 0; i < n; ++i) {
+      for (int b = 0; b < 8; ++b) {
+        *p++ = static_cast<uint8_t>(words[i] >> (8 * b));
+      }
+    }
   }
   // Embeds a complete child frame as a varint-length-prefixed byte string.
   void PutFrame(ByteSpan frame) {

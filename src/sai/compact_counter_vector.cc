@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "bitstream/bit_writer.h"
 #include "sai/counter_codec.h"
 
 #include "util/bits.h"
@@ -51,9 +52,7 @@ CompactCounterVector::CompactCounterVector(size_t m, Options options)
   SBF_CHECK_MSG(options_.slack_per_counter >= 0.0, "negative slack");
   num_groups_ = CeilDiv(m_, options_.group_size);
   samples_per_group_ = CeilDiv(options_.group_size, kSampleStride);
-  widths_.assign(m_ + kWidthPad, 0);
-  std::fill_n(widths_.begin(), m_, uint8_t{1});
-  LayoutFromValues(std::vector<uint64_t>(m_, 0));
+  Reset();
 }
 
 size_t CompactCounterVector::NumItemsInGroup(size_t g) const {
@@ -159,12 +158,11 @@ void CompactCounterVector::Rebuild() {
   for (size_t i = 0; i < m_; ++i) {
     widths_[i] = static_cast<uint8_t>(BitWidth(values[i]));
   }
-  LayoutFromValues(values);
+  LayoutFromValues(values.data());
   ++rebuilds_;
 }
 
-void CompactCounterVector::LayoutFromValues(
-    const std::vector<uint64_t>& values) {
+void CompactCounterVector::LayoutFromValues(const uint64_t* values) {
   const size_t slack = SlackBitsPerGroup(options_);
   group_start_.assign(num_groups_ + 1, 0);
   used_.assign(num_groups_, 0);
@@ -177,16 +175,51 @@ void CompactCounterVector::LayoutFromValues(
     group_start_[g + 1] = group_start_[g] + payload + slack;
   }
   bits_ = BitVector(group_start_[num_groups_]);
-  size_t pos = 0;
   offset_samples_.assign(num_groups_ * samples_per_group_, 0);
   for (size_t g = 0; g < num_groups_; ++g) {
-    pos = group_start_[g];
-    const size_t begin = g * options_.group_size;
-    const size_t end = begin + NumItemsInGroup(g);
-    for (size_t i = begin; i < end; ++i) {
-      bits_.SetBits(pos, widths_[i], values[i]);
-      pos += widths_[i];
+    if (values != nullptr) {
+      // The new array is zero, so zero counters need no write.
+      size_t pos = group_start_[g];
+      const size_t begin = g * options_.group_size;
+      for (size_t i = begin; i < begin + NumItemsInGroup(g); ++i) {
+        if (values[i] != 0) bits_.SetBits(pos, widths_[i], values[i]);
+        pos += widths_[i];
+      }
     }
+    RebuildSamples(g);
+  }
+}
+
+void CompactCounterVector::LoadInOrder(const std::vector<uint64_t>& values) {
+  SBF_DCHECK(values.size() == m_);
+  for (size_t g = 0; g < num_groups_; ++g) {
+    const size_t begin = g * options_.group_size;
+    const size_t count = NumItemsInGroup(g);
+    const uint64_t* v = values.data() + begin;
+    // Every counter of the group is still a 1-bit zero, so widening the
+    // j-th pushes the count - 1 - j counters after it.
+    size_t growth = 0;
+    uint64_t pushed = 0;
+    for (size_t j = 0; j < count; ++j) {
+      const uint32_t grow = BitWidth(v[j]) - 1;
+      growth += grow;
+      pushed += grow != 0 ? count - 1 - j : 0;
+    }
+    if (growth > FreeBits(g)) {
+      // Borrows or a rebuild: take Set's own path.
+      for (size_t j = 0; j < count; ++j) {
+        if (v[j] != 0) Set(begin + j, v[j]);
+      }
+      continue;
+    }
+    BitWriter writer(&bits_, group_start_[g]);
+    for (size_t j = 0; j < count; ++j) {
+      const uint32_t width = BitWidth(v[j]);
+      widths_[begin + j] = static_cast<uint8_t>(width);
+      writer.WriteBits(v[j], width);
+    }
+    used_[g] += growth;
+    pushed_bits_ += pushed;
     RebuildSamples(g);
   }
 }
@@ -212,7 +245,7 @@ void CompactCounterVector::Increment(size_t i, uint64_t delta) {
 void CompactCounterVector::Reset() {
   widths_.assign(m_ + kWidthPad, 0);
   std::fill_n(widths_.begin(), m_, uint8_t{1});
-  LayoutFromValues(std::vector<uint64_t>(m_, 0));
+  LayoutFromValues(nullptr);
 }
 
 void CompactCounterVector::DecodeBlock(size_t first, size_t n,
@@ -286,13 +319,14 @@ StatusOr<std::unique_ptr<CounterVector>> CompactCounterVector::Deserialize(
   Options options;
   options.group_size = static_cast<size_t>(group_size);
   options.slack_per_counter = slack;
-  auto cv =
-      std::make_unique<CompactCounterVector>(static_cast<size_t>(m), options);
-  Status status =
-      ReadCounterStream(&in, m, cv.get(), "compact counter vector");
+  std::vector<uint64_t> values(static_cast<size_t>(m));
+  Status status = ReadCounterStream(&in, values, "compact counter vector");
   if (!status.ok()) return status;
   status = in.ExpectEnd("compact counter vector");
   if (!status.ok()) return status;
+  auto cv =
+      std::make_unique<CompactCounterVector>(static_cast<size_t>(m), options);
+  cv->LoadInOrder(values);
   return std::unique_ptr<CounterVector>(std::move(cv));
 }
 

@@ -132,7 +132,13 @@ class CompactCounterVector final : public CounterVector {
   // (no slack to the right), in which case the caller must Rebuild.
   bool BorrowSlack(size_t g, size_t need);
   void Rebuild();
-  void LayoutFromValues(const std::vector<uint64_t>& values);
+  // Lays out counters of widths_ with fresh slack and writes `values`
+  // (null: every counter zero).
+  void LayoutFromValues(const uint64_t* values);
+  // Deserialize's load into this fresh vector: leaves exactly the layout
+  // one Set per nonzero value in index order would, but lays out in one
+  // pass each group whose widenings fit its free bits (Set runs the rest).
+  void LoadInOrder(const std::vector<uint64_t>& values);
   // Recomputes group g's prefix-sum samples from widths_.
   void RebuildSamples(size_t g);
   // Sequentially decodes counters [first, last) starting from a resolved

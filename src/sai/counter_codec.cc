@@ -24,42 +24,19 @@ void EncodeCounter(uint64_t v, BitWriter* writer) {
   EliasDeltaEncode(v + 1, writer);
 }
 
-// Decodes one counter, rejecting malformed codewords (lengths no valid
-// encoder emits, a non-zero payload after length 65) instead of
-// over-reading — deserialization must be safe on corrupted network input.
-bool BoundedDecodeCounter(BitReader* reader, uint64_t* out) {
-  uint32_t zeros = 0;
-  while (!reader->ReadBit()) {
-    if (++zeros > 6) return false;  // gamma(len) with len <= 65 uses <= 6
-  }
-  uint64_t len = 1;
-  for (uint32_t i = 0; i < zeros; ++i) {
-    len = (len << 1) | static_cast<uint64_t>(reader->ReadBit());
-  }
-  if (len > kFullLength) return false;
-  if (len == kFullLength) {
-    if (reader->ReadBits(64) != 0) return false;
-    *out = ~uint64_t{0};
-    return true;
-  }
-  uint64_t value = 1;
-  for (uint64_t i = 1; i < len; ++i) {
-    value = (value << 1) | static_cast<uint64_t>(reader->ReadBit());
-  }
-  *out = value - 1;
-  return true;
-}
-
 }  // namespace
 
 void WriteCounterStream(const CounterVector& cv, wire::Writer* out) {
-  BitVector stream;
-  BitWriter writer(&stream);
+  // Every codeword takes at least one bit: start at that floor and let
+  // the writer grow from the real code lengths, rather than presizing for
+  // the 77-bit worst case (page faults on megabytes never written).
+  const size_t m = cv.size();
+  BitVector stream(m + 64);
+  BitWriter writer(&stream, 0);
   // Sequential sweep through DecodeBlock: one group decode per group
   // instead of one positioned Get per counter.
   constexpr size_t kChunk = 256;
   uint64_t values[kChunk];
-  const size_t m = cv.size();
   for (size_t base = 0; base < m; base += kChunk) {
     const size_t len = std::min(kChunk, m - base);
     cv.DecodeBlock(base, len, values);
@@ -72,9 +49,10 @@ void WriteCounterStream(const CounterVector& cv, wire::Writer* out) {
   out->PutWords(stream.words(), stream.size_words());
 }
 
-Status ReadCounterStream(wire::Reader* in, uint64_t m, CounterVector* cv,
+Status ReadCounterStream(wire::Reader* in, std::span<uint64_t> values,
                          const char* what) {
   const std::string name(what);
+  const uint64_t m = values.size();
   const uint64_t stream_bits = in->ReadVarint();
   if (!in->ok()) return in->status();
   // Every counter costs at least one bit, and the word block must fit in
@@ -88,9 +66,8 @@ Status ReadCounterStream(wire::Reader* in, uint64_t m, CounterVector* cv,
     return Status::DataLoss(name + " counter stream truncated");
   }
   // Guard words of all-ones after the stream: a corrupted codeword that
-  // runs past the end terminates immediately (a 1-bit is a complete gamma
-  // prefix) instead of reading out of bounds, and the overrun is then
-  // detected by the position checks below.
+  // runs past the end meets them and stops (a 1-bit is a complete gamma
+  // prefix), and the position checks below reject the overrun.
   BitVector stream(stream_words * 64 + 128);
   in->ReadWords(stream.mutable_words(), static_cast<size_t>(stream_words));
   if (!in->ok()) return in->status();
@@ -102,12 +79,13 @@ Status ReadCounterStream(wire::Reader* in, uint64_t m, CounterVector* cv,
     if (reader.position() >= stream_bits) {
       return Status::DataLoss(name + " counter stream ends early");
     }
-    uint64_t value = 0;
-    if (!BoundedDecodeCounter(&reader, &value) ||
+    // The bounded decoder rejects what no valid encoder emits (lengths
+    // above 65, a nonzero tail after length 65) instead of over-reading:
+    // deserialization must be safe on corrupted network input.
+    if (!EliasDeltaDecodeBounded(&reader, kFullLength, &values[i]) ||
         reader.position() > stream_bits) {
       return Status::DataLoss(name + " counter stream corrupted");
     }
-    cv->Set(i, value);
   }
   if (reader.position() != stream_bits) {
     return Status::DataLoss(name + " counter stream has trailing bits");

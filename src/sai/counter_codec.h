@@ -2,6 +2,7 @@
 #define SBF_SAI_COUNTER_CODEC_H_
 
 #include <cstdint>
+#include <span>
 
 #include "io/wire.h"
 #include "sai/counter_vector.h"
@@ -19,11 +20,10 @@ namespace sbf {
 // Appends the stream of all `cv` counters to `out`.
 void WriteCounterStream(const CounterVector& cv, wire::Writer* out);
 
-// Decodes exactly `m` counters from `in` into counters [0, m) of `cv`
-// (which must already have size >= m). Rejects malformed codewords,
-// truncated streams and trailing garbage with a clean DataLoss status.
-// `what` names the enclosing structure in error messages.
-Status ReadCounterStream(wire::Reader* in, uint64_t m, CounterVector* cv,
+// Decodes exactly values.size() counters from `in` into `values`. Rejects
+// malformed codewords, truncated streams and trailing garbage with a clean
+// DataLoss status. `what` names the enclosing structure in error messages.
+Status ReadCounterStream(wire::Reader* in, std::span<uint64_t> values,
                          const char* what);
 
 }  // namespace sbf

@@ -271,13 +271,17 @@ StatusOr<std::unique_ptr<CounterVector>> SerialScanCounterVector::Deserialize(
   if (m > in.remaining() * 8) {
     return Status::DataLoss("serial-scan counter vector truncated");
   }
-  auto cv = std::make_unique<SerialScanCounterVector>(static_cast<size_t>(m),
-                                                      options);
+  std::vector<uint64_t> values(static_cast<size_t>(m));
   Status status =
-      ReadCounterStream(&in, m, cv.get(), "serial-scan counter vector");
+      ReadCounterStream(&in, values, "serial-scan counter vector");
   if (!status.ok()) return status;
   status = in.ExpectEnd("serial-scan counter vector");
   if (!status.ok()) return status;
+  auto cv = std::make_unique<SerialScanCounterVector>(static_cast<size_t>(m),
+                                                      options);
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (values[i] != 0) cv->Set(i, values[i]);
+  }
   return std::unique_ptr<CounterVector>(std::move(cv));
 }
 

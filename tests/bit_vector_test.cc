@@ -186,17 +186,17 @@ TEST(BitVectorTest, ClearZeroesEverything) {
 TEST(BitWriterTest, AppendsAndFinishes) {
   BitVector out;
   BitWriter writer(&out);
-  writer.WriteBit(true);
+  writer.WriteBits(1, 1);
   writer.WriteBits(0b1011, 4);
   writer.WriteZeros(3);
-  writer.WriteBit(true);
+  writer.WriteBits(1, 1);
   writer.Finish();
   EXPECT_EQ(out.size_bits(), 9u);
   BitReader reader(&out);
-  EXPECT_TRUE(reader.ReadBit());
+  EXPECT_EQ(reader.ReadBits(1), 1ull);
   EXPECT_EQ(reader.ReadBits(4), 0b1011ull);
   EXPECT_EQ(reader.ReadBits(3), 0ull);
-  EXPECT_TRUE(reader.ReadBit());
+  EXPECT_EQ(reader.ReadBits(1), 1ull);
   EXPECT_TRUE(reader.AtEnd());
 }
 

@@ -659,6 +659,34 @@ TEST(ConcurrentDeltaTest, OverRemoveReadsZeroItemsOnEveryArm) {
   }
 }
 
+// A shard's item count is its insert tally minus its remove tally, each
+// held at 2^64 - 1: a shard holding 2^63 or more net occurrences reads
+// them all (a signed net would read 0), and 2^64 or more saturates.
+TEST(ConcurrentDeltaTest, ItemCountReachesTwoToTheSixtyThree) {
+  constexpr uint64_t kHalf = uint64_t{1} << 63;
+  for (const CounterBacking backing :
+       {CounterBacking::kFixed64, CounterBacking::kCompact}) {
+    for (const bool delta : {true, false}) {
+      auto options = MakeDeltaOptions(backing, 4);
+      options.delta.enabled = delta;
+      ConcurrentSbf filter(options);
+      const std::string label = std::string(CounterBackingName(backing)) +
+                                (delta ? " delta" : " direct");
+      filter.Insert(1, kHalf);
+      EXPECT_EQ(filter.TotalItems(), kHalf) << label;
+      EXPECT_EQ(filter.SnapshotShard(filter.ShardOf(1)).total_items(), kHalf)
+          << label;
+      uint64_t framed = 0;
+      for (const uint64_t items : FrameShardItems(filter.Serialize())) {
+        framed += items;
+      }
+      EXPECT_EQ(framed, kHalf) << label;
+      filter.Insert(1, kHalf);
+      EXPECT_EQ(filter.TotalItems(), ~uint64_t{0}) << label;
+    }
+  }
+}
+
 // Flush() drains each thread's buffers while its writers keep buffering:
 // once the writers join, the item count is the exact net and the frame
 // equals a serially built reference byte for byte. Removes ride along on

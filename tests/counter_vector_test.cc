@@ -273,6 +273,46 @@ TEST(CompactTest, SingleCounterVector) {
   EXPECT_EQ(v.Get(0), 42u);
 }
 
+// Deserialize lays out each group in one pass where its widenings fit,
+// and must leave exactly the layout one Set per nonzero value in index
+// order leaves: same widths, group slack, pushed bits and rebuilds. The
+// values mix zeros, small counts and wide counters, so some groups
+// borrow slack and one load rebuilds.
+TEST(CompactTest, DeserializeLeavesTheSetLoopLayout) {
+  for (const uint32_t wide_every : {0u, 7u, 3u}) {
+    constexpr size_t kM = 5000;
+    Xoshiro256 rng(91 + wide_every);
+    std::vector<uint64_t> values(kM);
+    for (size_t i = 0; i < kM; ++i) {
+      const uint64_t r = rng.Next();
+      values[i] = (r & 3) == 0 ? 0 : (r >> 8) % 20;
+      if (wide_every != 0 && i % wide_every == 0) values[i] = r >> 4;
+    }
+    CompactCounterVector reference(kM);
+    for (size_t i = 0; i < kM; ++i) {
+      if (values[i] != 0) reference.Set(i, values[i]);
+    }
+    // Premise: without wide counters some groups borrow; with them the
+    // Set loop rebuilds.
+    EXPECT_EQ(reference.rebuild_count() > 0, wide_every != 0);
+    auto loaded = CompactCounterVector::Deserialize(reference.Serialize());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    const auto& cv = static_cast<const CompactCounterVector&>(*loaded.value());
+    EXPECT_EQ(cv.rebuild_count(), reference.rebuild_count()) << wide_every;
+    EXPECT_EQ(cv.pushed_bits_total(), reference.pushed_bits_total());
+    EXPECT_EQ(cv.BaseArrayBits(), reference.BaseArrayBits());
+    EXPECT_EQ(cv.MemoryUsageBits(), reference.MemoryUsageBits());
+    for (size_t g = 0; g < cv.group_count(); ++g) {
+      ASSERT_EQ(cv.GroupSlackBits(g), reference.GroupSlackBits(g)) << g;
+    }
+    for (size_t i = 0; i < kM; ++i) {
+      ASSERT_EQ(cv.WidthOf(i), reference.WidthOf(i)) << i;
+      ASSERT_EQ(cv.Get(i), values[i]) << i;
+    }
+    EXPECT_TRUE(cv.CheckInvariants().ok());
+  }
+}
+
 TEST(CompactTest, GroupSizeOne) {
   CompactCounterVector::Options options;
   options.group_size = 1;

@@ -296,6 +296,63 @@ TEST(SerializationFuzzTest, LengthSixtyFiveCodewordNeedsZeroPayload) {
   }
 }
 
+// A compact-counter frame around a hand-built counter stream: m counters,
+// the stream's declared bit count, and whatever words follow it.
+Bytes CompactFrameWithStream(uint64_t m, uint64_t stream_bits,
+                             const std::vector<uint64_t>& words) {
+  wire::Writer payload;
+  payload.PutVarint(m);
+  payload.PutVarint(32);                  // group size
+  payload.PutU64(0x3FE0000000000000ull);  // slack 0.5
+  payload.PutVarint(stream_bits);
+  payload.PutWords(words.data(), words.size());
+  return wire::SealFrame(wire::kMagicCompactCounters, wire::kFormatVersion,
+                         std::move(payload));
+}
+
+// Malformed streams reach the bounded delta decoder past an intact CRC;
+// each must come back as a clean DataLoss.
+TEST(SerializationFuzzTest, BoundedDecoderRejectsMalformedStreams) {
+  const auto expect_data_loss = [](const Bytes& frame, const char* what) {
+    EXPECT_EQ(DeserializeCounterVector(frame).status().code(),
+              Status::Code::kDataLoss)
+        << what;
+  };
+  // Sanity: one counter of 2^64 - 1, gamma(65) = 6 zeros, 1, "000001",
+  // then 64 zero bits, decodes.
+  const uint64_t gamma65 = (uint64_t{1} << 6) | (uint64_t{1} << 12);
+  ASSERT_TRUE(DeserializeCounterVector(CompactFrameWithStream(1, 77, {gamma65, 0}))
+                  .ok());
+  // A gamma prefix of 7 or more zeros names a length past 65.
+  for (const uint32_t zeros : {7u, 8u, 20u, 63u}) {
+    expect_data_loss(
+        CompactFrameWithStream(1, 64, {uint64_t{1} << zeros}),
+        ("gamma prefix of " + std::to_string(zeros) + " zeros").c_str());
+  }
+  expect_data_loss(CompactFrameWithStream(1, 64, {0}), "all-zero word");
+  // Length 66: gamma(66) = 6 zeros, 1, "000010".
+  expect_data_loss(
+      CompactFrameWithStream(
+          1, 78, {(uint64_t{1} << 6) | (uint64_t{1} << 11), 0}),
+      "length 66");
+  // Length 65 with any nonzero payload bit names a value past 2^64.
+  for (const uint32_t bit : {13u, 40u, 63u, 64u, 76u}) {
+    std::vector<uint64_t> words = {gamma65, 0};
+    words[bit / 64] |= uint64_t{1} << (bit % 64);
+    expect_data_loss(CompactFrameWithStream(1, 77, words),
+                     "nonzero payload after length 65");
+  }
+  // Sixty 1-bit zero counters, then a codeword whose gamma prefix "0001"
+  // ends the stream: its length bits and payload run into the guard words.
+  expect_data_loss(CompactFrameWithStream(
+                       61, 64, {LowMask(60) | (uint64_t{1} << 63)}),
+                   "last codeword runs into the guard words");
+  // The declared bit count needs two words; the payload holds one.
+  expect_data_loss(CompactFrameWithStream(1, 65, {1}), "truncated final word");
+  // A codeword that ends past the declared bit count.
+  expect_data_loss(CompactFrameWithStream(1, 3, {0b0100}), "overrun");
+}
+
 // --- flat SBF --------------------------------------------------------------
 
 bool DecodeSbf(const Bytes& bytes) {
