@@ -57,9 +57,10 @@ int main() {
       size_t recurring = 0, recurring_errors = 0, errors = 0;
       for (size_t i = 0; i < data.keys.size(); ++i) {
         const uint64_t key = data.keys[i];
-        if (rm.primary().HasRecurringMinimum(key)) {
+        const sbf::KeyMinimum primary = rm.primary().RecurringMinimum(key);
+        if (primary.recurring) {
           ++recurring;
-          recurring_errors += (rm.primary().Estimate(key) != data.freqs[i]);
+          recurring_errors += (primary.min != data.freqs[i]);
         }
         errors += (rm.Estimate(key) != data.freqs[i]);
       }

@@ -62,9 +62,8 @@ double BoostedUnbiasedEstimate(const SpectralBloomFilter& filter,
 
 double HybridRmUnbiasedEstimate(const SpectralBloomFilter& filter,
                                 uint64_t key) {
-  if (filter.HasRecurringMinimum(key)) {
-    return static_cast<double>(filter.Estimate(key));
-  }
+  const KeyMinimum minimum = filter.RecurringMinimum(key);
+  if (minimum.recurring) return static_cast<double>(minimum.min);
   return ClampedUnbiasedEstimate(filter, key);
 }
 

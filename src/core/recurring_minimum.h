@@ -5,6 +5,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/bloom_filter.h"
 #include "core/frequency_filter.h"
@@ -25,7 +27,10 @@ struct RecurringMinimumOptions {
   HashFamily::Kind hash_kind = HashFamily::Kind::kModuloMultiply;
   // Enables the marker Bloom filter B_f refinement (Section 3.3): a plain
   // Bloom filter of primary_m bits recording the items that were moved to
-  // the secondary SBF, consulted first on insert and lookup.
+  // the secondary SBF, consulted first on insert, lookup and delete. It is
+  // no guard against false negatives under deletions: in a seeded
+  // sliding-window run RM had more of them with the marker than without
+  // (EXPERIMENTS.md "One Recurring Minimum core").
   bool use_marker_filter = false;
 };
 
@@ -37,19 +42,72 @@ struct RecurringMinimumOptions {
 SbfOptions PrimaryOptions(const RecurringMinimumOptions& options);
 SbfOptions SecondaryOptions(const RecurringMinimumOptions& options);
 
-// True when removing `count` occurrences of `key` from an RM secondary
-// takes no counter below zero: each of the key's counters holds `count`
-// times the number of its probes landing there (positions can repeat).
-// RM and TRM remove from their secondary only then.
-bool SecondaryCanAbsorb(const SpectralBloomFilter& secondary, uint64_t key,
-                        uint64_t count);
+// What Recurring Minimum (Section 3.3) and Trapping RM (Section 3.3.1)
+// share: the primary and secondary SBFs, the lookup and delete rules, the
+// health report and the frame code both frames lead with. The two differ
+// only in how a key moves to the secondary (each implements Insert) and in
+// Marked().
+class RecurringMinimumCore : public FrequencyFilter {
+ public:
+  // Delete: reverse of insert — decrease the primary; unless the key has
+  // a recurring minimum there and is not Marked, decrease the secondary
+  // too, provided none of its counters there would drop below zero.
+  void Remove(uint64_t key, uint64_t count = 1) final;
 
-// Live health of an RM or Trapping RM filter: the primary SBF's snapshot
-// (every lookup probes it, so its occupancy governs the Bloom error), with
-// the secondary's clamp tallies folded in and its verdict escalated if
-// worse.
-FilterHealth RecurringMinimumHealth(const SpectralBloomFilter& primary,
-                                    const SpectralBloomFilter& secondary);
+  // Lookup: a recurring minimum in the primary (and not Marked) -> the
+  // primary minimum; otherwise the secondary's estimate if it knows the
+  // item (> 0), capped at the primary minimum, else the primary minimum.
+  [[nodiscard]] uint64_t Estimate(uint64_t key) const final;
+
+  // Live health: the primary SBF's snapshot (every lookup probes it, so
+  // its occupancy governs the Bloom error), with the secondary's clamp
+  // tallies folded in and its verdict escalated if worse.
+  [[nodiscard]] FilterHealth Health() const final;
+
+  [[nodiscard]] const SpectralBloomFilter& primary() const noexcept {
+    return primary_;
+  }
+  [[nodiscard]] const SpectralBloomFilter& secondary() const noexcept {
+    return secondary_;
+  }
+
+ protected:
+  // Empty SBFs sized by `options`.
+  explicit RecurringMinimumCore(RecurringMinimumOptions options);
+  // Loaded SBFs, as ReadSbfFrames returns them.
+  RecurringMinimumCore(
+      RecurringMinimumOptions options,
+      std::pair<SpectralBloomFilter, SpectralBloomFilter> sbfs);
+
+  // Whether `key` counts as already moved to the secondary, whatever its
+  // primary counters show.
+  [[nodiscard]] virtual bool Marked(uint64_t key) const = 0;
+
+  // --- the frame code RM and TRM share ----------------------------------
+
+  // Writes and reads the leading primary_m, secondary_m, k, backing and
+  // hash-kind fields; the read range-checks them ("bad <what> header").
+  void PutLeadingFields(wire::Writer& out) const;
+  static Status ReadLeadingFields(wire::Reader& in, const char* what,
+                                  RecurringMinimumOptions* options);
+  // The embedded primary and secondary SBF frames. The read deserializes
+  // both and checks them against `options` (derived seed included):
+  // anything else is a reassembled or tampered message. A frame bounds its
+  // own m by the message, so once this returns OK the header sizes are
+  // safe to allocate from.
+  void PutSbfFrames(wire::Writer& out) const;
+  static StatusOr<std::pair<SpectralBloomFilter, SpectralBloomFilter>>
+  ReadSbfFrames(wire::Reader& in, const char* what,
+                const RecurringMinimumOptions& options);
+
+  // Audits both SBFs: their options against options_ (derived seeds
+  // included) and their own validators.
+  Status CheckSbfs(const char* what) const;
+
+  RecurringMinimumOptions options_;
+  SpectralBloomFilter primary_;
+  SpectralBloomFilter secondary_;
+};
 
 // The Recurring Minimum algorithm (paper Section 3.3).
 //
@@ -59,7 +117,7 @@ FilterHealth RecurringMinimumHealth(const SpectralBloomFilter& primary,
 // a smaller secondary SBF with far better parameters, shrinking the
 // overall error by an order of magnitude (Table 1: 18x at gamma = 0.7)
 // while, unlike Minimal Increase, still supporting deletions and updates.
-class RecurringMinimumSbf final : public FrequencyFilter {
+class RecurringMinimumSbf final : public RecurringMinimumCore {
  public:
   explicit RecurringMinimumSbf(RecurringMinimumOptions options);
 
@@ -70,34 +128,14 @@ class RecurringMinimumSbf final : public FrequencyFilter {
   static RecurringMinimumSbf WithTotalBudget(uint64_t total_m, uint32_t k,
                                              uint64_t seed = 0);
 
-  // --- FrequencyFilter ---------------------------------------------------
-
   // Insert: bump the primary; if the item now has a single minimum, track
   // it in the secondary SBF (first move initializes the secondary counters
   // up to the primary minimum).
   void Insert(uint64_t key, uint64_t count = 1) override;
 
-  // Delete: reverse of insert — decrease primary; if the item has a single
-  // minimum (or is marked in B_f), decrease the secondary too unless one
-  // of its counters there is already 0.
-  void Remove(uint64_t key, uint64_t count = 1) override;
-
-  // Lookup: recurring minimum in the primary -> primary minimum;
-  // otherwise the secondary's estimate if it knows the item (> 0), else
-  // the primary minimum.
-  [[nodiscard]] uint64_t Estimate(uint64_t key) const override;
-
   [[nodiscard]] size_t MemoryUsageBits() const override;
   [[nodiscard]] std::string Name() const override { return "RM"; }
 
-  // --- introspection -----------------------------------------------------
-
-  [[nodiscard]] const SpectralBloomFilter& primary() const noexcept {
-    return primary_;
-  }
-  [[nodiscard]] const SpectralBloomFilter& secondary() const noexcept {
-    return secondary_;
-  }
   [[nodiscard]] const std::optional<BloomFilter>& marker() const noexcept {
     return marker_;
   }
@@ -105,14 +143,6 @@ class RecurringMinimumSbf final : public FrequencyFilter {
   [[nodiscard]] size_t moved_to_secondary() const noexcept {
     return moved_to_secondary_;
   }
-
-  // Live health (RecurringMinimumHealth).
-  [[nodiscard]] FilterHealth Health() const override {
-    return RecurringMinimumHealth(primary_, secondary_);
-  }
-
-  // Combined clamp-event tallies of both SBFs.
-  [[nodiscard]] SaturationStats saturation() const;
 
   // Expands both SBFs in place (each new size a positive multiple of the
   // current one; see SpectralBloomFilter::ExpandTo). Counter values — and
@@ -132,18 +162,22 @@ class RecurringMinimumSbf final : public FrequencyFilter {
   [[nodiscard]] std::vector<uint8_t> Serialize() const override;
   static StatusOr<RecurringMinimumSbf> Deserialize(wire::ByteSpan bytes);
 
-  // Audits the two-SBF split: options coherence (sizes, derived seeds),
-  // the marker filter present iff enabled and sized to primary_m, and
-  // moved_to_secondary() == 0 implying an all-zero secondary. Both
-  // embedded SBFs' own validators run as part of the sweep.
+  // Audits the two-SBF split (CheckSbfs), the marker filter present iff
+  // enabled and sized to primary_m, and moved_to_secondary() == 0
+  // implying an all-zero secondary.
   Status CheckInvariants() const override;
 
  private:
-  bool MarkedInSecondary(uint64_t key) const;
+  // A loaded filter (Deserialize).
+  RecurringMinimumSbf(RecurringMinimumOptions options,
+                      std::pair<SpectralBloomFilter, SpectralBloomFilter> sbfs,
+                      size_t moved)
+      : RecurringMinimumCore(options, std::move(sbfs)),
+        moved_to_secondary_(moved) {}
 
-  RecurringMinimumOptions options_;
-  SpectralBloomFilter primary_;
-  SpectralBloomFilter secondary_;
+  // Marked in the marker filter B_f, when it is enabled.
+  [[nodiscard]] bool Marked(uint64_t key) const override;
+
   std::optional<BloomFilter> marker_;
   size_t moved_to_secondary_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "core/sbf_algebra.h"
 
+#include <type_traits>
+
 #include "core/batch_kernels.h"
 
 namespace sbf {
@@ -39,11 +41,34 @@ StatusOr<SpectralBloomFilter> Multiply(const SpectralBloomFilter& a,
   }
   SpectralBloomFilter product = a.CloneEmpty();
   uint64_t total = 0;
-  for (uint64_t i = 0; i < a.m(); ++i) {
-    const uint64_t value = a.counters().Get(i) * b.counters().Get(i);
-    if (value > 0) product.mutable_counters().Set(i, value);
-    total += value;
-  }
+  // Both operands are read a chunk at a time through DecodeBlock (the
+  // grouped backings decode each group once) into a product of a's
+  // backing. A product past 2^64 - 1 saturates there, tallying the clamp
+  // (a wrap would lower it, breaking the one-sided bound); narrower
+  // backings clamp again, and tally, inside Set. The total saturates too.
+  VisitBacking(a.options().backing, a.counters(), [&](const auto& x) {
+    using CV = std::decay_t<decltype(x)>;
+    auto& to = static_cast<CV&>(product.mutable_counters());
+    VisitBacking(b.options().backing, b.counters(), [&](const auto& y) {
+      constexpr uint64_t kChunk = 256;
+      uint64_t xs[kChunk];
+      uint64_t ys[kChunk];
+      for (uint64_t base = 0; base < a.m(); base += kChunk) {
+        const uint64_t len = a.m() - base < kChunk ? a.m() - base : kChunk;
+        x.DecodeBlock(base, len, xs);
+        y.DecodeBlock(base, len, ys);
+        for (uint64_t j = 0; j < len; ++j) {
+          uint64_t value;
+          if (__builtin_mul_overflow(xs[j], ys[j], &value)) {
+            value = ~uint64_t{0};
+            to.MergeSaturationStats({/*saturation_clamps=*/1, 0});
+          }
+          if (value > 0) to.Set(base + j, value);
+          total = value > ~uint64_t{0} - total ? ~uint64_t{0} : total + value;
+        }
+      }
+    });
+  });
   // The product's "total items" is the sum of its counters over k — the
   // join-size analogue used by the unbiased estimator.
   product.set_total_items(total / a.k());

@@ -20,7 +20,8 @@ Status UnionInto(SpectralBloomFilter* dst, const SpectralBloomFilter& src);
 // Pointwise counter product: an SBF representing the join of the two
 // multisets on the filtered attribute. For a key x present in both sides
 // with frequencies f and g, the estimate of the product filter upper-
-// bounds f*g — the number of join result tuples contributed by x.
+// bounds f*g — the number of join result tuples contributed by x. Products
+// saturate at the backing's maximum, as inserts do.
 StatusOr<SpectralBloomFilter> Multiply(const SpectralBloomFilter& a,
                                        const SpectralBloomFilter& b);
 

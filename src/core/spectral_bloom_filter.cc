@@ -393,27 +393,28 @@ std::vector<uint64_t> SpectralBloomFilter::CounterValues(uint64_t key) const {
   uint64_t positions[HashFamily::kMaxK];
   Positions(key, positions);
   std::vector<uint64_t> values(options_.k);
-  for (uint32_t i = 0; i < options_.k; ++i) {
-    values[i] = counters_->Get(positions[i]);
-  }
+  VisitBacking(options_.backing, *counters_, [&](const auto& cv) {
+    for (uint32_t i = 0; i < options_.k; ++i) values[i] = cv.Get(positions[i]);
+  });
   return values;
 }
 
-bool SpectralBloomFilter::HasRecurringMinimum(uint64_t key) const {
+KeyMinimum SpectralBloomFilter::RecurringMinimum(uint64_t key) const {
   uint64_t positions[HashFamily::kMaxK];
   Positions(key, positions);
-  uint64_t min_value = ~0ull;
-  uint32_t min_count = 0;
-  for (uint32_t i = 0; i < options_.k; ++i) {
-    const uint64_t v = counters_->Get(positions[i]);
-    if (v < min_value) {
-      min_value = v;
-      min_count = 1;
-    } else if (v == min_value) {
-      ++min_count;
+  KeyMinimum result;
+  VisitBacking(options_.backing, *counters_, [&](const auto& cv) {
+    result.min = cv.Get(positions[0]);
+    for (uint32_t i = 1; i < options_.k; ++i) {
+      const uint64_t v = cv.Get(positions[i]);
+      if (v < result.min) {
+        result = {v, false};
+      } else if (v == result.min) {
+        result.recurring = true;
+      }
     }
-  }
-  return min_count >= 2;
+  });
+  return result;
 }
 
 SpectralBloomFilter SpectralBloomFilter::CloneEmpty() const {

@@ -56,6 +56,14 @@ struct SbfWrite {
   const uint64_t* counts = nullptr;
 };
 
+// The minimal value m_x among a key's k counters, and whether it occurs
+// in two or more of them: the Recurring Minimum predicate R_x (Section
+// 3.3).
+struct KeyMinimum {
+  uint64_t min = 0;
+  bool recurring = false;
+};
+
 // Validates an SbfOptions: m >= 1, 1 <= k <= 64, block_size either 0 or
 // in [1, m] dividing m, and kSticky4 only flat under Minimum Selection. Returns OK or an InvalidArgument describing the
 // violation. The SpectralBloomFilter constructor enforces this with a
@@ -221,9 +229,8 @@ class SpectralBloomFilter final : public FrequencyFilter {
 
   // Values of the key's k counters, in hash order (the paper's v_x).
   [[nodiscard]] std::vector<uint64_t> CounterValues(uint64_t key) const;
-  // True if the minimal counter value occurs in two or more of the key's
-  // counters — the Recurring Minimum predicate R_x (Section 3.3).
-  [[nodiscard]] bool HasRecurringMinimum(uint64_t key) const;
+  // The key's minimum and R_x, from one probe of its k counters.
+  [[nodiscard]] KeyMinimum RecurringMinimum(uint64_t key) const;
 
   // A fresh, empty filter with identical parameters (same hash functions).
   [[nodiscard]] SpectralBloomFilter CloneEmpty() const;

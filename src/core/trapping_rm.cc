@@ -4,21 +4,22 @@
 #include <utility>
 #include <vector>
 
+#include "core/batch_kernels.h"
 #include "util/bits.h"
-#include "util/check.h"
 #include "util/audit.h"
 
 namespace sbf {
 
 TrappingRmSbf::TrappingRmSbf(RecurringMinimumOptions options)
-    : options_(options),
-      primary_(PrimaryOptions(options)),
-      secondary_(SecondaryOptions(options)),
-      traps_(options.primary_m) {
-  SBF_CHECK_MSG(options.primary_m >= 1 && options.secondary_m >= 1,
-                "TRM needs primary_m and secondary_m >= 1");
+    : RecurringMinimumCore(options), traps_(options.primary_m) {
   SBF_AUDIT_INVARIANTS(*this);
 }
+
+TrappingRmSbf::TrappingRmSbf(
+    RecurringMinimumOptions options,
+    std::pair<SpectralBloomFilter, SpectralBloomFilter> sbfs)
+    : RecurringMinimumCore(options, std::move(sbfs)),
+      traps_(options.primary_m) {}
 
 void TrappingRmSbf::FireTrapsHitBy(uint64_t key, const uint64_t* positions) {
   for (uint32_t i = 0; i < options_.k; ++i) {
@@ -46,17 +47,16 @@ void TrappingRmSbf::FireTrapsHitBy(uint64_t key, const uint64_t* positions) {
     if (reduce > 0) {
       uint64_t secondary_positions[HashFamily::kMaxK];
       secondary_.Positions(trapped_key, secondary_positions);
-      for (uint32_t j = 0; j < options_.k; ++j) {
-        // Clamp per position: duplicate hash positions would otherwise be
-        // decremented twice.
-        const uint64_t current =
-            secondary_.counters().Get(secondary_positions[j]);
-        const uint64_t delta = std::min(current, reduce);
-        if (delta > 0) {
-          secondary_.mutable_counters().Decrement(secondary_positions[j],
-                                                  delta);
-        }
-      }
+      VisitBacking(options_.backing, secondary_.mutable_counters(),
+                   [&](auto& cv) {
+                     for (uint32_t j = 0; j < options_.k; ++j) {
+                       // Clamp per position: duplicate hash positions
+                       // would otherwise be decremented twice.
+                       const uint64_t at = secondary_positions[j];
+                       const uint64_t delta = std::min(cv.Get(at), reduce);
+                       if (delta > 0) cv.Decrement(at, delta);
+                     }
+                   });
     }
     traps_.SetBit(position, false);
     trap_owner_.erase(owner);
@@ -65,28 +65,29 @@ void TrappingRmSbf::FireTrapsHitBy(uint64_t key, const uint64_t* positions) {
 }
 
 void TrappingRmSbf::MoveToSecondary(uint64_t key,
-                                    const uint64_t* primary_positions) {
-  const uint64_t primary_min = primary_.Estimate(key);
+                                    const uint64_t* primary_positions,
+                                    uint64_t primary_min) {
   uint64_t secondary_positions[HashFamily::kMaxK];
   secondary_.Positions(key, secondary_positions);
-  for (uint32_t i = 0; i < options_.k; ++i) {
-    const uint64_t value = secondary_.counters().Get(secondary_positions[i]);
-    if (value < primary_min) {
-      secondary_.mutable_counters().Set(secondary_positions[i], primary_min);
-    }
-  }
+  VisitBacking(options_.backing, secondary_.mutable_counters(),
+               [&](auto& cv) {
+                 for (uint32_t i = 0; i < options_.k; ++i) {
+                   const uint64_t at = secondary_positions[i];
+                   if (cv.Get(at) < primary_min) cv.Set(at, primary_min);
+                 }
+               });
   secondary_.set_total_items(secondary_.total_items() + primary_min);
 
   // Arm the trap on the single minimal primary counter.
-  uint64_t min_value = ~0ull;
   uint64_t min_position = primary_positions[0];
-  for (uint32_t i = 0; i < options_.k; ++i) {
-    const uint64_t value = primary_.counters().Get(primary_positions[i]);
-    if (value < min_value) {
-      min_value = value;
-      min_position = primary_positions[i];
+  VisitBacking(options_.backing, primary_.counters(), [&](const auto& cv) {
+    for (uint32_t i = 0; i < options_.k; ++i) {
+      if (cv.Get(primary_positions[i]) == primary_min) {
+        min_position = primary_positions[i];
+        break;
+      }
     }
-  }
+  });
   traps_.SetBit(min_position, true);
   trap_owner_[min_position] = key;
 }
@@ -102,24 +103,9 @@ void TrappingRmSbf::Insert(uint64_t key, uint64_t count) {
     secondary_.Insert(key, count);
     return;
   }
-  if (primary_.HasRecurringMinimum(key)) return;
-  MoveToSecondary(key, positions);
-}
-
-void TrappingRmSbf::Remove(uint64_t key, uint64_t count) {
-  primary_.Remove(key, count);
-  // See RecurringMinimumSbf::Remove.
-  if (SecondaryCanAbsorb(secondary_, key, count)) secondary_.Remove(key, count);
-}
-
-uint64_t TrappingRmSbf::Estimate(uint64_t key) const {
-  const uint64_t primary_min = primary_.Estimate(key);
-  if (primary_.HasRecurringMinimum(key)) return primary_min;
-  const uint64_t secondary_estimate = secondary_.Estimate(key);
-  if (secondary_estimate > 0) {
-    return std::min(primary_min, secondary_estimate);
-  }
-  return primary_min;
+  const KeyMinimum primary = primary_.RecurringMinimum(key);
+  if (primary.recurring) return;
+  MoveToSecondary(key, positions, primary.min);
 }
 
 size_t TrappingRmSbf::MemoryUsageBits() const {
@@ -132,16 +118,10 @@ size_t TrappingRmSbf::MemoryUsageBits() const {
 std::vector<uint8_t> TrappingRmSbf::Serialize() const {
   SBF_AUDIT_INVARIANTS(*this);
   wire::Writer payload;
-  payload.PutVarint(options_.primary_m);
-  payload.PutVarint(options_.secondary_m);
-  payload.PutVarint(options_.k);
-  payload.PutU8(static_cast<uint8_t>(options_.backing));
-  payload.PutU8(options_.hash_kind == HashFamily::Kind::kModuloMultiply ? 0
-                                                                        : 1);
+  PutLeadingFields(payload);
   payload.PutU64(options_.seed);
   payload.PutVarint(traps_fired_);
-  payload.PutFrame(primary_.Serialize());
-  payload.PutFrame(secondary_.Serialize());
+  PutSbfFrames(payload);
   payload.PutWords(traps_.words(), traps_.size_words());
   // The owner table is an unordered map in memory; sorting by position
   // makes the wire bytes canonical (re-serialization is byte-identical).
@@ -163,37 +143,13 @@ StatusOr<TrappingRmSbf> TrappingRmSbf::Deserialize(wire::ByteSpan bytes) {
   if (!reader.ok()) return reader.status();
   wire::Reader& in = reader.value();
   RecurringMinimumOptions options;
-  options.primary_m = in.ReadVarint();
-  options.secondary_m = in.ReadVarint();
-  const uint64_t k = in.ReadVarint();
-  const uint8_t backing = in.ReadU8();
-  const uint8_t kind = in.ReadU8();
+  Status status = ReadLeadingFields(in, "TRM filter", &options);
+  if (!status.ok()) return status;
   options.seed = in.ReadU64();
   const uint64_t traps_fired = in.ReadVarint();
   if (!in.ok()) return in.status();
-  if (options.primary_m < 1 || options.secondary_m < 1 || k < 1 ||
-      k > HashFamily::kMaxK ||
-      backing > static_cast<uint8_t>(CounterBacking::kSticky4) ||
-      kind > 1) {
-    return Status::DataLoss("bad TRM filter header");
-  }
-  options.k = static_cast<uint32_t>(k);
-  options.backing = static_cast<CounterBacking>(backing);
-  options.hash_kind = kind == 0 ? HashFamily::Kind::kModuloMultiply
-                                : HashFamily::Kind::kDoubleMix;
-
-  const wire::ByteSpan primary_frame = in.ReadFrameSpan();
-  const wire::ByteSpan secondary_frame = in.ReadFrameSpan();
-  if (!in.ok()) return in.status();
-  auto primary = SpectralBloomFilter::Deserialize(primary_frame);
-  if (!primary.ok()) return primary.status();
-  auto secondary = SpectralBloomFilter::Deserialize(secondary_frame);
-  if (!secondary.ok()) return secondary.status();
-  if (!SameSbfOptions(primary.value().options(), PrimaryOptions(options)) ||
-      !SameSbfOptions(secondary.value().options(),
-                      SecondaryOptions(options))) {
-    return Status::DataLoss("TRM embedded SBFs inconsistent with header");
-  }
+  auto sbfs = ReadSbfFrames(in, "TRM", options);
+  if (!sbfs.ok()) return sbfs.status();
 
   // primary_m is validated against the (self-bounded) embedded primary
   // frame above, so the trap allocations below are bounded by the message.
@@ -201,9 +157,7 @@ StatusOr<TrappingRmSbf> TrappingRmSbf::Deserialize(wire::ByteSpan bytes) {
   if (trap_words * 8 > in.remaining()) {
     return Status::DataLoss("TRM trap bits truncated");
   }
-  TrappingRmSbf filter(options);
-  filter.primary_ = std::move(primary).value();
-  filter.secondary_ = std::move(secondary).value();
+  TrappingRmSbf filter(options, std::move(sbfs).value());
   filter.traps_fired_ = traps_fired;
   in.ReadWords(filter.traps_.mutable_words(),
                static_cast<size_t>(trap_words));
@@ -237,7 +191,7 @@ StatusOr<TrappingRmSbf> TrappingRmSbf::Deserialize(wire::ByteSpan bytes) {
   if (filter.traps_.PopCount() != owner_count) {
     return Status::DataLoss("TRM trap bits disagree with owner table");
   }
-  Status status = in.ExpectEnd("TRM filter");
+  status = in.ExpectEnd("TRM filter");
   if (!status.ok()) return status;
   SBF_AUDIT_INVARIANTS(filter);
   return filter;
@@ -245,14 +199,8 @@ StatusOr<TrappingRmSbf> TrappingRmSbf::Deserialize(wire::ByteSpan bytes) {
 
 
 Status TrappingRmSbf::CheckInvariants() const {
-  if (options_.primary_m < 1 || options_.secondary_m < 1) {
-    return Status::FailedPrecondition("TRM: primary_m/secondary_m < 1");
-  }
-  if (!SameSbfOptions(primary_.options(), PrimaryOptions(options_)) ||
-      !SameSbfOptions(secondary_.options(), SecondaryOptions(options_))) {
-    return Status::FailedPrecondition(
-        "TRM: embedded SBF options disagree with the TRM options");
-  }
+  Status status = CheckSbfs("TRM");
+  if (!status.ok()) return status;
   if (traps_.size_bits() != options_.primary_m) {
     return Status::FailedPrecondition(
         "TRM: trap bit vector size disagrees with primary m");
@@ -274,9 +222,7 @@ Status TrappingRmSbf::CheckInvariants() const {
           "TRM: trap owner entry on a disarmed trap");
     }
   }
-  Status status = primary_.CheckInvariants();
-  if (!status.ok()) return status;
-  return secondary_.CheckInvariants();
+  return Status::Ok();
 }
 
 }  // namespace sbf

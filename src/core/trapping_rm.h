@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "bitstream/bit_vector.h"
 #include "core/frequency_filter.h"
@@ -29,26 +31,14 @@ namespace sbf {
 // reappears after the transfer (the palindrome adversary), and two
 // counters contaminated to the same value producing a fake recurring
 // minimum. Both are exercised in the test suite.
-class TrappingRmSbf final : public FrequencyFilter {
+class TrappingRmSbf final : public RecurringMinimumCore {
  public:
   explicit TrappingRmSbf(RecurringMinimumOptions options);
 
   void Insert(uint64_t key, uint64_t count = 1) override;
-  void Remove(uint64_t key, uint64_t count = 1) override;
-  [[nodiscard]] uint64_t Estimate(uint64_t key) const override;
   [[nodiscard]] size_t MemoryUsageBits() const override;
   [[nodiscard]] std::string Name() const override { return "TRM"; }
-  // Live health (RecurringMinimumHealth, shared with RM).
-  [[nodiscard]] FilterHealth Health() const override {
-    return RecurringMinimumHealth(primary_, secondary_);
-  }
 
-  [[nodiscard]] const SpectralBloomFilter& primary() const noexcept {
-    return primary_;
-  }
-  [[nodiscard]] const SpectralBloomFilter& secondary() const noexcept {
-    return secondary_;
-  }
   // Number of trap-firing compensation events so far.
   [[nodiscard]] size_t traps_fired() const noexcept { return traps_fired_; }
   [[nodiscard]] size_t traps_armed() const noexcept {
@@ -62,18 +52,24 @@ class TrappingRmSbf final : public FrequencyFilter {
   [[nodiscard]] std::vector<uint8_t> Serialize() const override;
   static StatusOr<TrappingRmSbf> Deserialize(wire::ByteSpan bytes);
 
-  // Audits the trap machinery: the trap bit vector sized to primary m,
-  // trap_owner_ holding exactly one entry per armed trap with in-range
-  // positions, plus both embedded SBFs' own validators.
+  // Audits the two-SBF split (CheckSbfs) and the trap machinery: the trap
+  // bit vector sized to primary m, trap_owner_ holding exactly one entry
+  // per armed trap with in-range positions.
   Status CheckInvariants() const override;
 
  private:
-  void FireTrapsHitBy(uint64_t key, const uint64_t* positions);
-  void MoveToSecondary(uint64_t key, const uint64_t* primary_positions);
+  // A loaded core (Deserialize); the trap bits start disarmed.
+  TrappingRmSbf(RecurringMinimumOptions options,
+                std::pair<SpectralBloomFilter, SpectralBloomFilter> sbfs);
 
-  RecurringMinimumOptions options_;
-  SpectralBloomFilter primary_;
-  SpectralBloomFilter secondary_;
+  // No key counts as moved whatever its primary counters show: the traps
+  // compensate late detection instead of a marker filter.
+  [[nodiscard]] bool Marked(uint64_t) const override { return false; }
+
+  void FireTrapsHitBy(uint64_t key, const uint64_t* positions);
+  void MoveToSecondary(uint64_t key, const uint64_t* primary_positions,
+                       uint64_t primary_min);
+
   BitVector traps_;                                  // one bit per counter
   std::unordered_map<uint64_t, uint64_t> trap_owner_;  // position -> item
   size_t traps_fired_ = 0;

@@ -1,6 +1,5 @@
 #include "db/chaining_hash_table.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -61,16 +60,6 @@ uint64_t ChainingHashTable::Count(uint64_t key) const {
     if (nodes_[i].key == key) return nodes_[i].count;
   }
   return 0;
-}
-
-size_t ChainingHashTable::MaxChainLength() const {
-  size_t longest = 0;
-  for (int32_t head : buckets_) {
-    size_t length = 0;
-    for (int32_t i = head; i != -1; i = nodes_[i].next) ++length;
-    longest = std::max(longest, length);
-  }
-  return longest;
 }
 
 size_t ChainingHashTable::MemoryUsageBits() const {

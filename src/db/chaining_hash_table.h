@@ -30,7 +30,6 @@ class ChainingHashTable {
   size_t num_buckets() const { return buckets_.size(); }
   // Number of distinct keys stored.
   size_t size() const { return num_keys_; }
-  size_t MaxChainLength() const;
 
   // Actual memory: bucket heads + nodes (key, count, next).
   size_t MemoryUsageBits() const;

@@ -61,14 +61,6 @@ double Aggregate::mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }
 
-double MeanOverRuns(int runs, uint64_t base_seed, double (*fn)(uint64_t)) {
-  double sum = 0.0;
-  for (int r = 0; r < runs; ++r) {
-    sum += fn(base_seed + static_cast<uint64_t>(r) * 0x9E3779B9ull);
-  }
-  return runs == 0 ? 0.0 : sum / runs;
-}
-
 ShardMetrics::ShardMetrics(size_t num_shards)
     : num_shards_(num_shards), cells_(new Cell[num_shards]) {}
 

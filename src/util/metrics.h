@@ -62,11 +62,6 @@ class Aggregate {
   double max_ = 0.0;
 };
 
-// Averages a metric over `runs` invocations of `fn(seed)`; used by the
-// benchmark harness to reproduce the paper's "average over 5 independent
-// experiments" protocol.
-double MeanOverRuns(int runs, uint64_t base_seed, double (*fn)(uint64_t));
-
 // Per-shard operation counters for the concurrent sharded frontend
 // (core/concurrent_sbf.h). Each shard's counters live on their own cache
 // line so concurrent recording from many threads does not false-share;

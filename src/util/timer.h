@@ -17,7 +17,6 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

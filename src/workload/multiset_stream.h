@@ -18,8 +18,6 @@ struct Multiset {
 
   size_t num_distinct() const { return keys.size(); }
   uint64_t total() const { return stream.size(); }
-  // True frequency of keys[i].
-  uint64_t FrequencyOf(size_t i) const { return freqs[i]; }
 };
 
 // Builds a multiset from explicit per-key frequencies; keys are 1..n

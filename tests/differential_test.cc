@@ -135,9 +135,9 @@ TEST(SaturationDifferentialTest, RecurringMinimumSaturatesGracefully) {
 
   // Both inserts exceed the 32-bit range: the estimate reads the clamp
   // (never a wrapped small value), stays one-sided for every other key,
-  // and the clamp events surface through saturation().
+  // and the clamp events surface through Health().
   EXPECT_EQ(filter.Estimate(9), (uint64_t{1} << 32) - 1);
-  EXPECT_GT(filter.saturation().saturation_clamps, 0u);
+  EXPECT_GT(filter.Health().saturation_clamps, 0u);
   filter.Insert(55, 7);
   EXPECT_GE(filter.Estimate(55), 7u);
 }

@@ -228,7 +228,7 @@ TEST(RmHealthTest, EscalatesWorstComponentVerdict) {
   filter.Insert(5, kHuge);
   const FilterHealth health = filter.Health();
   EXPECT_EQ(health.state, HealthState::kSaturated);
-  EXPECT_GT(filter.saturation().saturation_clamps, 0u);
+  EXPECT_GT(health.saturation_clamps, 0u);
 }
 
 // Trapping RM reports the same combined snapshot as RM: a filter whose

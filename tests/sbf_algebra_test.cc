@@ -200,6 +200,28 @@ TEST(MultiplyTest, ExactOnLightLoad) {
   EXPECT_EQ(product.value().Estimate(8), 0u);
 }
 
+TEST(MultiplyTest, ProductSaturatesInsteadOfWrapping) {
+  // 2^32 occurrences on each side join into 2^64 tuples: the product
+  // counters and the total hold at 2^64 - 1 (tallied as clamps) instead of
+  // wrapping to 0.
+  for (const CounterBacking backing :
+       {CounterBacking::kFixed64, CounterBacking::kCompact}) {
+    SbfOptions options = MakeOptions(1000, 5, 31);
+    options.backing = backing;
+    SpectralBloomFilter a(options), b(options);
+    a.Insert(42, uint64_t{1} << 32);
+    b.Insert(42, uint64_t{1} << 32);
+    auto product = Multiply(a, b);
+    ASSERT_TRUE(product.ok());
+    EXPECT_EQ(product.value().Estimate(42), ~uint64_t{0})
+        << CounterBackingName(backing);
+    EXPECT_EQ(product.value().total_items(), ~uint64_t{0} / 5)
+        << CounterBackingName(backing);
+    EXPECT_GT(product.value().saturation().saturation_clamps, 0u)
+        << CounterBackingName(backing);
+  }
+}
+
 TEST(FilterByThresholdTest, OneSidedSelection) {
   const auto options = MakeOptions(3000, 5, 29);
   SpectralBloomFilter filter(options);

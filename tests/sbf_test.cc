@@ -179,7 +179,7 @@ TEST(SbfMsTest, CounterValuesAndRecurringMinimum) {
   ASSERT_EQ(values.size(), 5u);
   // Alone in the filter: all counters equal 10 -> recurring minimum.
   for (uint64_t v : values) EXPECT_EQ(v, 10u);
-  EXPECT_TRUE(filter.HasRecurringMinimum(77));
+  EXPECT_TRUE(filter.RecurringMinimum(77).recurring);
 }
 
 TEST(SbfMsTest, MembershipMatchesBloomFilterSemantics) {

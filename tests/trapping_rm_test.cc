@@ -87,6 +87,24 @@ TEST(TrappingRmTest, DeletionsSupported) {
   EXPECT_LE(false_negatives, data.keys.size() / 25);
 }
 
+TEST(TrappingRmTest, RemoveOfRecurringKeyLeavesSecondaryAlone) {
+  // Key 4 has a recurring minimum in the primary, so its remove leaves the
+  // secondary alone (RM's delete rule, which TRM shares): there it would
+  // eat key 2's deposit.
+  const RecurringMinimumOptions options = MakeOptions(16, 8, 3, 6);
+  TrappingRmSbf trm(options);
+  RecurringMinimumSbf rm(options);
+  for (const uint64_t key : {6, 2, 3, 2, 4, 5, 2}) {
+    trm.Insert(key);
+    rm.Insert(key);
+  }
+  ASSERT_TRUE(trm.primary().RecurringMinimum(4).recurring);
+  trm.Remove(4);
+  rm.Remove(4);
+  EXPECT_GE(trm.Estimate(2), 3u);
+  EXPECT_EQ(rm.Estimate(2), 3u);
+}
+
 TEST(TrappingRmTest, MemoryAccountsForTraps) {
   TrappingRmSbf filter(MakeOptions(1000, 500, 5, 23));
   const size_t before = filter.MemoryUsageBits();
