@@ -7,12 +7,15 @@
 // are sized so the counter array is far larger than L2 (64 MiB for the
 // fixed64 configuration) — the regime the pipeline targets, where every
 // probe is a likely cache miss and hashing W keys ahead overlaps the
-// misses. Rows land in BENCH_batch_pipeline.json via the shared schema
-// (common/bench_json.h); `speedup_vs_scalar` is in params.
+// misses. One more configuration, concurrent_mi_fixed64_s8_dram, is the
+// perfbench dram_batch_mi geometry (2^28 fixed64 counters = 2 GiB, MI,
+// 8 shards), where each probe is a DRAM miss and, without huge pages, a
+// page walk too. Rows land in BENCH_batch_pipeline.json via the shared
+// schema (common/bench_json.h); `speedup_vs_scalar` is in params.
 //
 // Usage: bench_batch_pipeline [--small]
 //   --small: CI smoke configuration (filters fit in cache, seconds of
-//   runtime; the speedups are not meaningful at this size).
+//   runtime; the speedups are not meaningful at this size; no DRAM row).
 
 #include <cstdint>
 #include <cstdio>
@@ -36,6 +39,7 @@ constexpr size_t kBatchSizes[] = {64, 256, 1024, 4096};
 
 struct Config {
   std::string name;
+  uint64_t m;
   std::function<std::unique_ptr<FrequencyFilter>()> make;
 };
 
@@ -107,21 +111,24 @@ void RunConfig(bench::BenchJson& json, const Config& config,
   std::vector<uint64_t> out(num_keys < 4096 ? 4096 : num_keys);
 
   // --- estimate: one warm filter, scalar baseline, then the batch sweep.
-  auto filter = config.make();
-  filter->InsertBatch(fill.data(), fill.size());
-  const double scalar_estimate = TimeScalarEstimate(*filter, queries);
-  Emit(json, config.name, "estimate", 0, queries.size(), scalar_estimate,
-       scalar_estimate);
-  for (size_t batch : kBatchSizes) {
-    const double s = TimeBatchEstimate(*filter, queries, batch, &out);
-    Emit(json, config.name, "estimate", batch, queries.size(), s,
+  // Each filter is dropped before the next is made, so a 2 GiB
+  // configuration holds one filter at a time.
+  {
+    auto filter = config.make();
+    filter->InsertBatch(fill.data(), fill.size());
+    const double scalar_estimate = TimeScalarEstimate(*filter, queries);
+    Emit(json, config.name, "estimate", 0, queries.size(), scalar_estimate,
          scalar_estimate);
+    for (size_t batch : kBatchSizes) {
+      const double s = TimeBatchEstimate(*filter, queries, batch, &out);
+      Emit(json, config.name, "estimate", batch, queries.size(), s,
+           scalar_estimate);
+    }
   }
 
   // --- insert: fresh filter per run so every run writes into the same
   // (empty) state.
-  auto scalar_filter = config.make();
-  const double scalar_insert = TimeScalarInsert(*scalar_filter, fill);
+  const double scalar_insert = TimeScalarInsert(*config.make(), fill);
   Emit(json, config.name, "insert", 0, fill.size(), scalar_insert,
        scalar_insert);
   for (size_t batch : kBatchSizes) {
@@ -158,31 +165,31 @@ int main(int argc, char** argv) {
 
   std::vector<Config> configs;
   configs.push_back(
-      {"sbf_ms_fixed64", [m] {
+      {"sbf_ms_fixed64", m, [m] {
          return std::make_unique<SpectralBloomFilter>(Options(
              m, SbfPolicy::kMinimumSelection, CounterBacking::kFixed64));
        }});
   configs.push_back(
-      {"sbf_ms_fixed32", [m] {
+      {"sbf_ms_fixed32", m, [m] {
          return std::make_unique<SpectralBloomFilter>(Options(
              m, SbfPolicy::kMinimumSelection, CounterBacking::kFixed32));
        }});
   configs.push_back(
-      {"sbf_mi_fixed64", [m] {
+      {"sbf_mi_fixed64", m, [m] {
          return std::make_unique<SpectralBloomFilter>(Options(
              m, SbfPolicy::kMinimalIncrease, CounterBacking::kFixed64));
        }});
   configs.push_back(
-      {"sbf_ms_compact", [m] {
+      {"sbf_ms_compact", m, [m] {
          return std::make_unique<SpectralBloomFilter>(Options(
              m, SbfPolicy::kMinimumSelection, CounterBacking::kCompact));
        }});
   configs.push_back(
-      {"sbf_ms_serialscan", [m] {
+      {"sbf_ms_serialscan", m, [m] {
          return std::make_unique<SpectralBloomFilter>(Options(
              m, SbfPolicy::kMinimumSelection, CounterBacking::kSerialScan));
        }});
-  configs.push_back({"blocked_fixed64_b8", [m] {
+  configs.push_back({"blocked_fixed64_b8", m, [m] {
                        SbfOptions options;
                        options.m = m;
                        options.k = 5;
@@ -195,11 +202,11 @@ int main(int argc, char** argv) {
                      }});
   // The counting Bloom filter [FCAB98]: 4-bit sticky counters.
   configs.push_back(
-      {"cbf_4bit", [m] {
+      {"cbf_4bit", m, [m] {
          return std::make_unique<SpectralBloomFilter>(Options(
              m, SbfPolicy::kMinimumSelection, CounterBacking::kSticky4));
        }});
-  configs.push_back({"concurrent_fixed64_s16", [m] {
+  configs.push_back({"concurrent_fixed64_s16", m, [m] {
                        ConcurrentSbfOptions options;
                        options.m = m;
                        options.k = 5;
@@ -208,6 +215,23 @@ int main(int argc, char** argv) {
                        options.seed = 42;
                        return std::make_unique<ConcurrentSbf>(options);
                      }});
+  if (!small) {
+    // perfbench's dram_batch_mi filter: 2^28 fixed64 counters (2 GiB, ~7x
+    // the L3), MI, 8 shards of 256 MiB, delta merges only at the size
+    // threshold.
+    constexpr uint64_t kDramM = uint64_t{1} << 28;
+    configs.push_back({"concurrent_mi_fixed64_s8_dram", kDramM, [] {
+                         ConcurrentSbfOptions options;
+                         options.m = kDramM;
+                         options.k = 5;
+                         options.policy = SbfPolicy::kMinimalIncrease;
+                         options.backing = CounterBacking::kFixed64;
+                         options.num_shards = 8;
+                         options.delta.max_epoch_micros = 0;
+                         options.seed = 42;
+                         return std::make_unique<ConcurrentSbf>(options);
+                       }});
+  }
 
   bench::BenchJson json("BENCH_batch_pipeline.json");
   // Every row carries the active SIMD ISA and build flags: the batched
@@ -216,7 +240,7 @@ int main(int argc, char** argv) {
   json.SetContext(bench::StandardContext());
   for (const Config& config : configs) {
     std::printf("# %s (m=%llu, keys=%zu)\n", config.name.c_str(),
-                static_cast<unsigned long long>(m), num_keys);
+                static_cast<unsigned long long>(config.m), num_keys);
     RunConfig(json, config, num_keys);
   }
   return json.WriteFile() ? 0 : 1;

@@ -157,6 +157,7 @@ void Sweep(bench::BenchJson& json, bench::SpeedupBaseline& baselines,
 
 int main() {
   sbf::bench::BenchJson json("BENCH_concurrent_scaling.json");
+  json.SetContext(sbf::bench::StandardContext());
   sbf::bench::SpeedupBaseline baselines;
   // fixed64 exercises the lock-free path — with and without the delta
   // buffers, so the write-combining win is measurable in isolation;

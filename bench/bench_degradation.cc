@@ -66,6 +66,7 @@ int main() {
       "m = 8192, k = 5, zipf 1.0; predicted fpr = fill^k from Health()");
 
   BenchJson json("BENCH_degradation.json");
+  json.SetContext(sbf::bench::StandardContext());
 
   // --- Part 1: load sweep --------------------------------------------------
   sbf::TablePrinter table({"distinct", "fill", "pred_fpr", "err_ratio",

@@ -214,6 +214,7 @@ void BenchPointWindow(bench::BenchJson& json,
 
 int main() {
   sbf::bench::BenchJson json("BENCH_shard_contention.json");
+  json.SetContext(sbf::bench::StandardContext());
   sbf::bench::SpeedupBaseline baselines;
   for (const int threads : {1, 2, 4, 8}) {
     sbf::BenchCountersSharedLine(json, baselines, threads);
