@@ -54,6 +54,11 @@ Structural rules that generic linters cannot express:
      --require-libclang (so a missing libclang fails CI instead of
      silently skipping). Dropping either gate un-checks every annotated
      lock contract and atomic protocol at once.
+ 10. one-allocation-path — madvise, mmap and std::align_val_t may appear
+     in src/ only in util/aligned_alloc.h. Its AlignedAllocator is the one
+     allocator under BitVector and so under every counter backing; its
+     size rule (64-byte alignment, or 2 MiB pages advised MADV_HUGEPAGE
+     for DRAM-sized arrays) holds only while no second path forks off.
 
 Run from anywhere inside the repository:  python3 scripts/sbf_lint.py
 Self-test (used by ctest):                python3 scripts/sbf_lint.py --self-test
@@ -137,6 +142,14 @@ ALLOC_PATTERNS = [
     (re.compile(r"\.push_back\s*\(|\.emplace_back\s*\("), "push_back"),
     (re.compile(r"\.resize\s*\(|\.reserve\s*\("), "resize/reserve"),
     (re.compile(r"\bmalloc\s*\("), "malloc"),
+]
+
+# Rule 10: the single home of aligned and huge-page allocation.
+ALLOCATOR_HEADER = SRC / "util" / "aligned_alloc.h"
+ALLOCATION_PATH_PATTERNS = [
+    (re.compile(r"\bmadvise\s*\("), "madvise"),
+    (re.compile(r"\bmmap(?:64)?\s*\("), "mmap"),
+    (re.compile(r"\balign_val_t\b"), "std::align_val_t"),
 ]
 
 MAGIC_DECL = re.compile(
@@ -227,6 +240,20 @@ def check_kernel_allocations(violations):
                         f"{path.relative_to(REPO)}:{lineno}: "
                         f"kernel-allocations: {what} inside a batch-kernel "
                         f"pipeline — kernels must not allocate")
+
+
+def check_one_allocation_path(violations):
+    for path in source_files(SRC):
+        if path == ALLOCATOR_HEADER:
+            continue
+        for lineno, line in iter_code_lines(path):
+            for pattern, what in ALLOCATION_PATH_PATTERNS:
+                if pattern.search(line):
+                    violations.append(
+                        f"{path.relative_to(REPO)}:{lineno}: "
+                        f"one-allocation-path: {what} outside "
+                        f"src/util/aligned_alloc.h — allocate through "
+                        f"AlignedAllocator")
 
 
 def check_tsan_coverage(violations, workflow_text=None):
@@ -419,6 +446,7 @@ def run_lint():
     check_simd_differential(violations)
     check_decode_view_differential(violations)
     check_durable_record_coverage(violations)
+    check_one_allocation_path(violations)
     for v in violations:
         print(v)
     if violations:
@@ -466,6 +494,27 @@ def self_test():
            "kernel alloc")
     expect(ALLOC_PATTERNS, "uint64_t ring[kBatchWindow * kMaxK];", False,
            "kernel stack array")
+    expect(ALLOCATION_PATH_PATTERNS, "::madvise(p, n, MADV_HUGEPAGE);", True,
+           "allocation-path madvise")
+    expect(ALLOCATION_PATH_PATTERNS,
+           "void* p = mmap(nullptr, n, PROT_READ, MAP_PRIVATE, -1, 0);", True,
+           "allocation-path mmap")
+    expect(ALLOCATION_PATH_PATTERNS,
+           "::operator new(n, std::align_val_t{64});", True,
+           "allocation-path align_val_t")
+    expect(ALLOCATION_PATH_PATTERNS, "// madvise(p, n, MADV_HUGEPAGE);",
+           False, "allocation-path comment")
+    expect(ALLOCATION_PATH_PATTERNS, "std::vector<uint64_t> mmap_offsets;",
+           False, "allocation-path identifier")
+    clean = []
+    check_one_allocation_path(clean)
+    if clean:
+        failures.append(f"one-allocation-path: tree not clean: {clean}")
+    if not any(p.search(ALLOCATOR_HEADER.read_text())
+               for p, _ in ALLOCATION_PATH_PATTERNS):
+        failures.append(
+            "one-allocation-path: util/aligned_alloc.h no longer holds the "
+            "allocation path; update ALLOCATOR_HEADER")
 
     # golden-coverage fires when a magic is missing from the covered set.
     declared = MAGIC_DECL.findall(WIRE_HEADER.read_text())

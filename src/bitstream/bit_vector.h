@@ -116,6 +116,9 @@ class BitVector {
   // Cache-line aligned: bit 0 of word 0 starts a 64-byte line, so any
   // 512-bit block at a 512-bit-aligned bit offset occupies exactly one
   // line (the blocked SBF layout and its SIMD kernels depend on this).
+  // Storage of kHugePageMinBytes (8 MiB) or more is 2 MiB aligned and
+  // advised MADV_HUGEPAGE (util/aligned_alloc.h): the DRAM-sized counter
+  // arrays whose random probes would otherwise each pay a page walk.
   std::vector<uint64_t, AlignedAllocator<uint64_t, kCacheLineBytes>> words_;
 };
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bitstream/bit_vector.h"
@@ -179,6 +184,126 @@ TEST(BitVectorTest, ClearZeroesEverything) {
   v.Clear();
   EXPECT_EQ(v.PopCount(), 0u);
   EXPECT_EQ(v.size_bits(), 130u);
+}
+
+// --- storage: the allocator's size rule (util/aligned_alloc.h) --------------
+
+// Bits in the smallest vector whose storage takes the huge-page branch.
+constexpr size_t kHugeBits = kHugePageMinBytes * 8;
+
+uintptr_t Address(const BitVector& v) {
+  return reinterpret_cast<uintptr_t>(v.words());
+}
+
+// Sets ~1000 random fields below `limit` bits, recording them in `model`.
+void Scatter(BitVector* v, size_t limit, uint64_t seed,
+             std::vector<std::pair<size_t, uint64_t>>* model) {
+  Xoshiro256 rng(seed);
+  for (int i = 0; i < 1000; ++i) {
+    const size_t pos = rng.UniformInt(limit - 64);
+    const uint64_t value = rng.Next() & LowMask(17);
+    v->SetBits(pos, 17, value);
+    model->emplace_back(pos, value);
+  }
+}
+
+// True iff every recorded field reads back (later writes win).
+bool Holds(const BitVector& v,
+           const std::vector<std::pair<size_t, uint64_t>>& model) {
+  BitVector expected(v.size_bits());
+  for (const auto& [pos, value] : model) expected.SetBits(pos, 17, value);
+  return v == expected;
+}
+
+TEST(BitVectorStorageTest, SmallStorageIsCacheLineAligned) {
+  for (size_t bits : {size_t{1}, size_t{200}, size_t{4096}, kHugeBits - 64}) {
+    BitVector v(bits);
+    EXPECT_EQ(Address(v) % kCacheLineBytes, 0u) << bits;
+  }
+}
+
+TEST(BitVectorStorageTest, LargeStorageIsHugePageAligned) {
+  for (size_t bits : {kHugeBits, kHugeBits + 1, 2 * kHugeBits + 4096}) {
+    BitVector v(bits);
+    EXPECT_EQ(Address(v) % kHugePageBytes, 0u) << bits;
+    EXPECT_EQ(v.PopCount(), 0u);
+  }
+}
+
+TEST(BitVectorStorageTest, ResizeAcrossThresholdKeepsContents) {
+  std::vector<std::pair<size_t, uint64_t>> model;
+  BitVector v(100000);
+  Scatter(&v, 100000, 31, &model);
+
+  v.Resize(kHugeBits + 77);  // up: reallocated on the huge-page branch
+  EXPECT_EQ(Address(v) % kHugePageBytes, 0u);
+  EXPECT_TRUE(Holds(v, model));
+  Scatter(&v, kHugeBits + 77, 32, &model);
+  ASSERT_TRUE(Holds(v, model));
+
+  v.Resize(100000);  // down: the bits past the new end are dropped
+  BitVector expected(kHugeBits + 77);
+  for (const auto& [pos, value] : model) expected.SetBits(pos, 17, value);
+  expected.Resize(100000);
+  EXPECT_EQ(v, expected);
+
+  const BitVector small_copy(v);  // a copy sizes to 100000 bits: small path
+  EXPECT_EQ(Address(small_copy) % kCacheLineBytes, 0u);
+  EXPECT_EQ(small_copy, expected);
+}
+
+TEST(BitVectorStorageTest, CopyAndAssignKeepContents) {
+  std::vector<std::pair<size_t, uint64_t>> model;
+  BitVector big(kHugeBits + 4096);
+  Scatter(&big, big.size_bits(), 33, &model);
+
+  const BitVector copy(big);
+  EXPECT_EQ(Address(copy) % kHugePageBytes, 0u);
+  EXPECT_TRUE(Holds(copy, model));
+
+  BitVector assigned(300);
+  assigned.SetBit(7, true);
+  assigned = big;  // small -> large
+  EXPECT_EQ(Address(assigned) % kHugePageBytes, 0u);
+  EXPECT_EQ(assigned, big);
+
+  BitVector small(300);
+  small.SetBits(100, 20, 0xABCDE);
+  assigned = small;  // large -> small
+  EXPECT_EQ(assigned, small);
+}
+
+// The huge-page advice reached the kernel: the mapping holding a large
+// vector's storage is THP-eligible. Needs Linux's smaps THPeligible line
+// and a THP mode other than `never`.
+TEST(BitVectorStorageTest, LargeStorageIsThpEligible) {
+  std::ifstream mode_file("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode_line;
+  if (!std::getline(mode_file, mode_line)) {
+    GTEST_SKIP() << "no transparent_hugepage/enabled on this host";
+  }
+  if (mode_line.find("[never]") != std::string::npos) {
+    GTEST_SKIP() << "THP mode is never: the advice cannot take effect";
+  }
+  BitVector v(2 * kHugeBits);
+  const uintptr_t at = Address(v);
+
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    unsigned long long begin = 0, end = 0;
+    // Mapping headers start "begin-end perms ..."; field lines "Name: ".
+    if (std::sscanf(line.c_str(), "%llx-%llx ", &begin, &end) == 2) {
+      inside = begin <= at && at < end;
+      continue;
+    }
+    if (inside && line.rfind("THPeligible:", 0) == 0) {
+      EXPECT_NE(line.find('1'), std::string::npos) << line;
+      return;
+    }
+  }
+  GTEST_SKIP() << "no THPeligible line in /proc/self/smaps for the storage";
 }
 
 // --- BitWriter / BitReader ---------------------------------------------------

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
+#include <cstdlib>
 #include <unordered_map>
 #include <vector>
 
@@ -430,6 +435,45 @@ TEST(CrossBackingTest, AllBackingsAgreeUnderIdenticalOps) {
       ASSERT_EQ(v->Get(i), expected) << v->Name() << " at " << i;
     }
   }
+}
+
+// --- huge-page storage ------------------------------------------------------
+
+// A 16 MiB fixed64 vector (its storage takes util/aligned_alloc.h's
+// huge-page branch) filled with random counters survives Clone() and an
+// 'SBfx' round trip.
+bool HugeFixedVectorRoundTrips() {
+  constexpr size_t kM = size_t{1} << 21;  // 2^21 x 8 bytes = 16 MiB
+  FixedWidthCounterVector v(kM, 64);
+  Xoshiro256 rng(77);
+  for (size_t i = 0; i < kM; i += 1 + rng.UniformInt(7)) v.Set(i, rng.Next());
+  const auto clone = v.Clone();
+  auto loaded = DeserializeCounterVector(v.Serialize());
+  if (!loaded.ok() || loaded.value()->size() != kM) return false;
+  const CounterVector& back = *loaded.value();
+  for (size_t i = 0; i < kM; ++i) {
+    if (clone->Get(i) != v.Get(i) || back.Get(i) != v.Get(i)) return false;
+  }
+  return true;
+}
+
+TEST(HugePageStorageTest, SixteenMiBFixedVectorRoundTrips) {
+  EXPECT_TRUE(HugeFixedVectorRoundTrips());
+}
+
+// Correctness never depends on THP: with THP disabled for the (child)
+// process, the same round trip gives the same contents.
+TEST(HugePageStorageTest, RoundTripsWithThpDisabled) {
+#if defined(PR_SET_THP_DISABLE)
+  EXPECT_EXIT(
+      {
+        if (::prctl(PR_SET_THP_DISABLE, 1, 0, 0, 0) != 0) std::_Exit(2);
+        std::_Exit(HugeFixedVectorRoundTrips() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+#else
+  GTEST_SKIP() << "PR_SET_THP_DISABLE is Linux-only";
+#endif
 }
 
 }  // namespace
