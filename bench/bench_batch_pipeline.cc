@@ -11,7 +11,9 @@
 // perfbench dram_batch_mi geometry (2^28 fixed64 counters = 2 GiB, MI,
 // 8 shards), where each probe is a DRAM miss and, without huge pages, a
 // page walk too. Rows land in BENCH_batch_pipeline.json via the shared
-// schema (common/bench_json.h); `speedup_vs_scalar` is in params.
+// schema (common/bench_json.h); `speedup_vs_scalar` is in params. Every
+// cell is the median of five repeats taken round robin across the cells
+// of its sweep, with the min and max in its params.
 //
 // Usage: bench_batch_pipeline [--small]
 //   --small: CI smoke configuration (filters fit in cache, seconds of
@@ -21,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,17 +96,22 @@ double TimeBatchEstimate(const FrequencyFilter& filter,
 }
 
 void Emit(bench::BenchJson& json, const std::string& config,
-          const char* op, size_t batch, size_t keys, double seconds,
-          double scalar_seconds) {
-  json.Add(op,
-           {{"config", config},
-            {"batch", static_cast<uint64_t>(batch)},  // 0 = scalar baseline
-            {"keys", static_cast<uint64_t>(keys)},
-            {"speedup_vs_scalar", scalar_seconds / seconds}},
-           seconds / static_cast<double>(keys) * 1e9,
-           static_cast<double>(keys) / seconds / 1e6);
+          const char* op, size_t batch, size_t keys,
+          const bench::CellTiming& timing, double scalar_seconds) {
+  std::vector<bench::BenchJson::Param> params = {
+      {"config", config},
+      {"batch", static_cast<uint64_t>(batch)},  // 0 = scalar baseline
+      {"keys", static_cast<uint64_t>(keys)},
+      {"speedup_vs_scalar", scalar_seconds / timing.median}};
+  for (auto& param : bench::SpreadParams(timing, keys)) {
+    params.push_back(std::move(param));
+  }
+  json.Add(op, params, timing.median / static_cast<double>(keys) * 1e9,
+           static_cast<double>(keys) / timing.median / 1e6);
 }
 
+// Each cell (the scalar baseline and every batch size) is the median of
+// five repeats taken round robin across the cells (bench::TimeInterleaved).
 void RunConfig(bench::BenchJson& json, const Config& config,
                size_t num_keys) {
   const std::vector<uint64_t> fill = RandomKeys(num_keys, 0xF111);
@@ -116,25 +124,38 @@ void RunConfig(bench::BenchJson& json, const Config& config,
   {
     auto filter = config.make();
     filter->InsertBatch(fill.data(), fill.size());
-    const double scalar_estimate = TimeScalarEstimate(*filter, queries);
-    Emit(json, config.name, "estimate", 0, queries.size(), scalar_estimate,
-         scalar_estimate);
+    std::vector<std::function<double()>> cells = {
+        [&] { return TimeScalarEstimate(*filter, queries); }};
     for (size_t batch : kBatchSizes) {
-      const double s = TimeBatchEstimate(*filter, queries, batch, &out);
-      Emit(json, config.name, "estimate", batch, queries.size(), s,
-           scalar_estimate);
+      cells.push_back([&, batch] {
+        return TimeBatchEstimate(*filter, queries, batch, &out);
+      });
+    }
+    const auto timings = bench::TimeInterleaved(cells);
+    Emit(json, config.name, "estimate", 0, queries.size(), timings[0],
+         timings[0].median);
+    for (size_t b = 0; b < std::size(kBatchSizes); ++b) {
+      Emit(json, config.name, "estimate", kBatchSizes[b], queries.size(),
+           timings[b + 1], timings[0].median);
     }
   }
 
   // --- insert: fresh filter per run so every run writes into the same
   // (empty) state.
-  const double scalar_insert = TimeScalarInsert(*config.make(), fill);
-  Emit(json, config.name, "insert", 0, fill.size(), scalar_insert,
-       scalar_insert);
+  std::vector<std::function<double()>> cells = {
+      [&] { return TimeScalarInsert(*config.make(), fill); }};
   for (size_t batch : kBatchSizes) {
-    auto batch_filter = config.make();
-    const double s = TimeBatchInsert(*batch_filter, fill, batch);
-    Emit(json, config.name, "insert", batch, fill.size(), s, scalar_insert);
+    cells.push_back([&, batch] {
+      auto batch_filter = config.make();
+      return TimeBatchInsert(*batch_filter, fill, batch);
+    });
+  }
+  const auto timings = bench::TimeInterleaved(cells);
+  Emit(json, config.name, "insert", 0, fill.size(), timings[0],
+       timings[0].median);
+  for (size_t b = 0; b < std::size(kBatchSizes); ++b) {
+    Emit(json, config.name, "insert", kBatchSizes[b], fill.size(),
+         timings[b + 1], timings[0].median);
   }
 }
 

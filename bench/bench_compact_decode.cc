@@ -1,20 +1,23 @@
 // Grouped-backing decode economics (the "close the compact-backing gap"
 // ROADMAP item): what a compact-backed batch estimate costs now that
-// PositionOf is O(1) (sampled prefix offsets plus a short width walk) and
-// the batch pipeline prefetches each probe's widths and payload, against
+// PositionOf is O(1) (a span header's start plus a register prefix sum of
+// its width lanes) and the batch pipeline hints each probe's header and
+// then its payload word, against
 // (a) the current scalar path and (b) a faithful replica of the
 // pre-refactor per-access path that re-scanned the group's widths on
 // every probe. Also times the full-vector DecodeBlock sweep vs a scalar
 // Get sweep and the epoch-apply flush path vs scalar inserts.
 //
 // Emits BENCH_compact_decode.json; scripts/check_compact.py gates the
-// `speedup_vs_per_access` param of the compact batched-estimate row. The
-// per-access replica and the batched estimate are timed in kRepetitions
-// interleaved pairs and the param is the median of the pair ratios, so a
-// burst of host noise in one timing cannot flip the gate.
+// `speedup_vs_per_access` param of the compact batched-estimate row. Every
+// cell is timed in kRepetitions round-robin repeats (the median is the
+// row's ns_per_op, with min and max in its params), and every speedup is
+// the median of the per-repeat ratios, so a burst of host noise in one
+// timing cannot flip the gate.
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "common/bench_json.h"
@@ -37,12 +40,19 @@ using sbf::bench::BenchJson;
 // delete the pre-refactor baseline's extra work.
 volatile uint64_t g_sink = 0;
 
-// Interleaved (per-access, batched) timing pairs behind the gated ratio.
+// Round-robin repeats of every cell (bench::TimeInterleaved).
 constexpr int kRepetitions = 5;
 
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
+// Median over the repeats of a's time over b's, repeat by repeat: each
+// pair ran back to back, so a burst of host noise moves both.
+double MedianRatio(const sbf::bench::CellTiming& a,
+                   const sbf::bench::CellTiming& b) {
+  std::vector<double> ratios;
+  for (size_t r = 0; r < a.seconds.size(); ++r) {
+    ratios.push_back(a.seconds[r] / b.seconds[r]);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
 }
 
 // The pre-refactor per-access estimate: before the sampled prefix-offset
@@ -109,141 +119,142 @@ int main(int argc, char** argv) {
     const char* name = sbf::CounterBackingName(backing);
     SpectralBloomFilter filter = BuildFilter(backing, m, data);
     const bool compact = backing == CounterBacking::kCompact;
+    const auto& cv = filter.counters();
+    std::vector<uint64_t> counts(q);
+    for (size_t i = 0; i < q; ++i) counts[i] = 1 + i % 3;
+    const int flush_rounds = rounds / 4 + 1;
 
-    // Pre-refactor replica (compact only; the fixed backings never paid a
-    // positional scan) and the batched pipeline (hash-ahead + prefetch +
-    // early-exit min over Get), timed in interleaved repetitions.
-    std::vector<double> per_access_ns;
-    std::vector<double> batched_ns;
-    std::vector<double> ratios;
+    // Every cell below is timed in kRepetitions round-robin repeats
+    // (bench::TimeInterleaved); each checksum is its cell's last repeat's.
     uint64_t per_access_checksum = 0;
+    uint64_t scalar_checksum = 0;
     uint64_t batched_checksum = 0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-      if (compact) {
-        const auto& cv =
-            static_cast<const CompactCounterVector&>(filter.counters());
+    uint64_t get_checksum = 0;
+    uint64_t block_checksum = 0;
+    std::vector<std::function<double()>> cells = {
+        // The batched pipeline: hash-ahead + prefetch + early-exit min.
+        [&] {
+          batched_checksum = 0;
+          Timer timer;
+          for (int r = 0; r < rounds; ++r) {
+            filter.EstimateBatch(data.keys.data(), q, out.data());
+            for (size_t i = 0; i < q; ++i) batched_checksum += out[i];
+          }
+          return timer.ElapsedSeconds();
+        },
+        // The scalar path: one virtual Get per probe.
+        [&] {
+          scalar_checksum = 0;
+          Timer timer;
+          for (int r = 0; r < rounds; ++r) {
+            for (uint64_t key : data.keys) {
+              scalar_checksum += filter.Estimate(key);
+            }
+          }
+          return timer.ElapsedSeconds();
+        },
+        // Full-vector sweeps: one virtual Get per counter, and the
+        // DecodeBlock chunk walk Total()/serialization use.
+        [&] {
+          get_checksum = 0;
+          Timer timer;
+          for (int r = 0; r < rounds; ++r) {
+            for (size_t i = 0; i < cv.size(); ++i) get_checksum += cv.Get(i);
+          }
+          return timer.ElapsedSeconds();
+        },
+        [&] {
+          constexpr size_t kChunk = 256;
+          uint64_t values[kChunk];
+          block_checksum = 0;
+          Timer timer;
+          for (int r = 0; r < rounds; ++r) {
+            for (size_t base = 0; base < cv.size(); base += kChunk) {
+              const size_t len = std::min(kChunk, cv.size() - base);
+              cv.DecodeBlock(base, len, values);
+              for (size_t j = 0; j < len; ++j) block_checksum += values[j];
+            }
+          }
+          return timer.ElapsedSeconds();
+        },
+        // The flush path: SpectralBloomFilter::Apply with per-key counts
+        // vs a loop of scalar inserts — what the concurrent frontend's
+        // shard drain pays per key. Only serial-scan takes a bulk path
+        // (SerialScanCounterVector::AddMany: probes clustered by group,
+        // one decode + one re-encode per touched group); the other
+        // backings run the per-key write body through the batch pipeline.
+        [&] {
+          SpectralBloomFilter target = filter.CloneEmpty();
+          Timer timer;
+          for (int r = 0; r < flush_rounds; ++r) {
+            for (size_t i = 0; i < q; ++i) {
+              target.Insert(data.keys[i], counts[i]);
+            }
+          }
+          return timer.ElapsedSeconds();
+        },
+        [&] {
+          SpectralBloomFilter target = filter.CloneEmpty();
+          Timer timer;
+          for (int r = 0; r < flush_rounds; ++r) {
+            target.Apply({data.keys.data(), q, 0, false, counts.data()});
+          }
+          return timer.ElapsedSeconds();
+        }};
+    if (compact) {
+      // The pre-refactor replica (compact only; the fixed backings never
+      // paid a positional scan).
+      const auto& compact_cv = static_cast<const CompactCounterVector&>(cv);
+      cells.push_back([&] {
         per_access_checksum = 0;
         Timer timer;
         for (int r = 0; r < rounds; ++r) {
           for (uint64_t key : data.keys) {
-            per_access_checksum += PreRefactorEstimate(filter, cv, key);
+            per_access_checksum += PreRefactorEstimate(filter, compact_cv, key);
           }
         }
-        per_access_ns.push_back(timer.ElapsedSeconds() * 1e9 / (rounds * q));
-      }
-      batched_checksum = 0;
-      Timer timer;
-      for (int r = 0; r < rounds; ++r) {
-        filter.EstimateBatch(data.keys.data(), q, out.data());
-        for (size_t i = 0; i < q; ++i) batched_checksum += out[i];
-      }
-      batched_ns.push_back(timer.ElapsedSeconds() * 1e9 / (rounds * q));
-      if (compact) ratios.push_back(per_access_ns.back() / batched_ns.back());
+        return timer.ElapsedSeconds();
+      });
     }
+    const auto t = sbf::bench::TimeInterleaved(cells, kRepetitions);
+    const sbf::bench::CellTiming& batched = t[0];
+    const sbf::bench::CellTiming& scalar = t[1];
+    const sbf::bench::CellTiming& sweep_get = t[2];
+    const sbf::bench::CellTiming& sweep_block = t[3];
+    const sbf::bench::CellTiming& flush_scalar = t[4];
+    const sbf::bench::CellTiming& flush_batch = t[5];
+
+    const uint64_t probes = static_cast<uint64_t>(rounds) * q;
+    const uint64_t sweeps = static_cast<uint64_t>(rounds) * cv.size();
+    const uint64_t flushes = static_cast<uint64_t>(flush_rounds) * q;
+    const auto add = [&](const char* row, const sbf::bench::CellTiming& cell,
+                         uint64_t ops, std::vector<BenchJson::Param> params) {
+      params.insert(params.begin(), {"backing", name});
+      for (auto& p : sbf::bench::SpreadParams(cell, ops)) params.push_back(p);
+      const double ns = cell.median * 1e9 / static_cast<double>(ops);
+      json.Add(row, params, ns, 1e3 / ns);
+    };
     if (compact) {
-      const double ns = Median(per_access_ns);
-      json.Add("estimate_per_access_prerefactor",
-               {{"backing", name},
-                {"checksum", per_access_checksum % 1000003},
-                {"repetitions", kRepetitions}},
-               ns, 1e3 / ns);
+      add("estimate_per_access_prerefactor", t[6], probes,
+          {{"checksum", per_access_checksum % 1000003}});
     }
-
-    // Current scalar path (O(1) PositionOf, one virtual Get per probe).
-    {
-      uint64_t checksum = 0;
-      Timer timer;
-      for (int r = 0; r < rounds; ++r) {
-        for (uint64_t key : data.keys) checksum += filter.Estimate(key);
-      }
-      const double seconds = timer.ElapsedSeconds();
-      json.Add("estimate_scalar",
-               {{"backing", name}, {"checksum", checksum % 1000003}},
-               seconds * 1e9 / (rounds * q), rounds * q / (seconds * 1e6));
+    add("estimate_scalar", scalar, probes,
+        {{"checksum", scalar_checksum % 1000003}});
+    std::vector<BenchJson::Param> batched_params = {
+        {"checksum", batched_checksum % 1000003}};
+    if (compact) {
+      batched_params.emplace_back("speedup_vs_per_access",
+                                  MedianRatio(t[6], batched));
     }
-
-    // The batched row: median ns over the repetitions; for compact, the
-    // median per-pair speedup over the per-access replica.
-    {
-      const double ns = Median(batched_ns);
-      std::vector<BenchJson::Param> params = {
-          {"backing", name},
-          {"checksum", batched_checksum % 1000003},
-          {"repetitions", kRepetitions}};
-      if (compact) {
-        params.emplace_back("speedup_vs_per_access", Median(ratios));
-      }
-      json.Add("estimate_batched", params, ns, 1e3 / ns);
-    }
-
-    // Full-vector sweep: the DecodeBlock chunk walk Total()/serialization
-    // use vs one virtual Get per counter.
-    {
-      const auto& cv = filter.counters();
-      uint64_t checksum = 0;
-      Timer timer;
-      for (int r = 0; r < rounds; ++r) {
-        for (size_t i = 0; i < cv.size(); ++i) checksum += cv.Get(i);
-      }
-      const double scalar_s = timer.ElapsedSeconds();
-      json.Add("sweep_scalar_get",
-               {{"backing", name}, {"checksum", checksum % 1000003}},
-               scalar_s * 1e9 / (rounds * cv.size()),
-               rounds * cv.size() / (scalar_s * 1e6));
-
-      constexpr size_t kChunk = 256;
-      uint64_t values[kChunk];
-      checksum = 0;
-      timer.Restart();
-      for (int r = 0; r < rounds; ++r) {
-        for (size_t base = 0; base < cv.size(); base += kChunk) {
-          const size_t len = std::min(kChunk, cv.size() - base);
-          cv.DecodeBlock(base, len, values);
-          for (size_t j = 0; j < len; ++j) checksum += values[j];
-        }
-      }
-      const double block_s = timer.ElapsedSeconds();
-      json.Add("sweep_decode_block",
-               {{"backing", name},
-                {"checksum", checksum % 1000003},
-                {"speedup_vs_scalar_get", scalar_s / block_s}},
-               block_s * 1e9 / (rounds * cv.size()),
-               rounds * cv.size() / (block_s * 1e6));
-    }
-
-    // The flush path: SpectralBloomFilter::Apply with per-key counts vs a
-    // loop of scalar inserts — what the concurrent frontend's shard drain
-    // pays per key. Only serial-scan takes a bulk path
-    // (SerialScanCounterVector::AddMany: probes clustered by group, one
-    // decode + one re-encode per touched group); the other backings run
-    // the per-key write body through the batch pipeline.
-    {
-      std::vector<uint64_t> counts(data.keys.size());
-      for (size_t i = 0; i < counts.size(); ++i) counts[i] = 1 + i % 3;
-      SpectralBloomFilter scalar_target = filter.CloneEmpty();
-      Timer timer;
-      for (int r = 0; r < rounds / 4 + 1; ++r) {
-        for (size_t i = 0; i < counts.size(); ++i) {
-          scalar_target.Insert(data.keys[i], counts[i]);
-        }
-      }
-      const double scalar_s = timer.ElapsedSeconds();
-      const uint64_t ops = (rounds / 4 + 1) * counts.size();
-      json.Add("flush_insert_scalar", {{"backing", name}},
-               scalar_s * 1e9 / ops, ops / (scalar_s * 1e6));
-
-      SpectralBloomFilter batch_target = filter.CloneEmpty();
-      timer.Restart();
-      for (int r = 0; r < rounds / 4 + 1; ++r) {
-        batch_target.Apply(
-            {data.keys.data(), counts.size(), 0, false, counts.data()});
-      }
-      const double batch_s = timer.ElapsedSeconds();
-      json.Add("flush_apply_add_batch",
-               {{"backing", name},
-                {"speedup_vs_scalar_insert", scalar_s / batch_s}},
-               batch_s * 1e9 / ops, ops / (batch_s * 1e6));
-    }
+    add("estimate_batched", batched, probes, batched_params);
+    add("sweep_scalar_get", sweep_get, sweeps,
+        {{"checksum", get_checksum % 1000003}});
+    add("sweep_decode_block", sweep_block, sweeps,
+        {{"checksum", block_checksum % 1000003},
+         {"speedup_vs_scalar_get", MedianRatio(sweep_get, sweep_block)}});
+    add("flush_insert_scalar", flush_scalar, flushes, {});
+    add("flush_apply_add_batch", flush_batch, flushes,
+        {{"speedup_vs_scalar_insert", MedianRatio(flush_scalar, flush_batch)}});
   }
 
   return json.WriteFile() ? 0 : 1;

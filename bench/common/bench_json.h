@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,6 +151,50 @@ inline std::vector<BenchJson::Param> StandardContext(bool with_isa = true) {
 #endif
   context.emplace_back("thp", ThpMode());
   return context;
+}
+
+// One bench cell's timings: the seconds of each repeat, in run order, and
+// their median, min and max.
+struct CellTiming {
+  std::vector<double> seconds;
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+// Times each cell as the median of `repeats` runs (at least 5), taken
+// round robin — cell 0, 1, ..., then cell 0 again — so drift on the host
+// over the sweep lands on every cell alike instead of on whichever cell
+// ran during it. Each cell runs its own untimed setup and returns the
+// seconds of its timed part. Rows record the median as ns_per_op and
+// the spread through SpreadParams.
+inline std::vector<CellTiming> TimeInterleaved(
+    const std::vector<std::function<double()>>& cells, int repeats = 5) {
+  repeats = std::max(repeats, 5);
+  std::vector<CellTiming> timings(cells.size());
+  for (int rep = 0; rep < repeats; ++rep) {
+    for (size_t c = 0; c < cells.size(); ++c) {
+      timings[c].seconds.push_back(cells[c]());
+    }
+  }
+  for (CellTiming& t : timings) {
+    std::vector<double> sorted = t.seconds;
+    std::sort(sorted.begin(), sorted.end());
+    t.median = sorted[sorted.size() / 2];
+    t.min = sorted.front();
+    t.max = sorted.back();
+  }
+  return timings;
+}
+
+// The repeat count and the min/max ns per op of a cell that ran `ops`
+// operations per repeat.
+inline std::vector<BenchJson::Param> SpreadParams(const CellTiming& t,
+                                                  uint64_t ops) {
+  const double scale = 1e9 / static_cast<double>(ops);
+  return {{"repeats", static_cast<uint64_t>(t.seconds.size())},
+          {"min_ns_per_op", t.min * scale},
+          {"max_ns_per_op", t.max * scale}};
 }
 
 // Baseline bookkeeping for scaling sweeps: every multi-threaded bench that

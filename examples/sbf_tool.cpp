@@ -339,8 +339,10 @@ int CmdStorage(int argc, char** argv) {
               cv->group_size(), cv->group_count());
   std::printf("payload used: %zu bits, base array: %zu bits (slack %zu)\n",
               used, base, base - used);
-  std::printf("overhead: %zu bits (offsets, widths, prefix samples)\n",
-              overhead);
+  std::printf(
+      "overhead: %zu bits = %zu span headers x 256 bits (start + 32 "
+      "widths), %.2f bits/counter\n",
+      overhead, overhead / 256, static_cast<double>(overhead) / cv->size());
   std::printf("total: %zu bits = %.2f bits/counter\n", cv->MemoryUsageBits(),
               static_cast<double>(cv->MemoryUsageBits()) / cv->size());
   std::printf("rebuilds: %zu, pushed bits: %llu\n", cv->rebuild_count(),

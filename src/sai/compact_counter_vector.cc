@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "bitstream/bit_writer.h"
 #include "sai/counter_codec.h"
@@ -22,27 +21,6 @@ size_t SlackBitsPerGroup(const CompactCounterVector::Options& options) {
   return std::max<size_t>(64, static_cast<size_t>(std::ceil(per_group)));
 }
 
-// Sum of the n (1 <= n <= 7) width bytes at p: one 8-byte load, mask, and
-// a pairwise horizontal add. Widths go up to 64, so seven of them can sum
-// to 448 — past a byte — which rules out the classic single-multiply
-// byte-sum; the pairwise fold keeps every lane within 16 bits. The load
-// relies on the kWidthPad zero bytes after widths_[m - 1].
-inline uint64_t SumWidthBytes(const uint8_t* p, size_t n) {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-  uint64_t x;
-  std::memcpy(&x, p, sizeof(x));
-  x &= ~uint64_t{0} >> ((8 - n) * 8);
-  x = (x & 0x00FF00FF00FF00FFull) + ((x >> 8) & 0x00FF00FF00FF00FFull);
-  x += x >> 16;
-  x += x >> 32;
-  return x & 0x3FF;
-#else
-  uint64_t sum = 0;
-  for (size_t j = 0; j < n; ++j) sum += p[j];
-  return sum;
-#endif
-}
-
 }  // namespace
 
 CompactCounterVector::CompactCounterVector(size_t m, Options options)
@@ -51,7 +29,8 @@ CompactCounterVector::CompactCounterVector(size_t m, Options options)
   SBF_CHECK_MSG(options_.group_size >= 1, "group size must be >= 1");
   SBF_CHECK_MSG(options_.slack_per_counter >= 0.0, "negative slack");
   num_groups_ = CeilDiv(m_, options_.group_size);
-  samples_per_group_ = CeilDiv(options_.group_size, kSampleStride);
+  spans_per_group_ = CeilDiv(options_.group_size, kSpanCounters);
+  spans_tile_ = options_.group_size % kSpanCounters == 0;
   Reset();
 }
 
@@ -60,51 +39,25 @@ size_t CompactCounterVector::NumItemsInGroup(size_t g) const {
   return std::min(options_.group_size, m_ - begin);
 }
 
-size_t CompactCounterVector::PositionOf(size_t i) const {
-  // O(1): the sampled prefix sum covers all but the last (i mod 8) widths,
-  // which one branch-free byte-sum picks up.
-  const size_t g = i / options_.group_size;
-  const size_t j = i - g * options_.group_size;
-  size_t pos = group_start_[g] +
-               offset_samples_[g * samples_per_group_ + j / kSampleStride];
-  const size_t tail = j & (kSampleStride - 1);
-  if (tail != 0) pos += SumWidthBytes(widths_.data() + (i - tail), tail);
-  return pos;
+size_t CompactCounterVector::SpanCount(size_t g, size_t s) const {
+  const size_t items = NumItemsInGroup(g);
+  const size_t first = s * kSpanCounters;
+  return first >= items ? 0 : std::min(kSpanCounters, items - first);
 }
 
-void CompactCounterVector::RebuildSamples(size_t g) {
-  const size_t begin = g * options_.group_size;
-  const size_t count = NumItemsInGroup(g);
-  uint32_t* samples = offset_samples_.data() + g * samples_per_group_;
-  uint32_t acc = 0;
-  for (size_t j = 0; j < count; ++j) {
-    if ((j & (kSampleStride - 1)) == 0) samples[j / kSampleStride] = acc;
-    acc += widths_[begin + j];
-  }
-}
-
-size_t CompactCounterVector::DecodeRun(size_t first, size_t last, size_t pos,
-                                       uint64_t* out) const {
-  for (size_t i = first; i < last; ++i) {
-    const uint32_t w = widths_[i];
-    out[i - first] = bits_.GetBits(pos, w);
-    pos += w;
-  }
-  return pos;
-}
-
-uint64_t CompactCounterVector::Get(size_t i) const noexcept {
-  SBF_DCHECK(i < m_);
-  return bits_.GetBits(PositionOf(i), widths_[i]);
+size_t CompactCounterVector::PayloadEnd(size_t g) const {
+  const size_t last = spans_per_group_ - 1;
+  return headers_[g * spans_per_group_ + last].PositionOf(SpanCount(g, last));
 }
 
 void CompactCounterVector::Set(size_t i, uint64_t value) {
   SBF_DCHECK(i < m_);
+  const Slot slot = Locate(i);
   const uint32_t new_width = BitWidth(value);
-  uint32_t width = widths_[i];
+  const uint32_t width = headers_[slot.header].Width(slot.lane);
   if (new_width <= width) {
     // In-place write; the counter keeps its current (possibly wider) field.
-    bits_.SetBits(PositionOf(i), width, value);
+    bits_.SetBits(headers_[slot.header].PositionOf(slot.lane), width, value);
     return;
   }
 
@@ -115,22 +68,28 @@ void CompactCounterVector::Set(size_t i, uint64_t value) {
     Set(i, value);  // widths were tightened; redo with fresh slack
     return;
   }
-  // Push this group's tail (counters after i) into the group slack.
-  const size_t pos = PositionOf(i);
-  const size_t tail_end = group_start_[g] + used_[g];
+  // Push this group's tail (counters after i) into the group slack; the
+  // group's later spans start `grow` bits further on.
+  SpanHeader& h = headers_[slot.header];
+  const size_t pos = h.PositionOf(slot.lane);
+  const size_t tail_end = PayloadEnd(g);
   bits_.ShiftRangeRight(pos + width, tail_end, grow);
   pushed_bits_ += tail_end - (pos + width);
-  widths_[i] = static_cast<uint8_t>(new_width);
-  used_[g] += grow;
-  // Samples after i within the group shift right with the tail. Samples
-  // are group-relative, so no other group's table is touched (BorrowSlack
-  // moves whole groups, which leaves group-relative offsets intact).
-  uint32_t* samples = offset_samples_.data() + g * samples_per_group_;
-  const size_t j = i - g * options_.group_size;
-  for (size_t t = j / kSampleStride + 1; t < samples_per_group_; ++t) {
-    samples[t] += grow;
+  h.SetWidth(slot.lane, new_width);
+  for (size_t t = slot.header + 1; t < (g + 1) * spans_per_group_; ++t) {
+    headers_[t].SetStart(headers_[t].Start() + grow);
   }
   bits_.SetBits(pos, new_width, value);
+}
+
+void CompactCounterVector::IncrementSlow(size_t i, uint64_t v,
+                                         uint64_t delta) {
+  if (delta > ~uint64_t{0} - v) {  // 64-bit ceiling: clamp, don't wrap
+    ++stats_.saturation_clamps;
+    Set(i, ~uint64_t{0});
+    return;
+  }
+  Set(i, v + delta);  // widening path
 }
 
 bool CompactCounterVector::BorrowSlack(size_t g, size_t need) {
@@ -142,11 +101,14 @@ bool CompactCounterVector::BorrowSlack(size_t g, size_t need) {
     const size_t take = std::min(FreeBits(h), need);
     // Shift groups g+1..h right by `take`; group g's region grows, group
     // h's slack shrinks, groups in between move wholesale.
-    const size_t span_begin = group_start_[g + 1];
-    const size_t span_end = group_start_[h] + used_[h];
+    const size_t span_begin = GroupStart(g + 1);
+    const size_t span_end = PayloadEnd(h);
     bits_.ShiftRangeRight(span_begin, span_end, take);
     pushed_bits_ += span_end - span_begin;
-    for (size_t j = g + 1; j <= h; ++j) group_start_[j] += take;
+    for (size_t t = (g + 1) * spans_per_group_; t < (h + 1) * spans_per_group_;
+         ++t) {
+      headers_[t].SetStart(headers_[t].Start() + take);
+    }
     need -= take;
   }
   return true;
@@ -155,38 +117,39 @@ bool CompactCounterVector::BorrowSlack(size_t g, size_t need) {
 void CompactCounterVector::Rebuild() {
   std::vector<uint64_t> values(m_);
   DecodeBlock(0, m_, values.data());
-  for (size_t i = 0; i < m_; ++i) {
-    widths_[i] = static_cast<uint8_t>(BitWidth(values[i]));
-  }
   LayoutFromValues(values.data());
   ++rebuilds_;
 }
 
 void CompactCounterVector::LayoutFromValues(const uint64_t* values) {
   const size_t slack = SlackBitsPerGroup(options_);
-  group_start_.assign(num_groups_ + 1, 0);
-  used_.assign(num_groups_, 0);
-  for (size_t g = 0; g < num_groups_; ++g) {
-    const size_t begin = g * options_.group_size;
-    const size_t end = begin + NumItemsInGroup(g);
-    size_t payload = 0;
-    for (size_t i = begin; i < end; ++i) payload += widths_[i];
-    used_[g] = static_cast<uint32_t>(payload);
-    group_start_[g + 1] = group_start_[g] + payload + slack;
+  size_t total = num_groups_ * slack + m_;
+  if (values != nullptr) {
+    for (size_t i = 0; i < m_; ++i) total += BitWidth(values[i]) - 1;
   }
-  bits_ = BitVector(group_start_[num_groups_]);
-  offset_samples_.assign(num_groups_ * samples_per_group_, 0);
+  bits_ = BitVector(total);
+  // Zeroed headers: every lane a 1-bit counter.
+  headers_.assign(num_groups_ * spans_per_group_, SpanHeader{});
+  size_t pos = 0;
   for (size_t g = 0; g < num_groups_; ++g) {
-    if (values != nullptr) {
-      // The new array is zero, so zero counters need no write.
-      size_t pos = group_start_[g];
-      const size_t begin = g * options_.group_size;
-      for (size_t i = begin; i < begin + NumItemsInGroup(g); ++i) {
-        if (values[i] != 0) bits_.SetBits(pos, widths_[i], values[i]);
-        pos += widths_[i];
+    for (size_t s = 0; s < spans_per_group_; ++s) {
+      SpanHeader& h = headers_[g * spans_per_group_ + s];
+      h.SetStart(pos);
+      const size_t count = SpanCount(g, s);
+      if (values == nullptr) {
+        pos += count;
+        continue;
+      }
+      const uint64_t* v = values + g * options_.group_size + s * kSpanCounters;
+      for (size_t j = 0; j < count; ++j) {
+        const uint32_t width = BitWidth(v[j]);
+        h.SetWidth(j, width);
+        // The new array is zero, so zero counters need no write.
+        if (v[j] != 0) bits_.SetBits(pos, width, v[j]);
+        pos += width;
       }
     }
-    RebuildSamples(g);
+    pos += slack;
   }
 }
 
@@ -212,65 +175,51 @@ void CompactCounterVector::LoadInOrder(const std::vector<uint64_t>& values) {
       }
       continue;
     }
-    BitWriter writer(&bits_, group_start_[g]);
-    for (size_t j = 0; j < count; ++j) {
-      const uint32_t width = BitWidth(v[j]);
-      widths_[begin + j] = static_cast<uint8_t>(width);
-      writer.WriteBits(v[j], width);
+    BitWriter writer(&bits_, GroupStart(g));
+    for (size_t s = 0; s < spans_per_group_; ++s) {
+      SpanHeader& h = headers_[g * spans_per_group_ + s];
+      h.SetStart(writer.position());
+      const size_t first = s * kSpanCounters;
+      for (size_t j = 0; j < SpanCount(g, s); ++j) {
+        const uint32_t width = BitWidth(v[first + j]);
+        h.SetWidth(j, width);
+        writer.WriteBits(v[first + j], width);
+      }
     }
-    used_[g] += growth;
     pushed_bits_ += pushed;
-    RebuildSamples(g);
   }
 }
 
-void CompactCounterVector::Increment(size_t i, uint64_t delta) {
-  SBF_DCHECK(i < m_);
-  const uint32_t width = widths_[i];
-  const size_t pos = PositionOf(i);
-  const uint64_t v = bits_.GetBits(pos, width);
-  if (delta > ~uint64_t{0} - v) {  // 64-bit ceiling: clamp, don't wrap
-    ++stats_.saturation_clamps;
-    Set(i, ~uint64_t{0});
-    return;
-  }
-  const uint64_t value = v + delta;
-  if (BitWidth(value) <= width) {
-    bits_.SetBits(pos, width, value);
-    return;
-  }
-  Set(i, value);  // widening path
-}
-
-void CompactCounterVector::Reset() {
-  widths_.assign(m_ + kWidthPad, 0);
-  std::fill_n(widths_.begin(), m_, uint8_t{1});
-  LayoutFromValues(nullptr);
-}
+void CompactCounterVector::Reset() { LayoutFromValues(nullptr); }
 
 void CompactCounterVector::DecodeBlock(size_t first, size_t n,
                                        uint64_t* out) const {
   SBF_DCHECK(first + n <= m_);
-  size_t i = first;
   const size_t end = first + n;
+  size_t i = first;
   while (i < end) {
+    // Counters i.. to the end of i's span, from one header.
+    const Slot slot = Locate(i);
+    const SpanHeader& h = headers_[slot.header];
     const size_t g = i / options_.group_size;
-    const size_t gend =
-        std::min(end, g * options_.group_size + NumItemsInGroup(g));
-    DecodeRun(i, gend, PositionOf(i), out + (i - first));
-    i = gend;
+    const size_t span_end = std::min(
+        {end, i + kSpanCounters - slot.lane,
+         g * options_.group_size + NumItemsInGroup(g)});
+    size_t pos = h.PositionOf(slot.lane);
+    for (size_t j = slot.lane; i < span_end; ++i, ++j) {
+      const uint32_t w = h.Width(j);
+      *out++ = bits_.GetBits(pos, w);
+      pos += w;
+    }
   }
 }
 
 size_t CompactCounterVector::UsedBits() const {
   size_t total = 0;
-  for (size_t i = 0; i < m_; ++i) total += widths_[i];
+  for (size_t g = 0; g < num_groups_; ++g) {
+    total += PayloadEnd(g) - GroupStart(g);
+  }
   return total;
-}
-
-size_t CompactCounterVector::OverheadBits() const {
-  return group_start_.size() * 64 + used_.size() * 32 + m_ * 8 +
-         offset_samples_.size() * 32;
 }
 
 size_t CompactCounterVector::MemoryUsageBits() const {
@@ -332,53 +281,48 @@ StatusOr<std::unique_ptr<CounterVector>> CompactCounterVector::Deserialize(
 
 
 Status CompactCounterVector::CheckInvariants() const {
-  if (group_start_.size() != num_groups_ + 1 || used_.size() != num_groups_ ||
-      widths_.size() != m_ + kWidthPad ||
-      offset_samples_.size() != num_groups_ * samples_per_group_) {
+  if (headers_.size() != num_groups_ * spans_per_group_) {
     return Status::FailedPrecondition(
-        "compact backing: bookkeeping vector sizes disagree with m");
+        "compact backing: header count disagrees with m and group size");
   }
-  for (size_t i = m_; i < widths_.size(); ++i) {
-    if (widths_[i] != 0) {
+  if (bits_.size_bits() > SpanHeader::kStartMask) {
+    return Status::FailedPrecondition(
+        "compact backing: base array too large for 52-bit span starts");
+  }
+  if (GroupStart(0) != 0) {
+    return Status::FailedPrecondition(
+        "compact backing: first span does not start the base array");
+  }
+  for (size_t t = 1; t < headers_.size(); ++t) {
+    if (headers_[t].Start() < headers_[t - 1].Start()) {
       return Status::FailedPrecondition(
-          "compact backing: width padding bytes are not zero");
+          "compact backing: header starts not monotone");
     }
-  }
-  if (group_start_[0] != 0 || group_start_[num_groups_] != bits_.size_bits()) {
-    return Status::FailedPrecondition(
-        "compact backing: group offsets do not span the base array");
   }
   for (size_t g = 0; g < num_groups_; ++g) {
-    if (group_start_[g] > group_start_[g + 1]) {
-      return Status::FailedPrecondition(
-          "compact backing: group offsets not monotone");
-    }
-    uint64_t width_sum = 0;
-    const size_t begin = g * options_.group_size;
-    const size_t end = begin + NumItemsInGroup(g);
-    for (size_t i = begin; i < end; ++i) {
-      if (widths_[i] < 1 || widths_[i] > 64) {
-        return Status::FailedPrecondition(
-            "compact backing: counter width out of [1, 64]");
+    for (size_t s = 0; s < spans_per_group_; ++s) {
+      const SpanHeader& h = headers_[g * spans_per_group_ + s];
+      // Width fields hold width - 1 in six bits, so every used lane reads
+      // a width in [1, 64]; unused lanes must stay zero.
+      const size_t count = SpanCount(g, s);
+      for (size_t j = count; j < kSpanCounters; ++j) {
+        if (h.Width(j) != 1) {
+          return Status::FailedPrecondition(
+              "compact backing: width field set past the span's last "
+              "counter");
+        }
       }
-      // Every sampled offset must equal the width prefix sum it stands in
-      // for — the O(1) PositionOf is only as correct as this table.
-      const size_t j = i - begin;
-      if ((j & (kSampleStride - 1)) == 0 &&
-          offset_samples_[g * samples_per_group_ + j / kSampleStride] !=
-              width_sum) {
-        return Status::FailedPrecondition(
-            "compact backing: prefix-sum offset sample disagrees with the "
-            "counter widths");
+      if (s > 0) {
+        // The O(1) PositionOf is only as right as this chain.
+        const SpanHeader& prev = headers_[g * spans_per_group_ + s - 1];
+        if (h.Start() != prev.PositionOf(SpanCount(g, s - 1))) {
+          return Status::FailedPrecondition(
+              "compact backing: span start disagrees with the widths "
+              "before it in its group");
+        }
       }
-      width_sum += widths_[i];
     }
-    if (width_sum != used_[g]) {
-      return Status::FailedPrecondition(
-          "compact backing: group used-bit count disagrees with the sum of "
-          "its counter widths");
-    }
-    if (used_[g] > RegionBits(g)) {
+    if (PayloadEnd(g) > RegionEnd(g)) {
       return Status::FailedPrecondition(
           "compact backing: group payload overflows its region");
     }

@@ -9,8 +9,9 @@
 //  2. Sensitivity — a structure corrupted through a channel the validator
 //     claims to cover must FAIL, with a status naming the invariant. Each
 //     corruption below breaks exactly one documented invariant: the SBF
-//     counter-sum lower bound, fixed-width tail padding, Bloom padding
-//     bits, a stale rank/select directory.
+//     counter-sum lower bound, fixed-width tail padding, the compact
+//     backing's span headers, Bloom padding bits, a stale rank/select
+//     directory.
 //
 // The statistical rules (counter sum, population bound) are provable only
 // while every update went through the public insert paths, so they are
@@ -189,6 +190,38 @@ TEST(AuditCorruptionTest, FixedCountersCatchTailScribble) {
 
   counters.mutable_words()[0] |= uint64_t{1} << 63;
   EXPECT_FALSE(counters.CheckInvariants().ok());
+}
+
+// A flipped width field moves where its span's counters end, so the next
+// span of the group no longer starts where the widths before it say.
+TEST(AuditCorruptionTest, CompactCatchesFlippedWidthField) {
+  CompactCounterVector::Options options;
+  options.group_size = 64;  // two span headers per group
+  CompactCounterVector counters(256, options);
+  for (size_t i = 0; i < 256; i += 3) counters.Set(i, i);
+  ASSERT_TRUE(counters.CheckInvariants().ok());
+
+  counters.mutable_header_words()[1] ^= 1;  // lane 2 of the first header
+  const Status status = counters.CheckInvariants();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("span start"), std::string::npos)
+      << status.message();
+}
+
+// A span start lowered below the one before it.
+TEST(AuditCorruptionTest, CompactCatchesStartOutOfOrder) {
+  CompactCounterVector counters(256);  // 8 groups of one span each
+  for (size_t i = 0; i < 256; i += 5) counters.Set(i, 3 * i);
+  ASSERT_TRUE(counters.CheckInvariants().ok());
+
+  constexpr uint64_t kStart = (uint64_t{1} << 52) - 1;
+  uint64_t* words = counters.mutable_header_words();  // four per header
+  const uint64_t before = words[2 * 4] & kStart;
+  words[3 * 4] = (words[3 * 4] & ~kStart) | (before - 1);
+  const Status status = counters.CheckInvariants();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("not monotone"), std::string::npos)
+      << status.message();
 }
 
 // Mutating the bit vector after directory construction leaves rank/select
