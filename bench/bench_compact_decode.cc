@@ -1,8 +1,8 @@
 // Grouped-backing decode economics (the "close the compact-backing gap"
 // ROADMAP item): what a compact-backed batch estimate costs now that
 // PositionOf is O(1) (a span header's start plus a register prefix sum of
-// its width lanes) and the batch pipeline hints each probe's header and
-// then its payload word, against
+// its width lanes) and the batch pipeline hints each probe's header,
+// against
 // (a) the current scalar path and (b) a faithful replica of the
 // pre-refactor per-access path that re-scanned the group's widths on
 // every probe. Also times the full-vector DecodeBlock sweep vs a scalar
@@ -43,8 +43,10 @@ volatile uint64_t g_sink = 0;
 // Round-robin repeats of every cell (bench::TimeInterleaved).
 constexpr int kRepetitions = 5;
 
-// Median over the repeats of a's time over b's, repeat by repeat: each
-// pair ran back to back, so a burst of host noise moves both.
+// Median over the repeats of a's time over b's, repeat by repeat. Each
+// pair of cells this is taken over sits side by side in the round-robin,
+// so within a repeat the two ran back to back and a burst of host noise
+// moves both.
 double MedianRatio(const sbf::bench::CellTiming& a,
                    const sbf::bench::CellTiming& b) {
   std::vector<double> ratios;
@@ -57,13 +59,16 @@ double MedianRatio(const sbf::bench::CellTiming& a,
 
 // The pre-refactor per-access estimate: before the sampled prefix-offset
 // table, every compact Get(i) re-derived counter i's bit position by
-// summing the widths from the group start (O(group_size) per probe). The
-// width scan is reproduced against the live layout through the public
-// WidthOf accessor, on top of today's Get — the same memory traffic the
-// old PositionOf paid — so the artifact keeps an honest baseline even
+// summing the byte widths from the group start (O(group_size) per probe).
+// The scan runs over `widths`, a plain byte array copied from the live
+// layout before timing — the same memory traffic the old PositionOf paid
+// on its one-byte-per-counter width array, whatever the library's layout
+// is now — on top of today's Get, so the artifact keeps an honest baseline
 // after the slow path is gone from the library.
 uint64_t PreRefactorEstimate(const SpectralBloomFilter& filter,
-                             const CompactCounterVector& cv, uint64_t key) {
+                             const CompactCounterVector& cv,
+                             const std::vector<uint8_t>& widths,
+                             uint64_t key) {
   uint64_t positions[sbf::HashFamily::kMaxK];
   filter.Positions(key, positions);
   const size_t group_size = cv.group_size();
@@ -71,7 +76,7 @@ uint64_t PreRefactorEstimate(const SpectralBloomFilter& filter,
   for (uint32_t j = 0; j < filter.k(); ++j) {
     const size_t i = static_cast<size_t>(positions[j]);
     uint64_t scan = 0;
-    for (size_t b = i - i % group_size; b < i; ++b) scan += cv.WidthOf(b);
+    for (size_t b = i - i % group_size; b < i; ++b) scan += widths[b];
     g_sink = g_sink + scan;
     best = std::min(best, cv.Get(i));
   }
@@ -131,6 +136,7 @@ int main(int argc, char** argv) {
     uint64_t batched_checksum = 0;
     uint64_t get_checksum = 0;
     uint64_t block_checksum = 0;
+    std::vector<uint8_t> widths;
     std::vector<std::function<double()>> cells = {
         // The batched pipeline: hash-ahead + prefetch + early-exit min.
         [&] {
@@ -203,26 +209,33 @@ int main(int argc, char** argv) {
         }};
     if (compact) {
       // The pre-refactor replica (compact only; the fixed backings never
-      // paid a positional scan).
+      // paid a positional scan), right after the batched cell it is
+      // compared with.
       const auto& compact_cv = static_cast<const CompactCounterVector&>(cv);
-      cells.push_back([&] {
+      widths.resize(cv.size());
+      for (size_t i = 0; i < cv.size(); ++i) {
+        widths[i] = static_cast<uint8_t>(compact_cv.WidthOf(i));
+      }
+      cells.insert(cells.begin() + 1, [&] {
         per_access_checksum = 0;
         Timer timer;
         for (int r = 0; r < rounds; ++r) {
           for (uint64_t key : data.keys) {
-            per_access_checksum += PreRefactorEstimate(filter, compact_cv, key);
+            per_access_checksum +=
+                PreRefactorEstimate(filter, compact_cv, widths, key);
           }
         }
         return timer.ElapsedSeconds();
       });
     }
     const auto t = sbf::bench::TimeInterleaved(cells, kRepetitions);
+    const size_t rest = compact ? 2 : 1;  // cells after batched/per-access
     const sbf::bench::CellTiming& batched = t[0];
-    const sbf::bench::CellTiming& scalar = t[1];
-    const sbf::bench::CellTiming& sweep_get = t[2];
-    const sbf::bench::CellTiming& sweep_block = t[3];
-    const sbf::bench::CellTiming& flush_scalar = t[4];
-    const sbf::bench::CellTiming& flush_batch = t[5];
+    const sbf::bench::CellTiming& scalar = t[rest];
+    const sbf::bench::CellTiming& sweep_get = t[rest + 1];
+    const sbf::bench::CellTiming& sweep_block = t[rest + 2];
+    const sbf::bench::CellTiming& flush_scalar = t[rest + 3];
+    const sbf::bench::CellTiming& flush_batch = t[rest + 4];
 
     const uint64_t probes = static_cast<uint64_t>(rounds) * q;
     const uint64_t sweeps = static_cast<uint64_t>(rounds) * cv.size();
@@ -235,7 +248,7 @@ int main(int argc, char** argv) {
       json.Add(row, params, ns, 1e3 / ns);
     };
     if (compact) {
-      add("estimate_per_access_prerefactor", t[6], probes,
+      add("estimate_per_access_prerefactor", t[1], probes,
           {{"checksum", per_access_checksum % 1000003}});
     }
     add("estimate_scalar", scalar, probes,
@@ -244,7 +257,7 @@ int main(int argc, char** argv) {
         {"checksum", batched_checksum % 1000003}};
     if (compact) {
       batched_params.emplace_back("speedup_vs_per_access",
-                                  MedianRatio(t[6], batched));
+                                  MedianRatio(t[1], batched));
     }
     add("estimate_batched", batched, probes, batched_params);
     add("sweep_scalar_get", sweep_get, sweeps,

@@ -6,11 +6,13 @@ written by bench/bench_compact_decode) and fails if the compact backing's
 batched estimate is not at least THRESHOLD times faster than the
 pre-refactor per-access baseline — the O(group_size) width re-scan every
 probe paid before the sampled prefix-offset table made PositionOf O(1).
-The bench replicates that baseline against the live layout, so the gate
-keeps measuring the same gap after the slow path is gone from the
-library, and reports the median ratio of 5 interleaved (per-access,
-batched) timing pairs, so one noisy timing cannot flip the verdict. The artifact's other rows (DecodeBlock sweeps, the
-epoch-apply flush path) ride along ungated.
+The bench replicates that baseline over a byte-per-counter copy of the
+live widths (the old width array's traffic, whatever the library's
+layout), so the gate keeps measuring the same gap after the slow path is
+gone from the library, and reports the median ratio of 5 interleaved
+(per-access, batched) timing pairs, each pair timed back to back, so one
+noisy timing cannot flip the verdict. The artifact's other rows
+(DecodeBlock sweeps, the epoch-apply flush path) ride along ungated.
 
 The gate SKIPS — exit 0 with a message — when the artifact has no compact
 batched-estimate row carrying the speedup param (an artifact produced by

@@ -21,32 +21,18 @@ namespace sbf {
 // the prefetches of key i+8 have the latency of ~8 keys' worth of hashing
 // and probing (>= 100ns at k = 5) to complete — comfortably above DRAM
 // latency — while the position ring stays a 4 KiB stack array
-// (W * kMaxK * 8 bytes; 8 KiB for PayloadHint counters, hashed 2W
-// ahead). Larger windows showed no further gain and start
+// (W * kMaxK * 8 bytes). Larger windows showed no further gain and start
 // evicting the probes' own lines on small L1s (see DESIGN.md "Hot path &
 // batching").
 inline constexpr size_t kBatchWindow = 8;
 
-// Counter types whose probe reads an address it must first look up (the
-// compact backing's span header, then its payload word) declare
-// PrefetchPayload(i): a hint of counter i's payload word, cheap once its
-// header is cached.
-template <typename CV>
-concept PayloadHint = requires(const CV& cv, size_t i) {
-  cv.PrefetchPayload(i);
-};
-
-// Software pipeline shared by every batched filter kernel:
+// Two-stage software pipeline shared by every batched filter kernel
+// (tentpole of the batching PR):
 //
 //   stage 1 (hash):  compute the k positions of key i+W and issue a
 //                    prefetch for each position's backing words;
 //   stage 2 (probe): read/update the counters of key i, whose prefetch
 //                    was issued W keys ago and has had time to complete.
-//
-// PayloadHint counter types run one more stage: stage 1 moves to key
-// i+2W and hints the headers, and key i+W hints its payload words from
-// the headers its stage-1 hint has brought in by then
-// (`prefetch.Payload`).
 //
 // `cv` is the *concrete* (final) counter vector so the probe functor's
 // Get/Set/Increment calls devirtualize and inline. `pos_of(key, out)`
@@ -59,31 +45,6 @@ template <typename CV, typename PosFn, typename PrefetchFn, typename ProbeFn>
 inline void BatchPipeline(CV& cv, const uint64_t* keys, size_t n,
                           PosFn&& pos_of, PrefetchFn&& prefetch,
                           ProbeFn&& probe) {
-  if constexpr (PayloadHint<CV>) {
-    constexpr size_t kLead = 2 * kBatchWindow;
-    uint64_t ring[kLead][HashFamily::kMaxK];
-    const size_t head = n < kLead ? n : kLead;
-    for (size_t i = 0; i < head; ++i) {
-      pos_of(keys[i], ring[i]);
-      prefetch(cv, ring[i]);
-    }
-    for (size_t i = 0; i < n && i < kBatchWindow; ++i) {
-      prefetch.Payload(cv, ring[i]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t* pos = ring[i % kLead];
-      probe(cv, pos, i);
-      if (i + kBatchWindow < n) {
-        prefetch.Payload(cv, ring[(i + kBatchWindow) % kLead]);
-      }
-      // The slot just probed is the one key i+2W lands in.
-      if (i + kLead < n) {
-        pos_of(keys[i + kLead], pos);
-        prefetch(cv, pos);
-      }
-    }
-    return;
-  }
   uint64_t ring[kBatchWindow][HashFamily::kMaxK];
   const size_t head = n < kBatchWindow ? n : kBatchWindow;
   for (size_t i = 0; i < head; ++i) {
@@ -215,17 +176,12 @@ inline void WriteProbe(CV& cv, const uint64_t* pos, uint32_t k,
   }
 }
 
-// Stage-1 prefetch functor: one PrefetchCounter hint per position, and
-// for PayloadHint counters one payload hint per position.
+// Stage-1 prefetch functor: one PrefetchCounter hint per position.
 struct PrefetchEachPosition {
   uint32_t k;
   template <typename CV>
   void operator()(const CV& cv, const uint64_t* pos) const {
     for (uint32_t j = 0; j < k; ++j) cv.PrefetchCounter(pos[j]);
-  }
-  template <typename CV>
-  void Payload(const CV& cv, const uint64_t* pos) const {
-    for (uint32_t j = 0; j < k; ++j) cv.PrefetchPayload(pos[j]);
   }
 };
 
@@ -261,8 +217,7 @@ void VisitBacking(CounterBacking backing, Base& cv, Fn&& fn) {
 // its block, so one hint per block replaces one per position. Fixed-width
 // backings recover the block's first word from any position and hint the
 // whole block (a second line for blocks wider than 64 bytes); the other
-// counter types hint the first probe's word, group or header (and, for
-// PayloadHint types, that probe's payload word).
+// counter types hint the first probe's word, group or header.
 struct PrefetchBlock {
   uint64_t block_size;
   template <typename CV>
@@ -275,10 +230,6 @@ struct PrefetchBlock {
     } else {
       cv.PrefetchCounter(pos[0]);
     }
-  }
-  template <typename CV>
-  void Payload(const CV& cv, const uint64_t* pos) const {
-    cv.PrefetchPayload(pos[0]);
   }
 };
 

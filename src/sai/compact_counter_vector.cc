@@ -26,11 +26,13 @@ size_t SlackBitsPerGroup(const CompactCounterVector::Options& options) {
 CompactCounterVector::CompactCounterVector(size_t m, Options options)
     : m_(m), options_(options) {
   SBF_CHECK_MSG(m >= 1, "counter vector needs m >= 1");
-  SBF_CHECK_MSG(options_.group_size >= 1, "group size must be >= 1");
+  SBF_CHECK_MSG(m < (size_t{1} << 51), "compact vector needs m < 2^51");
+  SBF_CHECK_MSG(options_.group_size >= 1 && options_.group_size <= 4096,
+                "group size must be in 1..4096");
   SBF_CHECK_MSG(options_.slack_per_counter >= 0.0, "negative slack");
   num_groups_ = CeilDiv(m_, options_.group_size);
   spans_per_group_ = CeilDiv(options_.group_size, kSpanCounters);
-  spans_tile_ = options_.group_size % kSpanCounters == 0;
+  group_reciprocal_ = CeilDiv(uint64_t{1} << 63, options_.group_size);
   Reset();
 }
 

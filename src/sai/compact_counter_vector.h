@@ -63,9 +63,7 @@ inline constexpr LaneTable kLanes = MakeLaneTable();
 // A position is the header's start plus the widths of the lanes below the
 // counter's, summed in registers (SpanHeader::WidthsBelow), so a probe
 // reads one header line, then the payload word. Two headers share a
-// 64-byte line. The batch pipelines hint the header 2 * kBatchWindow keys
-// ahead (PrefetchCounter) and the payload word kBatchWindow keys ahead
-// (PrefetchPayload), from the header that is by then cached.
+// 64-byte line. The batch pipelines hint the header (PrefetchCounter).
 //
 // A counter that widens shifts the tail of its own group into the group
 // slack (O(group_size) = O(1) work) and moves the starts of its group's
@@ -145,16 +143,17 @@ class CompactCounterVector final : public CounterVector {
       wire::ByteSpan bytes);
 
   // Stage-1 hint of the batch pipelines: the header line of counter i.
-  // No demand load, so the hint never stalls the pipeline.
+  // No demand load, so the hint never stalls the pipeline. It finds the
+  // header with a hardware division where Locate multiplies, on purpose:
+  // the hint then issues some 30 cycles later, behind the payload misses
+  // of the key being probed rather than ahead of them, and
+  // `durable_ingest`-shaped batches ran ~1.3x faster for it (an equally
+  // long chain of multiplies did the same; EXPERIMENTS.md "Compact
+  // counters on span headers").
   void PrefetchCounter(size_t i) const override {
-    SBF_PREFETCH(headers_.data() + Locate(i).header);
-  }
-  // Stage-2 hint, issued once the header has arrived: the payload word
-  // holding counter i's first bit.
-  void PrefetchPayload(size_t i) const noexcept {
-    const Slot slot = Locate(i);
-    SBF_PREFETCH(bits_.words() +
-                 (headers_[slot.header].PositionOf(slot.lane) >> 6));
+    const size_t g = i / options_.group_size;
+    const size_t j = i - g * options_.group_size;
+    SBF_PREFETCH(headers_.data() + g * spans_per_group_ + j / kSpanCounters);
   }
   // One O(1) seek, then a single sequential decode of the range.
   void DecodeBlock(size_t first, size_t n, uint64_t* out) const override;
@@ -256,8 +255,8 @@ class CompactCounterVector final : public CounterVector {
     size_t lane;
   };
   [[nodiscard]] Slot Locate(size_t i) const noexcept {
-    if (spans_tile_) return {i / kSpanCounters, i % kSpanCounters};
-    const size_t g = i / options_.group_size;
+    const size_t g = static_cast<size_t>(
+        (static_cast<unsigned __int128>(i) * group_reciprocal_) >> 63);
     const size_t j = i - g * options_.group_size;
     return {g * spans_per_group_ + j / kSpanCounters, j % kSpanCounters};
   }
@@ -296,9 +295,11 @@ class CompactCounterVector final : public CounterVector {
   Options options_;
   size_t num_groups_;
   size_t spans_per_group_;
-  // group_size is a multiple of kSpanCounters, so counter i's span is
-  // i / kSpanCounters.
-  bool spans_tile_;
+  // ceil(2^63 / group_size), so (i * group_reciprocal_) >> 63 is
+  // i / group_size without a division: exact for every i < 2^51 when
+  // group_size <= 2^12 (Lemire, Kaser and Kurz, "Faster remainder by
+  // direct computation", Theorem 1).
+  uint64_t group_reciprocal_;
   BitVector bits_;
   // num_groups_ * spans_per_group_ headers, group by group, two per
   // 64-byte line.

@@ -326,6 +326,28 @@ TEST(CompactTest, GroupSizeOne) {
   for (size_t i = 0; i < 17; ++i) EXPECT_EQ(v.Get(i), i * 1000);
 }
 
+// Counters find their group by a multiply-high with a precomputed
+// reciprocal; at the largest group size every group boundary must still
+// land in the right group, and sizes outside 1..4096 are refused.
+TEST(CompactTest, LargestGroupSizeAndRangeChecks) {
+  CompactCounterVector::Options options;
+  options.group_size = 4096;
+  const size_t m = 3 * 4096 + 5;
+  CompactCounterVector v(m, options);
+  for (size_t i = 0; i < m; ++i) {
+    if (i % 4096 <= 1 || i % 4096 >= 4094) v.Set(i, i + 1);
+  }
+  for (size_t i = 0; i < m; ++i) {
+    const uint64_t want = (i % 4096 <= 1 || i % 4096 >= 4094) ? i + 1 : 0;
+    ASSERT_EQ(v.Get(i), want) << i;
+  }
+  EXPECT_TRUE(v.CheckInvariants().ok());
+  options.group_size = 4097;
+  EXPECT_DEATH(CompactCounterVector(10, options), "1..4096");
+  options.group_size = 0;
+  EXPECT_DEATH(CompactCounterVector(10, options), "1..4096");
+}
+
 // --- serial-scan specifics ------------------------------------------------------
 
 TEST(SerialScanTest, EncodedBitsReflectValues) {
