@@ -127,6 +127,32 @@ inline constexpr std::array<ShortCode, 256> kShortCodes = [] {
   return table;
 }();
 
+// Emits the low `prefix_bits` bits of `prefix`, then the delta code of n,
+// as put(bits, length) calls (length 1..64, no bits above it, stream
+// order LSB first): one call when the whole fits in 64 bits, else two.
+template <typename Put>
+inline void EmitDelta(uint64_t prefix, uint32_t prefix_bits, uint64_t n,
+                      Put&& put) {
+  SBF_DCHECK(n >= 1);
+  SBF_DCHECK(prefix_bits <= kMaxDeltaPrefixBits);
+  if (n < kSmallDelta) {
+    const Code& code = kSmallDeltaCodes[n];
+    put(prefix | code.bits << prefix_bits, prefix_bits + code.length);
+    return;
+  }
+  const uint32_t rest = FloorLog2(n);
+  const Code& field = kLengthFields[rest + 1];
+  const uint64_t head = prefix | field.bits << prefix_bits;
+  const uint32_t head_bits = prefix_bits + field.length;
+  const uint64_t tail = ReverseLowBits(n ^ (uint64_t{1} << rest), rest);
+  if (head_bits + rest <= 64) {
+    put(head | tail << head_bits, head_bits + rest);
+    return;
+  }
+  put(head, head_bits);
+  put(tail, rest);
+}
+
 }  // namespace elias_internal
 
 inline void EliasGammaEncode(uint64_t n, BitWriter* writer) {
@@ -160,26 +186,10 @@ inline uint64_t EliasGammaDecode(BitReader* reader) {
 
 inline void EliasDeltaEncodeAfter(uint64_t prefix, uint32_t prefix_bits,
                                   uint64_t n, BitWriter* writer) {
-  using namespace elias_internal;
-  SBF_DCHECK(n >= 1);
-  SBF_DCHECK(prefix_bits <= kMaxDeltaPrefixBits);
-  if (n < kSmallDelta) {
-    const Code& code = kSmallDeltaCodes[n];
-    writer->WriteBits(prefix | code.bits << prefix_bits,
-                      prefix_bits + code.length);
-    return;
-  }
-  const uint32_t rest = FloorLog2(n);
-  const Code& field = kLengthFields[rest + 1];
-  const uint64_t head = prefix | field.bits << prefix_bits;
-  const uint32_t head_bits = prefix_bits + field.length;
-  const uint64_t tail = ReverseLowBits(n ^ (uint64_t{1} << rest), rest);
-  if (head_bits + rest <= 64) {
-    writer->WriteBits(head | tail << head_bits, head_bits + rest);
-    return;
-  }
-  writer->WriteBits(head, head_bits);
-  writer->WriteBits(tail, rest);
+  elias_internal::EmitDelta(prefix, prefix_bits, n,
+                            [writer](uint64_t bits, uint32_t length) {
+                              writer->WriteBits(bits, length);
+                            });
 }
 
 inline bool EliasDeltaDecodeBounded(BitReader* reader, uint32_t max_length,

@@ -645,6 +645,10 @@ Status ConcurrentSbf::Merge(const ConcurrentSbf& other) {
 
 SpectralBloomFilter ConcurrentSbf::SnapshotShard(size_t i) const {
   const_cast<ConcurrentSbf*>(this)->Flush();
+  return CopyShard(i);
+}
+
+SpectralBloomFilter ConcurrentSbf::CopyShard(size_t i) const {
   const Shard& shard = *shards_[i];
   SpectralBloomFilter snap = [&]() -> SpectralBloomFilter {
     if (!lock_free_) {
@@ -662,6 +666,16 @@ SpectralBloomFilter ConcurrentSbf::SnapshotShard(size_t i) const {
   }();
   snap.set_total_items(ItemsOf(shard.inserted_items, shard.removed_items));
   return snap;
+}
+
+std::vector<uint8_t> ConcurrentSbf::EncodeShard(size_t i) const {
+  // Lock-free counters are read atomically into a copy; a locked shard
+  // is encoded in place under its shared lock.
+  if (lock_free_) return CopyShard(i).Serialize();
+  const Shard& shard = *shards_[i];
+  util::ReaderMutexLock lock(shard.mu);
+  return shard.live->SerializeWithItems(
+      ItemsOf(shard.inserted_items, shard.removed_items));
 }
 
 uint64_t ConcurrentSbf::TotalItems() const {
@@ -838,13 +852,33 @@ StatusOr<bool> ConcurrentSbf::ExpandIfDegraded() {
 std::vector<uint8_t> ConcurrentSbf::Serialize() const {
   const_cast<ConcurrentSbf*>(this)->Flush();
   SBF_AUDIT_INVARIANTS(*this);
+  // The shard frames are independent: up to one thread per hardware
+  // thread (the caller's included) encodes every threads-th shard, and
+  // the frames are embedded in shard order after the join. An armed wire
+  // fault keeps the encode on the caller, so its draws stay in shard
+  // order.
+  const uint32_t shards = options_.num_shards;
+  const uint32_t threads =
+      fault::WireFaultArmed()
+          ? 1
+          : std::clamp(std::thread::hardware_concurrency(), 1u, shards);
+  std::vector<std::vector<uint8_t>> frames(shards);
+  const auto encode = [&](uint32_t first) {
+    for (uint32_t s = first; s < shards; s += threads) {
+      frames[s] = EncodeShard(s);
+    }
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(threads - 1);
+  for (uint32_t t = 1; t < threads; ++t) workers.emplace_back(encode, t);
+  encode(0);
+  for (std::thread& worker : workers) worker.join();
+
   wire::Writer payload;
   payload.PutVarint(options_.num_shards);
   payload.PutVarint(options_.m);
   payload.PutU64(options_.seed);
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    payload.PutFrame(SnapshotShard(s).Serialize());
-  }
+  for (const std::vector<uint8_t>& frame : frames) payload.PutFrame(frame);
   return wire::SealFrame(wire::kMagicShardedSbf, wire::kFormatVersion,
                          std::move(payload));
 }

@@ -156,9 +156,14 @@ class ConcurrentSbf final : public FrequencyFilter {
   // 'SBcs' wire frame (io/wire.h): {varint num_shards, varint m, u64 seed,
   // embedded per-shard SpectralBloomFilter frames}, so distributed
   // consumers (Bloomjoin, iceberg sites) can exchange sharded filters or
-  // peel individual shards. Drains all delta buffers, then takes a
-  // per-shard snapshot; concurrent writers make the snapshot a valid
-  // interleaving, not a point-in-time image. Delta tuning is process-local
+  // peel individual shards. Drains all delta buffers once, then encodes
+  // the shards on up to min(hardware threads, num_shards) threads it
+  // starts and joins before returning (the caller is one of them): a
+  // locked shard under its shared lock, a lock-free shard from an atomic
+  // copy of its counters. The frame is byte-identical to a one-thread
+  // encode. Concurrent writers make the frame a valid interleaving, not a
+  // point-in-time image; a frame equal to a serial reference, and
+  // expansion, still require quiescence. Delta tuning is process-local
   // and not serialized.
   [[nodiscard]] std::vector<uint8_t> Serialize() const override;
   static StatusOr<ConcurrentSbf> Deserialize(wire::ByteSpan bytes);
@@ -368,6 +373,10 @@ class ConcurrentSbf final : public FrequencyFilter {
   void EstimateShard(uint32_t shard_index, const uint64_t* keys, size_t n,
                      uint64_t* out) const;
   void ExpandShard(Shard& shard, std::unique_ptr<SpectralBloomFilter> pending);
+  // SnapshotShard without its Flush: a consistent copy of shard i.
+  [[nodiscard]] SpectralBloomFilter CopyShard(size_t i) const;
+  // Shard i's frame, as CopyShard(i).Serialize() writes it.
+  [[nodiscard]] std::vector<uint8_t> EncodeShard(size_t i) const;
 
   // --- delta-buffer plumbing (active iff delta_active_) -------------------
   // The calling thread's DeltaSet (created on first use) when an op of

@@ -486,6 +486,11 @@ uint64_t SpectralBloomFilter::BlockLoad(uint64_t b) const {
 }
 
 std::vector<uint8_t> SpectralBloomFilter::Serialize() const {
+  return SerializeWithItems(total_items_);
+}
+
+std::vector<uint8_t> SpectralBloomFilter::SerializeWithItems(
+    uint64_t total_items) const {
   SBF_AUDIT_INVARIANTS(*this);
   // Four frames, each byte-compatible with every blob written before:
   // 'SBsf' (flat), 'SBbk' (blocked Minimum Selection — the blocked layout
@@ -508,7 +513,7 @@ std::vector<uint8_t> SpectralBloomFilter::Serialize() const {
                                                                         : 1);
   if (blocked && policy != 0) payload.PutU8(policy);
   payload.PutU64(options_.seed);
-  if (sbsf) payload.PutVarint(total_items_);
+  if (sbsf) payload.PutVarint(total_items);
   if (sticky) payload.PutVarint(kStickyWidth);
   payload.PutFrame(counters_->Serialize());
   const uint32_t magic = sticky        ? wire::kMagicCountingBloom

@@ -288,6 +288,10 @@ class SpectralBloomFilter final : public FrequencyFilter {
   // carry no total items, so such a loaded filter counts from 0.
   // Deserialize reads all four.
   [[nodiscard]] std::vector<uint8_t> Serialize() const override;
+  // Serialize() with `total_items` in place of total_items() (a sharded
+  // filter keeps each shard's N beside the shard's filter).
+  [[nodiscard]] std::vector<uint8_t> SerializeWithItems(
+      uint64_t total_items) const;
   static StatusOr<SpectralBloomFilter> Deserialize(wire::ByteSpan bytes);
 
   // Audits options vs. the live hash family, block router and counter

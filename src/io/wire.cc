@@ -73,14 +73,19 @@ uint64_t Reader::ReadVarint() {
 
 std::vector<uint8_t> SealFrame(uint32_t magic, uint32_t version,
                                Writer&& payload) {
-  const std::vector<uint8_t> body = payload.Take();
-  Writer out;
-  out.PutU32(magic);
-  out.PutU32(version);
-  out.PutU64(body.size());
-  out.PutU32(Crc32c(body.data(), body.size()));
-  out.PutBytes(body.data(), body.size());
-  std::vector<uint8_t> frame = out.Take();
+  std::vector<uint8_t> frame = std::move(payload.buf_);
+  const uint64_t size = frame.size() - kFrameHeaderSize;
+  const uint32_t crc = Crc32c(frame.data() + kFrameHeaderSize, size);
+  uint8_t* header = frame.data();
+  const auto put = [&header](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      *header++ = static_cast<uint8_t>(v >> (8 * i));
+    }
+  };
+  put(magic, 4);
+  put(version, 4);
+  put(size, 8);
+  put(crc, 4);
   // Fault-injection site (no-op in production builds): models a torn or
   // corrupted write as the serialized frame leaves the library. OpenFrame's
   // size/CRC validation must reject every mutation with a clean Status.

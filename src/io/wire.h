@@ -1,8 +1,10 @@
 #ifndef SBF_IO_WIRE_H_
 #define SBF_IO_WIRE_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,8 +78,12 @@ inline uint32_t Crc32c(ByteSpan bytes) {
 
 // Append-only little-endian payload builder. Build the payload with the
 // Put* primitives, then wrap it into a checksummed frame with SealFrame.
+// The buffer starts with kFrameHeaderSize reserved bytes, where SealFrame
+// writes the header, so sealing never copies the payload.
 class Writer {
  public:
+  Writer() : buf_(kFrameHeaderSize, 0) {}
+
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU32(uint32_t v) {
     for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
@@ -94,7 +100,10 @@ class Writer {
     buf_.push_back(static_cast<uint8_t>(v));
   }
   void PutBytes(const uint8_t* data, size_t size) {
-    buf_.insert(buf_.end(), data, data + size);
+    if (size == 0) return;
+    const size_t at = buf_.size();
+    buf_.resize(at + size);
+    std::memcpy(buf_.data() + at, data, size);
   }
   void PutBytes(ByteSpan bytes) { PutBytes(bytes.data(), bytes.size()); }
   // `n` 64-bit words, each little-endian.
@@ -102,6 +111,10 @@ class Writer {
     const size_t at = buf_.size();
     buf_.resize(at + n * 8);
     uint8_t* p = buf_.data() + at;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (n > 0) std::memcpy(p, words, n * 8);
+      return;
+    }
     for (size_t i = 0; i < n; ++i) {
       for (int b = 0; b < 8; ++b) {
         *p++ = static_cast<uint8_t>(words[i] >> (8 * b));
@@ -114,16 +127,26 @@ class Writer {
     PutBytes(frame);
   }
 
-  size_t size() const { return buf_.size(); }
-  const std::vector<uint8_t>& bytes() const { return buf_; }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
+  // The payload written so far (without the reserved header bytes).
+  size_t size() const { return buf_.size() - kFrameHeaderSize; }
+  std::vector<uint8_t> bytes() const {
+    return {buf_.begin() + kFrameHeaderSize, buf_.end()};
+  }
+  std::vector<uint8_t> Take() {
+    buf_.erase(buf_.begin(), buf_.begin() + kFrameHeaderSize);
+    return std::move(buf_);
+  }
 
  private:
+  friend std::vector<uint8_t> SealFrame(uint32_t magic, uint32_t version,
+                                        Writer&& payload);
+
   std::vector<uint8_t> buf_;
 };
 
 // Wraps `payload` into a complete frame: header + payload, CRC computed
-// over the payload bytes.
+// over the payload bytes. The header fills the payload writer's reserved
+// front bytes.
 std::vector<uint8_t> SealFrame(uint32_t magic, uint32_t version,
                                Writer&& payload);
 

@@ -197,23 +197,80 @@ void CompactCounterVector::Reset() { LayoutFromValues(nullptr); }
 void CompactCounterVector::DecodeBlock(size_t first, size_t n,
                                        uint64_t* out) const {
   SBF_DCHECK(first + n <= m_);
-  const size_t end = first + n;
-  size_t i = first;
-  while (i < end) {
-    // Counters i.. to the end of i's span, from one header.
-    const Slot slot = Locate(i);
-    const SpanHeader& h = headers_[slot.header];
-    const size_t g = i / options_.group_size;
-    const size_t span_end = std::min(
-        {end, i + kSpanCounters - slot.lane,
-         g * options_.group_size + NumItemsInGroup(g)});
-    size_t pos = h.PositionOf(slot.lane);
-    for (size_t j = slot.lane; i < span_end; ++i, ++j) {
-      const uint32_t w = h.Width(j);
-      *out++ = bits_.GetBits(pos, w);
-      pos += w;
+  if (n == 0) return;
+  // Group by group, span by span from the one located counter on: no
+  // division and no per-counter header lookup.
+  size_t g = GroupOf(first);
+  size_t j = first - g * options_.group_size;  // index within group g
+  while (n > 0) {
+    const size_t items = NumItemsInGroup(g);
+    const SpanHeader* h =
+        headers_.data() + g * spans_per_group_ + j / kSpanCounters;
+    for (size_t lane = j % kSpanCounters; j < items && n > 0; ++h, lane = 0) {
+      const size_t count = std::min({kSpanCounters - lane, items - j, n});
+      out = DecodeSpan(*h, lane, count, out);
+      j += count;
+      n -= count;
     }
+    ++g;
+    j = 0;
   }
+}
+
+uint64_t* CompactCounterVector::DecodeSpan(const SpanHeader& h, size_t lane,
+                                           size_t count,
+                                           uint64_t* out) const {
+  // The payload streams through a 64-bit window holding the `avail` bits
+  // from the cursor on; a field longer than that takes the rest from the
+  // next word, which refills the window. Only words that hold payload are
+  // loaded, so the walk never reads past the array.
+  const uint64_t* words = bits_.words();
+  const uint64_t pos = h.PositionOf(lane);
+  size_t word = pos >> 6;
+  uint64_t window = words[word] >> (pos & 63);
+  uint32_t avail = 64 - static_cast<uint32_t>(pos & 63);
+  const auto take = [&](uint64_t lanes) {
+    const uint32_t width = static_cast<uint32_t>(lanes & 63) + 1;
+    const uint64_t mask = ~uint64_t{0} >> (64 - width);
+    if (width < avail) {
+      *out++ = window & mask;
+      window >>= width;
+      avail -= width;
+      return;
+    }
+    if (width == avail) {
+      *out++ = window;
+      window = 0;
+      avail = 0;
+      return;
+    }
+    const uint64_t next = words[++word];
+    const uint32_t taken = width - avail;
+    *out++ = (window | next << avail) & mask;
+    window = (next >> (taken - 1)) >> 1;
+    avail = 64 - taken;
+  };
+  if (lane == 0 && count == kSpanCounters) {
+    // A whole span: fixed trip counts over the four header words.
+    uint64_t lanes = h.word[0] >> 52;
+    take(lanes);
+    take(lanes >> 6);
+    for (int w = 1; w < 4; ++w) {
+      lanes = h.word[w];
+#pragma GCC unroll 10
+      for (int j = 0; j < 10; ++j, lanes >>= 6) take(lanes);
+    }
+    return out;
+  }
+  const size_t stop = lane + count;
+  while (lane < stop) {
+    // The lanes left in this header word, shifted out six bits at a time.
+    const size_t w = compact_detail::kLanes.word[lane];
+    uint64_t lanes = h.word[w] >> compact_detail::kLanes.shift[lane];
+    const size_t word_stop = std::min(stop, w == 0 ? size_t{2} : 2 + 10 * w);
+    for (; lane < word_stop; ++lane, lanes >>= 6) take(lanes);
+  }
+  return out;
 }
 
 size_t CompactCounterVector::UsedBits() const {

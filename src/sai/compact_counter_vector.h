@@ -155,7 +155,9 @@ class CompactCounterVector final : public CounterVector {
     const size_t j = i - g * options_.group_size;
     SBF_PREFETCH(headers_.data() + g * spans_per_group_ + j / kSpanCounters);
   }
-  // One O(1) seek, then a single sequential decode of the range.
+  // One O(1) seek, then span by span: each header's width lanes are
+  // shifted out of its words in registers while the payload streams
+  // through a 64-bit window.
   void DecodeBlock(size_t first, size_t n, uint64_t* out) const override;
 
   // --- introspection for tests and the storage experiments -------------
@@ -254,14 +256,22 @@ class CompactCounterVector final : public CounterVector {
     size_t header;
     size_t lane;
   };
-  [[nodiscard]] Slot Locate(size_t i) const noexcept {
-    const size_t g = static_cast<size_t>(
+  // Counter i's group: i / group_size by group_reciprocal_.
+  [[nodiscard]] size_t GroupOf(size_t i) const noexcept {
+    return static_cast<size_t>(
         (static_cast<unsigned __int128>(i) * group_reciprocal_) >> 63);
+  }
+  [[nodiscard]] Slot Locate(size_t i) const noexcept {
+    const size_t g = GroupOf(i);
     const size_t j = i - g * options_.group_size;
     return {g * spans_per_group_ + j / kSpanCounters, j % kSpanCounters};
   }
 
   size_t NumItemsInGroup(size_t g) const;
+  // Decodes counters lane..lane + count - 1 of span `h` into out and
+  // returns the end of what it wrote.
+  uint64_t* DecodeSpan(const SpanHeader& h, size_t lane, size_t count,
+                       uint64_t* out) const;
   // Counters in span s of group g (zero for the trailing spans of a short
   // last group).
   size_t SpanCount(size_t g, size_t s) const;

@@ -162,6 +162,12 @@ bool MutateSealedFrame(std::vector<uint8_t>* frame) {
   return true;
 }
 
+bool WireFaultArmed() {
+  Injector& g = Global();
+  std::lock_guard<std::mutex> lock(g.mu);
+  return g.wire_kind != WireFault::kNone;
+}
+
 bool NextCounterFlip(size_t size, size_t* index, uint32_t* bit) {
   Injector& g = Global();
   std::lock_guard<std::mutex> lock(g.mu);

@@ -87,6 +87,9 @@ bool ShouldFailAllocation();
 // Applies the armed wire fault to `frame` in place. Returns true when the
 // frame was mutated.
 bool MutateSealedFrame(std::vector<uint8_t>* frame);
+// True while a wire fault is armed: writers that seal frames on several
+// threads seal them on one instead, so the draws keep their order.
+bool WireFaultArmed();
 
 // Deterministically picks a counter index in [0, size) and a bit in
 // [0, 64) to flip. Returns true when an armed flip fired.
@@ -118,6 +121,7 @@ inline void ArmFileFault(FileFault, uint64_t, uint64_t = 0) {}
 inline void Reset() {}
 inline bool ShouldFailAllocation() { return false; }
 inline bool MutateSealedFrame(std::vector<uint8_t>*) { return false; }
+inline bool WireFaultArmed() { return false; }
 inline bool NextCounterFlip(size_t, size_t*, uint32_t*) { return false; }
 inline bool ShouldShortWrite(size_t, size_t*) { return false; }
 inline bool ShouldFailBeforeRename() { return false; }

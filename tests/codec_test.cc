@@ -443,6 +443,67 @@ TEST(CodecDifferentialTest, CounterStreamMatchesBitLoop) {
   EXPECT_EQ(decoded, values);
 }
 
+// Long zero runs (the stream's "1" codes, packed a block at a time) mixed
+// with the values at the edges of the codeword table and of the 64-bit
+// range, so codewords of 1 to 77 bits straddle every word boundary. 2^53
+// has a codeword of exactly 64 bits.
+std::vector<uint64_t> MixedStreamValues(size_t n, uint64_t seed) {
+  static constexpr uint64_t kEdges[] = {1,
+                                        254,
+                                        255,
+                                        256,
+                                        (uint64_t{1} << 32) - 1,
+                                        uint64_t{1} << 53,
+                                        ~uint64_t{0} - 1,
+                                        ~uint64_t{0}};
+  Xoshiro256 rng(seed);
+  std::vector<uint64_t> values(n, 0);
+  for (size_t i = 0; i < n;) {
+    if (rng.UniformInt(2) == 0) {
+      i += 1 + rng.UniformInt(150);  // a zero run
+      continue;
+    }
+    values[i++] = kEdges[rng.UniformInt(std::size(kEdges))];
+  }
+  return values;
+}
+
+// The counter-stream writer, fed by each backing's DecodeBlock, against
+// the bit loop at every length 1..200 and at 2^16 + 3: the same
+// {varint bit count, words} block, read back to the same counters.
+TEST(CodecDifferentialTest, CounterStreamWriterMatchesBitLoopAcrossWordBoundaries) {
+  std::vector<size_t> lengths;
+  for (size_t n = 1; n <= 200; ++n) lengths.push_back(n);
+  lengths.push_back((size_t{1} << 16) + 3);
+  for (const CounterBacking backing :
+       {CounterBacking::kFixed64, CounterBacking::kCompact,
+        CounterBacking::kSerialScan}) {
+    for (const size_t n : lengths) {
+      const std::vector<uint64_t> values = MixedStreamValues(n, n);
+      auto counters = MakeCounterVector(backing, n);
+      BitVector slow;
+      for (size_t i = 0; i < n; ++i) {
+        counters->Set(i, values[i]);
+        bitloop::CounterEncode(&slow, values[i]);
+      }
+      const std::string what =
+          counters->Name() + " n=" + std::to_string(n);
+      wire::Writer out;
+      WriteCounterStream(*counters, &out);
+      wire::Writer want;
+      want.PutVarint(slow.size_bits());
+      want.PutWords(slow.words(), slow.size_words());
+      ASSERT_EQ(out.bytes(), want.bytes()) << what;
+
+      const std::vector<uint8_t> bytes = out.Take();
+      wire::Reader in(bytes.data(), bytes.size());
+      std::vector<uint64_t> decoded(n);
+      ASSERT_TRUE(ReadCounterStream(&in, decoded, "test").ok()) << what;
+      ASSERT_EQ(decoded, values) << what;
+    }
+  }
+}
+
 // The three codes behind one switch for the layout tests below (steps
 // with the {1, 2} configuration); n >= 1.
 enum class Codec { kGamma, kDelta, kSteps };

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "sai/compact_counter_vector.h"
+#include "util/bits.h"
 #include "util/random.h"
 #include "workload/multiset_stream.h"
 #include "workload/zipf.h"
@@ -127,6 +130,70 @@ TEST(CompactStressTest, RepeatedRebuildsStayConsistent) {
     }
   }
   EXPECT_GE(counters.rebuild_count(), 50u);
+}
+
+// DecodeBlock against Get over random ranges (first, n) at every group
+// size of CompactDigestTest: ranges that start and end inside spans and
+// groups, counters of every width up to 64 bits (2^64 - 1 among them),
+// after a forced borrow (two counters of group 0 widened to 64 bits with
+// the group's fresh slack at its 64-bit floor) and after a rebuild.
+TEST(CompactStressTest, DecodeBlockMatchesGetOnRandomRanges) {
+  constexpr size_t kM = 1000;
+  constexpr uint64_t kMax = ~uint64_t{0};
+  for (const size_t group_size : {1, 4, 8, 12, 16, 32, 33, 64, 100}) {
+    CompactCounterVector::Options options;
+    options.group_size = group_size;
+    options.slack_per_counter = 0.0;
+    CompactCounterVector cv(kM, options);
+    Xoshiro256 rng(group_size);
+    const auto check = [&](const char* stage) {
+      const std::string what =
+          std::string(stage) + " g=" + std::to_string(group_size);
+      std::vector<uint64_t> want(kM);
+      for (size_t i = 0; i < kM; ++i) want[i] = cv.Get(i);
+      // One slot past the range catches a write beyond it.
+      constexpr uint64_t kUnwritten = 0xA5A5A5A5A5A5A5A5u;
+      std::vector<uint64_t> got(kM + 1, kUnwritten);
+      cv.DecodeBlock(0, kM, got.data());
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin())) << what;
+      ASSERT_EQ(got[kM], kUnwritten) << what;
+      for (int trial = 0; trial < 300; ++trial) {
+        const size_t first = rng.UniformInt(kM);
+        const size_t n = rng.UniformInt(kM - first + 1);
+        std::fill(got.begin(), got.end(), kUnwritten);
+        cv.DecodeBlock(first, n, got.data());
+        for (size_t t = 0; t < n; ++t) {
+          ASSERT_EQ(got[t], want[first + t])
+              << what << " first=" << first << " n=" << n << " t=" << t;
+        }
+        ASSERT_EQ(got[n], kUnwritten) << what << " first=" << first;
+      }
+    };
+    for (size_t i = 0; i < kM; ++i) {
+      const auto width = static_cast<uint32_t>(1 + rng.UniformInt(64));
+      const uint64_t value =
+          i % 97 == 0 ? kMax
+                      : (rng.Next() | uint64_t{1} << (width - 1)) &
+                            LowMask(width);
+      cv.Set(i, value);
+    }
+    check("every width");
+
+    for (size_t i = 0; i < kM; ++i) cv.Set(i, i % 3);
+    cv.ForceRebuild();
+    const size_t rebuilds = cv.rebuild_count();
+    cv.Set(0, kMax);
+    cv.Set(group_size - 1, kMax - 1);
+    ASSERT_EQ(cv.rebuild_count(), rebuilds);
+    check("forced borrow");
+
+    for (int t = 0; t < 500; ++t) {
+      cv.Increment(rng.UniformInt(kM), rng.Next() >> rng.UniformInt(64));
+    }
+    cv.ForceRebuild();
+    check("rebuild");
+    ASSERT_TRUE(cv.CheckInvariants().ok());
+  }
 }
 
 TEST(CompactStressTest, MonotoneGrowthThenFullDrain) {
